@@ -1,2606 +1,71 @@
-//! Quick scaling-shape report (S1–S11) using plain wall-clock medians —
-//! a fast complement to the rigorous criterion benches, for smoke-checking
-//! the expected shapes (see DESIGN.md §4) in seconds instead of minutes.
+//! The structural gate: runs every scenario in the `gss-bench` registry
+//! ([`gss_bench::scenarios::registry`]) on the committed smoke workload
+//! and prints each report.
 //!
 //! Usage: `cargo run --release -p gss-bench --bin scaling [-- FLAGS]`
 //!
-//! * `--smoke` — run only S7 + S8 + S9 + S10 + S11 (the committed CI
-//!   smoke workload, [`WorkloadConfig::bench_smoke`]); seconds, not
-//!   minutes.
-//! * `--json PATH` — additionally write the S7 measurements as a JSON
-//!   report (the CI `BENCH_2.json` artifact).
-//! * `--serve-json PATH` — write the S8 serving measurements
-//!   (queries/sec, latency percentiles, cache hit rate, response
-//!   mismatches vs. direct evaluation) as a JSON report (the CI
-//!   `BENCH_3.json` artifact).
-//! * `--solver-json PATH` — write the S9 solver-kernel measurements
-//!   (per-solver wall time for the bitset kernels and the retained
-//!   reference implementations, expanded-node counters) as a JSON report
-//!   (the CI `BENCH_4.json` artifact).
-//! * `--plan-json PATH` — write the S10 planner measurements (Auto vs
-//!   each manual plan for the skyline scan, plus the pruned skyband) as a
-//!   JSON report (the CI `BENCH_5.json` artifact).
-//! * `--reactor-json PATH` — write the S11 reactor measurements (1k+
-//!   concurrent connections on ≤ 2 reactor threads: ping/query latency
-//!   percentiles, response mismatches vs. direct evaluation) as a JSON
-//!   report (the CI `BENCH_6.json` artifact).
-//! * `--churn-json PATH` — write the S12 live-store churn measurements
-//!   (queries/sec while mutation batches bump epochs, partial index
-//!   rebuilds under a tiny staleness budget, epoch-keyed cache hit rate)
-//!   as a JSON report (the CI `BENCH_7.json` artifact).
-//! * `--crash-json PATH` — write the S13 crash-churn measurements (a
-//!   deterministic fault plan kills the WAL mid-churn, restart recovers
-//!   the acked prefix from the data directory, a retrying client resumes
-//!   through injected connection resets with server-side mutation
-//!   dedup) as a JSON report (the CI `BENCH_8.json` artifact).
-//! * `--coldstart-json PATH` — write the S14 cold-start measurements
-//!   (compact-arena bytes per graph vs. the pointer-rich estimate,
-//!   zero-parse binary load time vs. text parse time, answer parity of
-//!   the arena representation against the pointer-rich oracle across
-//!   every plan × thread count × solver config) as a JSON report (the CI
-//!   `BENCH_9.json` artifact).
-//! * `--gate` — exit nonzero unless the indexed scan (a) needs no more
-//!   exact solver calls than the prefilter-only scan and (b) skips ≥ 30%
-//!   of candidates at the partition level, the S8 serving replay
-//!   (c) sees a cache hit rate > 0 on its repeated queries with (d) zero
-//!   response mismatches against direct evaluation, the S9 solver
-//!   sweep (e) ran (the artifact carries it), (f) expanded no more GED /
-//!   MCS search nodes than the recorded baselines, and (g) kept the
-//!   expanded-node contract against the retained reference solvers —
-//!   exact equality for MCS (search order preserved), `≤` for GED (its
-//!   cross-edge bound prunes harder) — and the S10 planner scenario
-//!   (h) shows `Plan::Auto` performing no more exact solver calls than
-//!   the best manual plan and (i) shows skyband pruning active (> 0
-//!   candidates excluded by lower bounds alone), and the S11 reactor
-//!   scenario (j) holds ≥ 1000 connections on ≤ 2 reactor threads with
-//!   (k) zero response mismatches and (l) a query p99 within the
-//!   recorded budget, and the S12 churn scenario (m) applies every
-//!   mutation batch successfully (one epoch per batch, zero refusals),
-//!   (n) keeps a cache hit rate > 0 across epochs, (o) trips ≥ 1 partial
-//!   index rebuild under its tiny staleness budget, and (p) sustains
-//!   nonzero query throughput while mutating, and the S13 crash-churn
-//!   scenario (q) recovers exactly the acked prefix after an injected
-//!   WAL crash (epoch and fingerprint equal to a never-crashed oracle),
-//!   (r) resumes with every unique mutation applied exactly once, and
-//!   (s) shows the injected connection resets forcing client resends
-//!   that the server deduplicates by `mutation_id`, and the S14
-//!   cold-start scenario (t) fits the compact arena in ≤ 0.6× the
-//!   pointer-rich bytes, (u) adopts the saved binary image without
-//!   re-parsing inside the load budget, and (v) answers every plan ×
-//!   thread × solver combo byte-identically from both representations.
-//!   This is the CI perf-regression gate.
+//! * `--json PATH` — write every scenario's metrics and gate verdicts as
+//!   one JSON document ([`gss_bench::report::document`]).
+//! * `--gate` — exit nonzero if any gate failed. This is the CI
+//!   regression gate; the JSON document is written first, so a failing
+//!   run is diagnosable from its artifact.
+//!
+//! Wall-clock performance is not measured here: that is the repository
+//! benchmark under `benchmark/` (see `BENCHMARK.json`).
 
-use std::time::Instant;
+use gss_bench::report::{document, ScenarioReport};
+use gss_bench::scenarios::registry;
 
-use gss_bench::TextTable;
-use gss_core::{
-    graph_similarity_skyband, graph_similarity_skyline, GedMode, GraphDatabase, McsMode, Plan,
-    PruneStats, QueryOptions, SolverConfig,
-};
-use gss_datasets::synth::{perturb, random_connected_graph, RandomGraphConfig};
-use gss_datasets::workload::{Workload, WorkloadConfig, WorkloadKind};
-use gss_diversity::{refine_exact, refine_greedy};
-use gss_ged::{beam::beam_ged, bipartite::bipartite_ged, exact_ged, CostModel, GedOptions};
-use gss_graph::{Graph, Rng, Vocabulary};
-use gss_index::{PivotIndex, PivotIndexConfig};
-use gss_mcs::{greedy::greedy_mcs, mcs_edge_size};
-use gss_skyline::{bnl_skyline, naive_skyline, sfs_skyline};
-
-/// Median wall time of `runs` executions, in microseconds.
-fn time_us<F: FnMut()>(runs: usize, mut f: F) -> f64 {
-    let mut samples: Vec<f64> = (0..runs.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-fn fmt_us(us: f64) -> String {
-    if us >= 1e6 {
-        format!("{:.2} s", us / 1e6)
-    } else if us >= 1e3 {
-        format!("{:.1} ms", us / 1e3)
-    } else {
-        format!("{us:.0} µs")
-    }
+fn usage(problem: &str) -> ! {
+    eprintln!("{problem} (expected: [--json PATH] [--gate])");
+    std::process::exit(2);
 }
 
 fn main() {
     let mut json_path: Option<String> = None;
-    let mut serve_json_path: Option<String> = None;
-    let mut solver_json_path: Option<String> = None;
-    let mut plan_json_path: Option<String> = None;
-    let mut reactor_json_path: Option<String> = None;
-    let mut churn_json_path: Option<String> = None;
-    let mut crash_json_path: Option<String> = None;
-    let mut coldstart_json_path: Option<String> = None;
-    let mut smoke = false;
     let mut gate = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--smoke" => smoke = true,
             "--gate" => gate = true,
             "--json" => match args.next() {
                 Some(path) => json_path = Some(path),
-                None => {
-                    eprintln!("--json needs a file path");
-                    std::process::exit(2);
-                }
+                None => usage("--json needs a file path"),
             },
-            "--serve-json" => match args.next() {
-                Some(path) => serve_json_path = Some(path),
-                None => {
-                    eprintln!("--serve-json needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--solver-json" => match args.next() {
-                Some(path) => solver_json_path = Some(path),
-                None => {
-                    eprintln!("--solver-json needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--plan-json" => match args.next() {
-                Some(path) => plan_json_path = Some(path),
-                None => {
-                    eprintln!("--plan-json needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--reactor-json" => match args.next() {
-                Some(path) => reactor_json_path = Some(path),
-                None => {
-                    eprintln!("--reactor-json needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--churn-json" => match args.next() {
-                Some(path) => churn_json_path = Some(path),
-                None => {
-                    eprintln!("--churn-json needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--crash-json" => match args.next() {
-                Some(path) => crash_json_path = Some(path),
-                None => {
-                    eprintln!("--crash-json needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--coldstart-json" => match args.next() {
-                Some(path) => coldstart_json_path = Some(path),
-                None => {
-                    eprintln!("--coldstart-json needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!(
-                    "unknown flag {other:?} (expected --smoke, --gate, --json PATH, \
-                     --serve-json PATH, --solver-json PATH, --plan-json PATH, \
-                     --reactor-json PATH, --churn-json PATH, --crash-json PATH, \
-                     --coldstart-json PATH)"
-                );
-                std::process::exit(2);
-            }
+            other => usage(&format!("unknown flag {other:?}")),
         }
     }
 
-    if !smoke {
-        s1_skyline();
-        s2_ged();
-        s3_mcs();
-        s4_query();
-        s5_diversity();
-        s6_prefilter();
-    }
-    let report = s7_index();
+    let reports: Vec<(&'static str, ScenarioReport)> = registry()
+        .iter()
+        .map(|scenario| {
+            println!("== {} ==", scenario.id());
+            let report = scenario.run();
+            println!("{}", report.render());
+            (scenario.id(), report)
+        })
+        .collect();
+
     if let Some(path) = &json_path {
-        std::fs::write(path, report.to_json()).unwrap_or_else(|e| {
+        let mut text = document(&reports).to_compact();
+        text.push('\n');
+        if let Err(e) = std::fs::write(path, text) {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(2);
-        });
+        }
         println!("wrote {path}");
     }
-    let serve_report = s8_serve();
-    if let Some(path) = &serve_json_path {
-        std::fs::write(path, serve_report.to_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        println!("wrote {path}");
-    }
-    let solver_report = s9_solvers();
-    if let Some(path) = &solver_json_path {
-        std::fs::write(path, solver_report.to_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        println!("wrote {path}");
-    }
-    let plan_report = s10_plans();
-    if let Some(path) = &plan_json_path {
-        std::fs::write(path, plan_report.to_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        println!("wrote {path}");
-    }
-    let reactor_report = s11_reactor();
-    if let Some(path) = &reactor_json_path {
-        std::fs::write(path, reactor_report.to_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        println!("wrote {path}");
-    }
-    let churn_report = s12_churn();
-    if let Some(path) = &churn_json_path {
-        std::fs::write(path, churn_report.to_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        println!("wrote {path}");
-    }
-    let crash_report = s13_crash_churn();
-    if let Some(path) = &crash_json_path {
-        std::fs::write(path, crash_report.to_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        println!("wrote {path}");
-    }
-    let coldstart_report = s14_coldstart();
-    if let Some(path) = &coldstart_json_path {
-        std::fs::write(path, coldstart_report.to_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        println!("wrote {path}");
-    }
+
     if gate {
+        let gates: Vec<_> = reports.iter().flat_map(|(_, r)| &r.gates).collect();
         let mut failed = false;
-        if !report.gate_solver_calls() {
-            eprintln!(
-                "GATE FAILED: indexed scan verified {} candidates, prefilter-only verified {} \
-                 — the index must not cost extra exact solver calls",
-                report.indexed.0.verified, report.prefilter.0.verified
-            );
-            failed = true;
-        }
-        if !report.gate_skip_rate() {
-            eprintln!(
-                "GATE FAILED: index skipped {:.1}% of candidates at the partition level \
-                 (required: ≥ 30%)",
-                report.indexed.0.index_skip_rate() * 100.0
-            );
-            failed = true;
-        }
-        if !serve_report.gate_cache_hits() {
-            eprintln!(
-                "GATE FAILED: serving replay saw cache hit rate {:.3} — repeated queries \
-                 must hit the result cache",
-                serve_report.cache_hit_rate
-            );
-            failed = true;
-        }
-        if !serve_report.gate_no_mismatches() {
-            eprintln!(
-                "GATE FAILED: {} of {} served responses differ from direct evaluation",
-                serve_report.mismatches, serve_report.requests
-            );
-            failed = true;
-        }
-        if !solver_report.gate_present() {
-            eprintln!("GATE FAILED: S9 solver sweep measured no pairs — artifact incomplete");
-            failed = true;
-        }
-        if !solver_report.gate_expanded_baseline() {
-            eprintln!(
-                "GATE FAILED: solver kernels expanded more nodes than the recorded baseline \
-                 (GED {} vs ≤ {}, MCS {} vs ≤ {})",
-                solver_report.ged_expanded,
-                S9_GED_EXPANDED_BASELINE,
-                solver_report.mcs_expanded,
-                S9_MCS_EXPANDED_BASELINE
-            );
-            failed = true;
-        }
-        if !solver_report.gate_parity() {
-            eprintln!(
-                "GATE FAILED: kernel/reference expanded-node contract broken \
-                 (GED {} vs {}, must be ≤; MCS {} vs {}, must be equal)",
-                solver_report.ged_expanded,
-                solver_report.ged_ref_expanded,
-                solver_report.mcs_expanded,
-                solver_report.mcs_ref_expanded
-            );
-            failed = true;
-        }
-        if !plan_report.gate_auto_economical() {
-            eprintln!(
-                "GATE FAILED: Plan::Auto ({}) ran {} exact solver calls, the best manual plan \
-                 ran {} — Auto must never cost extra solver calls",
-                plan_report.auto_resolved,
-                plan_report.auto.0.verified,
-                plan_report.best_manual_verified()
-            );
-            failed = true;
-        }
-        if !plan_report.gate_skyband_pruning() {
-            eprintln!(
-                "GATE FAILED: the pruned skyband excluded 0 candidates by lower bounds \
-                 (verified {} of {}) — skyband pruning must be active on the smoke workload",
-                plan_report.skyband.0.verified, plan_report.skyband.0.candidates
-            );
-            failed = true;
-        }
-        if !reactor_report.gate_scale() {
-            eprintln!(
-                "GATE FAILED: the reactor scenario held {} connections on {} reactor threads \
-                 — the contract is ≥ 1000 connections on ≤ 2 threads",
-                reactor_report.connections, reactor_report.reactor_threads
-            );
-            failed = true;
-        }
-        if !reactor_report.gate_no_mismatches() {
-            eprintln!(
-                "GATE FAILED: {} of {} reactor-served responses differ from direct evaluation \
-                 (or an idle connection stopped answering)",
-                reactor_report.mismatches, reactor_report.requests
-            );
-            failed = true;
-        }
-        if !reactor_report.gate_latency() {
-            eprintln!(
-                "GATE FAILED: reactor query p99 was {:.0} µs under a {}-connection wall \
-                 (budget: {:.0} µs) — the readiness layer is stalling",
-                reactor_report.p99_us, reactor_report.connections, S11_P99_BUDGET_US
-            );
-            failed = true;
-        }
-        if !churn_report.gate_mutations() {
-            eprintln!(
-                "GATE FAILED: churn applied {} batches with {} failures over {} epochs \
-                 — every batch must land and bump exactly one epoch",
-                churn_report.mutation_batches, churn_report.mutation_failures, churn_report.epochs
-            );
-            failed = true;
-        }
-        if !churn_report.gate_cache_hits() {
-            eprintln!(
-                "GATE FAILED: churn replay saw cache hit rate {:.3} — the epoch-keyed cache \
-                 must still serve hits once mutation stops",
-                churn_report.cache_hit_rate
-            );
-            failed = true;
-        }
-        if !churn_report.gate_partial_rebuilds() {
-            eprintln!(
-                "GATE FAILED: churn ran {} partial index rebuilds with a staleness budget of {} \
-                 over {} batches — the budget must trip incremental maintenance into rebuilds",
-                churn_report.partial_rebuilds,
-                churn_report.staleness_budget,
-                churn_report.mutation_batches
-            );
-            failed = true;
-        }
-        if !churn_report.gate_throughput() {
-            eprintln!(
-                "GATE FAILED: churn served {} queries at {:.1} q/s — queries must keep flowing \
-                 while the store mutates",
-                churn_report.requests, churn_report.qps
-            );
-            failed = true;
-        }
-        if !crash_report.gate_recovery() {
-            eprintln!(
-                "GATE FAILED: crash-churn acked {} batches but recovery reached epoch {} \
-                 (fingerprint match: {}) — restart must recover exactly the acked prefix",
-                crash_report.acked_before_crash,
-                crash_report.recovered_epoch,
-                crash_report.fingerprint_match
-            );
-            failed = true;
-        }
-        if !crash_report.gate_continuity() {
-            eprintln!(
-                "GATE FAILED: crash-churn resumed {} mutations from epoch {} but ended at \
-                 epoch {} — every unique mutation must apply exactly once",
-                crash_report.resumed_mutations,
-                crash_report.acked_before_crash,
-                crash_report.final_epoch
-            );
-            failed = true;
-        }
-        if !crash_report.gate_retries() {
-            eprintln!(
-                "GATE FAILED: crash-churn saw {} client retries and {} deduped replays \
-                 — the injected resets must force resends that dedup server-side",
-                crash_report.client_retries, crash_report.deduped_replays
-            );
-            failed = true;
-        }
-        if !coldstart_report.gate_compaction() {
-            eprintln!(
-                "GATE FAILED: cold-start arena uses {} bytes vs {} pointer-rich \
-                 ({:.2}x > {COMPACTION_CEILING}x ceiling) — compaction must pay for itself",
-                coldstart_report.arena_bytes,
-                coldstart_report.pointer_rich_bytes,
-                coldstart_report.compaction_ratio(),
-            );
-            failed = true;
-        }
-        if !coldstart_report.gate_load() {
-            eprintln!(
-                "GATE FAILED: cold-start load took {:.2} ms (budget {COLD_START_BUDGET_MS} ms, \
-                 adopted compact: {}) — the binary path must adopt the bytes, not re-parse",
-                coldstart_report.load_ms, coldstart_report.adopted_compact,
-            );
-            failed = true;
-        }
-        if !coldstart_report.gate_parity() {
-            eprintln!(
-                "GATE FAILED: cold-start parity sweep saw {} mismatches over {} combos \
-                 — arena-backed answers must be byte-identical to the pointer-rich oracle",
-                coldstart_report.mismatches, coldstart_report.combos,
-            );
+        for g in gates.iter().filter(|g| !g.pass) {
+            eprintln!("GATE FAILED: {} — {}", g.name, g.detail);
             failed = true;
         }
         if failed {
             std::process::exit(1);
         }
-        println!(
-            "gate passed: indexed verified {} ≤ prefilter verified {}; index skipped {:.1}% ≥ 30%; \
-             serving cache hit rate {:.2} > 0 with 0 mismatches over {} requests; \
-             solver expanded nodes at baseline (GED {}, MCS {}) with {:.1}x kernel speedup; \
-             Auto resolved to {} at {} solver calls ≤ best manual {}; skyband excluded {} of {} \
-             candidates without solving",
-            report.indexed.0.verified,
-            report.prefilter.0.verified,
-            report.indexed.0.index_skip_rate() * 100.0,
-            serve_report.cache_hit_rate,
-            serve_report.requests,
-            solver_report.ged_expanded,
-            solver_report.mcs_expanded,
-            solver_report.combined_speedup(),
-            plan_report.auto_resolved,
-            plan_report.auto.0.verified,
-            plan_report.best_manual_verified(),
-            plan_report.skyband.0.candidates - plan_report.skyband.0.verified
-                - plan_report.skyband.0.short_circuited,
-            plan_report.skyband.0.candidates,
-        );
-        println!(
-            "reactor gate passed: {} connections on {} reactor threads, query p99 {:.0} µs \
-             ≤ {:.0} µs, 0 mismatches over {} requests",
-            reactor_report.connections,
-            reactor_report.reactor_threads,
-            reactor_report.p99_us,
-            S11_P99_BUDGET_US,
-            reactor_report.requests,
-        );
-        println!(
-            "churn gate passed: {} mutation batches → {} epochs with 0 failures, \
-             {} partial rebuilds under budget {}, cache hit rate {:.2} > 0, \
-             {:.0} q/s over {} queries while mutating",
-            churn_report.mutation_batches,
-            churn_report.epochs,
-            churn_report.partial_rebuilds,
-            churn_report.staleness_budget,
-            churn_report.cache_hit_rate,
-            churn_report.qps,
-            churn_report.requests,
-        );
-        println!(
-            "crash gate passed: {} acked batches recovered to epoch {} (fingerprint match), \
-             {} resumed mutations reached epoch {} through {} retries with {} deduped replays \
-             and 0 duplicate applications",
-            crash_report.acked_before_crash,
-            crash_report.recovered_epoch,
-            crash_report.resumed_mutations,
-            crash_report.final_epoch,
-            crash_report.client_retries,
-            crash_report.deduped_replays,
-        );
-        println!(
-            "coldstart gate passed: {} bytes/graph ≤ {:.1}x of {} pointer-rich bytes/graph, \
-             zero-parse load {:.2} ms ≤ {COLD_START_BUDGET_MS} ms (vs {:.2} ms text parse), \
-             0 mismatches over {} plan/thread/solver combos",
-            coldstart_report.arena_bytes_per_graph,
-            COMPACTION_CEILING,
-            coldstart_report.pointer_rich_bytes_per_graph,
-            coldstart_report.load_ms,
-            coldstart_report.parse_ms,
-            coldstart_report.combos,
-        );
+        println!("gate passed: all {} gates held", gates.len());
     }
-}
-
-/// The S10 measurements: the unified planner on the committed smoke
-/// workload — `Plan::Auto` against every manual plan for the skyline
-/// scan, plus the pruned skyband — the `BENCH_5.json` artifact.
-struct PlanReport {
-    /// (stats, median wall µs) per plan. The naive scan has no
-    /// `PruneStats`; its entry counts every candidate as verified, which
-    /// is exactly what it executes.
-    naive: (PruneStats, f64),
-    prefilter: (PruneStats, f64),
-    indexed: (PruneStats, f64),
-    auto: (PruneStats, f64),
-    /// What `Plan::Auto` resolved to (`"indexed"` with the index attached).
-    auto_resolved: &'static str,
-    /// (stats, median wall µs) of the pruned (Auto) k-skyband, plus its
-    /// membership count and the k it ran with.
-    skyband: (PruneStats, f64),
-    skyband_k: usize,
-    skyband_members: usize,
-}
-
-impl PlanReport {
-    fn best_manual_verified(&self) -> usize {
-        self.naive
-            .0
-            .verified
-            .min(self.prefilter.0.verified)
-            .min(self.indexed.0.verified)
-    }
-
-    fn gate_auto_economical(&self) -> bool {
-        self.auto.0.verified <= self.best_manual_verified()
-    }
-
-    /// Skyband pruning is active when at least one candidate was excluded
-    /// by lower bounds alone (pruned or skipped wholesale — anything not
-    /// verified and not short-circuited).
-    fn gate_skyband_pruning(&self) -> bool {
-        self.skyband.0.candidates > self.skyband.0.verified + self.skyband.0.short_circuited
-    }
-
-    fn to_json(&self) -> String {
-        let cfg = WorkloadConfig::bench_smoke();
-        let stats = |s: &PruneStats, wall: f64| {
-            format!(
-                "{{\"candidates\": {}, \"verified\": {}, \"pruned\": {}, \
-                 \"short_circuited\": {}, \"index_skipped\": {}, \"pruning_rate\": {:.4}, \
-                 \"wall_us\": {:.1}}}",
-                s.candidates,
-                s.verified,
-                s.pruned,
-                s.short_circuited,
-                s.index_skipped,
-                s.pruning_rate(),
-                wall
-            )
-        };
-        format!(
-            "{{\n  \"schema\": \"gss-bench-plans/1\",\n  \"workload\": {{\"kind\": \"molecule\", \
-             \"database_size\": {}, \"graph_vertices\": {}, \"related_fraction\": {}, \
-             \"seed\": {}}},\n  \"plans\": {{\n    \"naive\": {},\n    \"prefilter\": {},\n    \
-             \"indexed\": {},\n    \"auto\": {}\n  }},\n  \"auto_resolved\": \"{}\",\n  \
-             \"skyband\": {{\"k\": {}, \"members\": {}, \"stats\": {}}},\n  \
-             \"gate\": {{\"auto_verified_le_best_manual\": {}, \"best_manual_verified\": {}, \
-             \"skyband_pruning_active\": {}}}\n}}\n",
-            cfg.database_size,
-            cfg.graph_vertices,
-            cfg.related_fraction,
-            cfg.seed,
-            stats(&self.naive.0, self.naive.1),
-            stats(&self.prefilter.0, self.prefilter.1),
-            stats(&self.indexed.0, self.indexed.1),
-            stats(&self.auto.0, self.auto.1),
-            self.auto_resolved,
-            self.skyband_k,
-            self.skyband_members,
-            stats(&self.skyband.0, self.skyband.1),
-            self.gate_auto_economical(),
-            self.best_manual_verified(),
-            self.gate_skyband_pruning(),
-        )
-    }
-}
-
-/// S10: the unified planner on the committed smoke workload — every plan
-/// runs the same query (with the pivot index attached so `Indexed` and
-/// `Auto` can use it) and must return the identical answer; the report
-/// compares their exact-solver spend, and the pruned skyband rides along.
-fn s10_plans() -> PlanReport {
-    use gss_core::ResolvedPlan;
-
-    println!("== S10: planner — Auto vs manual plans (committed smoke workload) ==");
-    let w = Workload::generate(&WorkloadConfig::bench_smoke());
-    let db = GraphDatabase::from_parts(w.vocab, w.graphs);
-    let index = std::sync::Arc::new(PivotIndex::build(&db, &PivotIndexConfig::default()));
-
-    let options = |plan: Plan| -> QueryOptions {
-        QueryOptions {
-            plan,
-            ..QueryOptions::default()
-        }
-        .with_index(index.clone())
-    };
-    let measure = |plan: Plan| -> (PruneStats, f64, ResolvedPlan) {
-        let opts = options(plan);
-        let wall = time_us(3, || {
-            graph_similarity_skyline(&db, &w.query, &opts);
-        });
-        let r = graph_similarity_skyline(&db, &w.query, &opts);
-        let stats = r.pruning.unwrap_or(PruneStats {
-            candidates: db.len(),
-            verified: db.len(),
-            ..PruneStats::default()
-        });
-        (stats, wall, r.plan)
-    };
-
-    let naive = measure(Plan::Naive);
-    let prefilter = measure(Plan::Prefilter);
-    let indexed = measure(Plan::Indexed);
-    let auto = measure(Plan::Auto);
-
-    // Answer parity across plans (the executor's core contract).
-    let baseline = graph_similarity_skyline(&db, &w.query, &options(Plan::Naive));
-    for plan in [Plan::Prefilter, Plan::Indexed, Plan::Auto] {
-        let r = graph_similarity_skyline(&db, &w.query, &options(plan));
-        assert_eq!(r.skyline, baseline.skyline, "{plan:?} changed the answer");
-        assert_eq!(
-            r.dominated, baseline.dominated,
-            "{plan:?} changed witnesses"
-        );
-    }
-
-    // The pruned skyband under Auto, checked against the naive skyband.
-    const SKYBAND_K: usize = 2;
-    let skyband_wall = time_us(3, || {
-        graph_similarity_skyband(&db, &w.query, SKYBAND_K, &options(Plan::Auto));
-    });
-    let band = graph_similarity_skyband(&db, &w.query, SKYBAND_K, &options(Plan::Auto));
-    let naive_band = graph_similarity_skyband(&db, &w.query, SKYBAND_K, &options(Plan::Naive));
-    assert_eq!(
-        band.members, naive_band.members,
-        "pruned skyband changed membership"
-    );
-    let band_stats = band.pruning.expect("pruned skyband stats");
-
-    let mut table = TextTable::new(vec![
-        "plan", "wall", "verified", "pruned", "short", "skipped",
-    ]);
-    let row = |t: &mut TextTable, name: &str, s: &PruneStats, wall: f64| {
-        t.row(vec![
-            name.to_owned(),
-            fmt_us(wall),
-            format!("{}", s.verified),
-            format!("{}", s.pruned),
-            format!("{}", s.short_circuited),
-            format!("{}", s.index_skipped),
-        ]);
-    };
-    row(&mut table, "naive", &naive.0, naive.1);
-    row(&mut table, "prefilter", &prefilter.0, prefilter.1);
-    row(&mut table, "indexed", &indexed.0, indexed.1);
-    row(
-        &mut table,
-        &format!("auto→{}", auto.2.name()),
-        &auto.0,
-        auto.1,
-    );
-    row(
-        &mut table,
-        &format!("skyband k={SKYBAND_K}"),
-        &band_stats,
-        skyband_wall,
-    );
-    println!("{}", table.render());
-    println!(
-        "all plans agree on {} skyline members and {} witnesses; skyband k={SKYBAND_K} has {} members",
-        baseline.skyline.len(),
-        baseline.dominated.len(),
-        band.members.len()
-    );
-    println!();
-
-    PlanReport {
-        naive: (naive.0, naive.1),
-        prefilter: (prefilter.0, prefilter.1),
-        indexed: (indexed.0, indexed.1),
-        auto: (auto.0, auto.1),
-        auto_resolved: auto.2.name(),
-        skyband: (band_stats, skyband_wall),
-        skyband_k: SKYBAND_K,
-        skyband_members: band.members.len(),
-    }
-}
-
-/// Recorded S9 baselines on the committed smoke workload: total search
-/// nodes the exact solvers expand over all 120 query/candidate pairs. The
-/// kernels are deterministic, so any increase is a real search-order or
-/// bound regression; re-record deliberately when the workload or the
-/// candidate ordering changes.
-const S9_GED_EXPANDED_BASELINE: u64 = 35_766;
-const S9_MCS_EXPANDED_BASELINE: u64 = 1_536;
-
-/// The S9 measurements: solver-kernel wall times (bitset kernels vs the
-/// retained reference implementations) and expanded-node counters over the
-/// committed smoke workload — the `BENCH_4.json` artifact.
-struct SolverReport {
-    pairs: usize,
-    ged_wall_us: f64,
-    ged_ref_wall_us: f64,
-    ged_expanded: u64,
-    ged_ref_expanded: u64,
-    bipartite_wall_us: f64,
-    bipartite_ref_wall_us: f64,
-    mcs_wall_us: f64,
-    mcs_ref_wall_us: f64,
-    mcs_expanded: u64,
-    mcs_ref_expanded: u64,
-    vf2_wall_us: f64,
-}
-
-impl SolverReport {
-    fn gate_present(&self) -> bool {
-        self.pairs > 0
-    }
-
-    fn gate_expanded_baseline(&self) -> bool {
-        self.ged_expanded <= S9_GED_EXPANDED_BASELINE
-            && self.mcs_expanded <= S9_MCS_EXPANDED_BASELINE
-    }
-
-    /// GED may expand fewer nodes than the reference (its cross-edge bound
-    /// is strictly stronger) but never more; the MCS rewrite preserves the
-    /// search order exactly.
-    fn gate_parity(&self) -> bool {
-        self.ged_expanded <= self.ged_ref_expanded && self.mcs_expanded == self.mcs_ref_expanded
-    }
-
-    /// Headline solver-level speedup: total reference wall time over total
-    /// kernel wall time, across the exact GED, bipartite and MCS sweeps.
-    fn combined_speedup(&self) -> f64 {
-        let new = self.ged_wall_us + self.bipartite_wall_us + self.mcs_wall_us;
-        let reference = self.ged_ref_wall_us + self.bipartite_ref_wall_us + self.mcs_ref_wall_us;
-        reference / new.max(1e-9)
-    }
-
-    fn to_json(&self) -> String {
-        let cfg = WorkloadConfig::bench_smoke();
-        format!(
-            "{{\n  \"schema\": \"gss-bench-solvers/1\",\n  \"workload\": {{\"kind\": \"molecule\", \
-             \"database_size\": {}, \"graph_vertices\": {}, \"related_fraction\": {}, \
-             \"seed\": {}}},\n  \"pairs\": {},\n  \"ged_exact\": {{\"wall_us\": {:.1}, \
-             \"ref_wall_us\": {:.1}, \"speedup\": {:.2}, \"expanded\": {}, \
-             \"ref_expanded\": {}}},\n  \"ged_bipartite\": {{\"wall_us\": {:.1}, \
-             \"ref_wall_us\": {:.1}, \"speedup\": {:.2}}},\n  \"mcs_exact\": {{\"wall_us\": {:.1}, \
-             \"ref_wall_us\": {:.1}, \"speedup\": {:.2}, \"expanded\": {}, \
-             \"ref_expanded\": {}}},\n  \"vf2\": {{\"wall_us\": {:.1}}},\n  \
-             \"combined_speedup\": {:.2},\n  \"gate\": {{\"s9_present\": {}, \
-             \"expanded_le_baseline\": {}, \"expanded_parity\": {}, \
-             \"ged_expanded_baseline\": {}, \"mcs_expanded_baseline\": {}}}\n}}\n",
-            cfg.database_size,
-            cfg.graph_vertices,
-            cfg.related_fraction,
-            cfg.seed,
-            self.pairs,
-            self.ged_wall_us,
-            self.ged_ref_wall_us,
-            self.ged_ref_wall_us / self.ged_wall_us.max(1e-9),
-            self.ged_expanded,
-            self.ged_ref_expanded,
-            self.bipartite_wall_us,
-            self.bipartite_ref_wall_us,
-            self.bipartite_ref_wall_us / self.bipartite_wall_us.max(1e-9),
-            self.mcs_wall_us,
-            self.mcs_ref_wall_us,
-            self.mcs_ref_wall_us / self.mcs_wall_us.max(1e-9),
-            self.mcs_expanded,
-            self.mcs_ref_expanded,
-            self.vf2_wall_us,
-            self.combined_speedup(),
-            self.gate_present(),
-            self.gate_expanded_baseline(),
-            self.gate_parity(),
-            S9_GED_EXPANDED_BASELINE,
-            S9_MCS_EXPANDED_BASELINE,
-        )
-    }
-}
-
-/// S9: the solver kernels the skyline scans bottom out in, swept over
-/// every query/candidate pair of the committed smoke workload — bitset
-/// kernels vs the retained reference implementations.
-fn s9_solvers() -> SolverReport {
-    use gss_ged::bipartite::{bipartite_ged, bipartite_ged_with};
-    use gss_ged::reference::reference_exact_ged;
-    use gss_ged::{exact_ged, CostModel, GedOptions, VertexMapping};
-    use gss_mcs::reference::maximum_common_subgraph_reference;
-    use gss_mcs::{maximum_common_subgraph_expanded, Objective};
-
-    println!("== S9: solver kernels vs retained references (committed smoke workload) ==");
-    let w = Workload::generate(&WorkloadConfig::bench_smoke());
-    let db = GraphDatabase::from_parts(w.vocab, w.graphs);
-    let query = &w.query;
-    let cost = CostModel::uniform();
-
-    // Warm starts once per pair (the scans warm-start the same way), so the
-    // timed loops measure exactly one solver each.
-    let mut ws = gss_ged::Workspace::new();
-    let warms: Vec<VertexMapping> = db
-        .iter()
-        .map(|(_, g)| bipartite_ged_with(g, query, &cost, &mut ws).mapping)
-        .collect();
-    let opts = |warm: &VertexMapping| GedOptions {
-        cost,
-        warm_start: Some(warm.clone()),
-        node_limit: None,
-    };
-
-    let mut ged_expanded = 0u64;
-    let ged_wall = time_us(3, || {
-        ged_expanded = 0;
-        for ((_, g), warm) in db.iter().zip(&warms) {
-            ged_expanded += exact_ged(g, query, &opts(warm)).expanded;
-        }
-    });
-    let mut ged_ref_expanded = 0u64;
-    let ged_ref_wall = time_us(3, || {
-        ged_ref_expanded = 0;
-        for ((_, g), warm) in db.iter().zip(&warms) {
-            ged_ref_expanded += reference_exact_ged(g, query, &opts(warm)).expanded;
-        }
-    });
-
-    let bip_wall = time_us(3, || {
-        for (_, g) in db.iter() {
-            std::hint::black_box(bipartite_ged_with(g, query, &cost, &mut ws).cost);
-        }
-    });
-    let bip_ref_wall = time_us(3, || {
-        for (_, g) in db.iter() {
-            std::hint::black_box(bipartite_ged(g, query, &cost).cost);
-        }
-    });
-
-    let mut mcs_expanded = 0u64;
-    let mcs_wall = time_us(3, || {
-        mcs_expanded = 0;
-        for (_, g) in db.iter() {
-            mcs_expanded += maximum_common_subgraph_expanded(g, query, Objective::Edges).1;
-        }
-    });
-    let mut mcs_ref_expanded = 0u64;
-    let mcs_ref_wall = time_us(3, || {
-        mcs_ref_expanded = 0;
-        for (_, g) in db.iter() {
-            mcs_ref_expanded += maximum_common_subgraph_reference(g, query, Objective::Edges).1;
-        }
-    });
-
-    let vf2_wall = time_us(3, || {
-        for (_, g) in db.iter() {
-            std::hint::black_box(gss_iso::are_isomorphic(g, query));
-        }
-    });
-
-    let report = SolverReport {
-        pairs: db.len(),
-        ged_wall_us: ged_wall,
-        ged_ref_wall_us: ged_ref_wall,
-        ged_expanded,
-        ged_ref_expanded,
-        bipartite_wall_us: bip_wall,
-        bipartite_ref_wall_us: bip_ref_wall,
-        mcs_wall_us: mcs_wall,
-        mcs_ref_wall_us: mcs_ref_wall,
-        mcs_expanded,
-        mcs_ref_expanded,
-        vf2_wall_us: vf2_wall,
-    };
-
-    let mut table = TextTable::new(vec!["solver", "bitset", "reference", "speedup", "expanded"]);
-    table.row(vec![
-        "ged-exact".into(),
-        fmt_us(report.ged_wall_us),
-        fmt_us(report.ged_ref_wall_us),
-        format!(
-            "{:.2}x",
-            report.ged_ref_wall_us / report.ged_wall_us.max(1e-9)
-        ),
-        format!("{}", report.ged_expanded),
-    ]);
-    table.row(vec![
-        "ged-bipartite".into(),
-        fmt_us(report.bipartite_wall_us),
-        fmt_us(report.bipartite_ref_wall_us),
-        format!(
-            "{:.2}x",
-            report.bipartite_ref_wall_us / report.bipartite_wall_us.max(1e-9)
-        ),
-        "-".into(),
-    ]);
-    table.row(vec![
-        "mcs-exact".into(),
-        fmt_us(report.mcs_wall_us),
-        fmt_us(report.mcs_ref_wall_us),
-        format!(
-            "{:.2}x",
-            report.mcs_ref_wall_us / report.mcs_wall_us.max(1e-9)
-        ),
-        format!("{}", report.mcs_expanded),
-    ]);
-    table.row(vec![
-        "vf2-iso".into(),
-        fmt_us(report.vf2_wall_us),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-    ]);
-    println!("{}", table.render());
-    println!(
-        "{} pairs; combined exact-kernel speedup {:.2}x",
-        report.pairs,
-        report.combined_speedup()
-    );
-    println!();
-    report
-}
-
-/// The S7 measurements that feed the report table, the JSON artifact and
-/// the CI gate.
-struct SmokeReport {
-    pivots: usize,
-    partitions: usize,
-    build_us: f64,
-    /// (stats, median wall µs) of the prefilter-only scan.
-    prefilter: (PruneStats, f64),
-    /// (stats, median wall µs) of the indexed scan.
-    indexed: (PruneStats, f64),
-}
-
-impl SmokeReport {
-    fn gate_solver_calls(&self) -> bool {
-        self.indexed.0.verified <= self.prefilter.0.verified
-    }
-
-    fn gate_skip_rate(&self) -> bool {
-        self.indexed.0.index_skip_rate() >= 0.30
-    }
-
-    fn to_json(&self) -> String {
-        let cfg = WorkloadConfig::bench_smoke();
-        let stats = |s: &PruneStats, wall: f64| {
-            format!(
-                "{{\"candidates\": {}, \"verified\": {}, \"pruned\": {}, \
-                 \"short_circuited\": {}, \"index_skipped\": {}, \"pruning_rate\": {:.4}, \
-                 \"index_skip_rate\": {:.4}, \"pivot_probes\": {}, \"wall_us\": {:.1}}}",
-                s.candidates,
-                s.verified,
-                s.pruned,
-                s.short_circuited,
-                s.index_skipped,
-                s.pruning_rate(),
-                s.index_skip_rate(),
-                s.pivot_probes,
-                wall
-            )
-        };
-        format!(
-            "{{\n  \"schema\": \"gss-bench-smoke/2\",\n  \"workload\": {{\"kind\": \"molecule\", \
-             \"database_size\": {}, \"graph_vertices\": {}, \"related_fraction\": {}, \
-             \"seed\": {}}},\n  \"index\": {{\"pivots\": {}, \"partitions\": {}, \
-             \"build_us\": {:.1}}},\n  \"prefilter\": {},\n  \"indexed\": {},\n  \
-             \"gate\": {{\"indexed_verified_le_prefilter\": {}, \"index_skip_rate_ge_30pct\": {}}}\n}}\n",
-            cfg.database_size,
-            cfg.graph_vertices,
-            cfg.related_fraction,
-            cfg.seed,
-            self.pivots,
-            self.partitions,
-            self.build_us,
-            stats(&self.prefilter.0, self.prefilter.1),
-            stats(&self.indexed.0, self.indexed.1),
-            self.gate_solver_calls(),
-            self.gate_skip_rate(),
-        )
-    }
-}
-
-fn s7_index() -> SmokeReport {
-    println!("== S7: pivot index vs prefilter (committed smoke workload) ==");
-    let w = Workload::generate(&WorkloadConfig::bench_smoke());
-    let db = GraphDatabase::from_parts(w.vocab, w.graphs);
-
-    let t = Instant::now();
-    let index = std::sync::Arc::new(PivotIndex::build(&db, &PivotIndexConfig::default()));
-    let build_us = t.elapsed().as_secs_f64() * 1e6;
-
-    let prefilter_opts = QueryOptions {
-        prefilter: true,
-        ..QueryOptions::default()
-    };
-    let indexed_opts = QueryOptions::default().with_index(index.clone());
-
-    let pre_wall = time_us(3, || {
-        graph_similarity_skyline(&db, &w.query, &prefilter_opts);
-    });
-    let idx_wall = time_us(3, || {
-        graph_similarity_skyline(&db, &w.query, &indexed_opts);
-    });
-
-    let pre = graph_similarity_skyline(&db, &w.query, &prefilter_opts);
-    let idx = graph_similarity_skyline(&db, &w.query, &indexed_opts);
-    let naive = graph_similarity_skyline(
-        &db,
-        &w.query,
-        &QueryOptions {
-            plan: Plan::Naive,
-            ..QueryOptions::default()
-        },
-    );
-    assert_eq!(
-        idx.skyline, naive.skyline,
-        "index must not change the answer"
-    );
-    assert_eq!(
-        idx.dominated, naive.dominated,
-        "index must not change witnesses"
-    );
-    assert_eq!(pre.skyline, naive.skyline);
-    assert_eq!(pre.dominated, naive.dominated);
-
-    let pre_stats = pre.pruning.expect("prefilter stats");
-    let idx_stats = idx.pruning.expect("indexed stats");
-    let mut table = TextTable::new(vec![
-        "scan", "wall", "verified", "pruned", "short", "skipped", "skip %",
-    ]);
-    let row = |t: &mut TextTable, name: &str, s: &PruneStats, wall: f64| {
-        t.row(vec![
-            name.to_owned(),
-            fmt_us(wall),
-            format!("{}", s.verified),
-            format!("{}", s.pruned),
-            format!("{}", s.short_circuited),
-            format!("{}", s.index_skipped),
-            format!("{:.0}%", s.index_skip_rate() * 100.0),
-        ]);
-    };
-    row(&mut table, "prefilter", &pre_stats, pre_wall);
-    row(&mut table, "indexed", &idx_stats, idx_wall);
-    println!("{}", table.render());
-    println!(
-        "index: {} pivots, {} partitions ({} skipped wholesale), built in {}",
-        index.pivots().len(),
-        index.partition_count(),
-        idx_stats.index_partitions_skipped,
-        fmt_us(build_us)
-    );
-    println!();
-
-    SmokeReport {
-        pivots: index.pivots().len(),
-        partitions: index.partition_count(),
-        build_us,
-        prefilter: (pre_stats, pre_wall),
-        indexed: (idx_stats, idx_wall),
-    }
-}
-
-/// The S8 serving measurements: a loopback `gss-server` on the committed
-/// smoke workload, replayed by concurrent clients. Feeds the report
-/// table, the `BENCH_3.json` artifact and the serving half of the CI
-/// gate.
-struct ServeReport {
-    distinct_queries: usize,
-    passes: usize,
-    connections: usize,
-    requests: usize,
-    wall_s: f64,
-    qps: f64,
-    p50_us: f64,
-    p99_us: f64,
-    max_us: f64,
-    cache_hits: u64,
-    cache_hit_rate: f64,
-    batches: u64,
-    batched_queries: u64,
-    mismatches: usize,
-}
-
-impl ServeReport {
-    fn gate_cache_hits(&self) -> bool {
-        self.cache_hit_rate > 0.0
-    }
-
-    fn gate_no_mismatches(&self) -> bool {
-        self.mismatches == 0
-    }
-
-    fn to_json(&self) -> String {
-        let cfg = WorkloadConfig::bench_smoke();
-        format!(
-            "{{\n  \"schema\": \"gss-bench-serve/1\",\n  \"workload\": {{\"kind\": \"molecule\", \
-             \"database_size\": {}, \"graph_vertices\": {}, \"related_fraction\": {}, \
-             \"seed\": {}}},\n  \"replay\": {{\"distinct_queries\": {}, \"passes\": {}, \
-             \"connections\": {}, \"requests\": {}}},\n  \"throughput\": {{\"wall_s\": {:.4}, \
-             \"queries_per_sec\": {:.1}}},\n  \"latency\": {{\"p50_us\": {:.1}, \
-             \"p99_us\": {:.1}, \"max_us\": {:.1}}},\n  \"server\": {{\"cache_hits\": {}, \
-             \"cache_hit_rate\": {:.4}, \"batches\": {}, \"batched_queries\": {}}},\n  \
-             \"gate\": {{\"cache_hit_rate_gt_0\": {}, \"zero_mismatches\": {}, \
-             \"mismatches\": {}}}\n}}\n",
-            cfg.database_size,
-            cfg.graph_vertices,
-            cfg.related_fraction,
-            cfg.seed,
-            self.distinct_queries,
-            self.passes,
-            self.connections,
-            self.requests,
-            self.wall_s,
-            self.qps,
-            self.p50_us,
-            self.p99_us,
-            self.max_us,
-            self.cache_hits,
-            self.cache_hit_rate,
-            self.batches,
-            self.batched_queries,
-            self.gate_cache_hits(),
-            self.gate_no_mismatches(),
-            self.mismatches,
-        )
-    }
-}
-
-fn s8_serve() -> ServeReport {
-    use gss_core::jsonio::Value;
-    use gss_core::GraphId;
-    use gss_server::{percentile_us, serve, Client, ServerConfig};
-    use std::sync::Arc;
-
-    println!("== S8: concurrent serving (loopback gss-server, committed smoke workload) ==");
-    let w = Workload::generate(&WorkloadConfig::bench_smoke());
-    let db = Arc::new(GraphDatabase::from_parts(w.vocab, w.graphs));
-
-    // The replayed smoke queries: the workload's planted query plus every
-    // 10th database graph (a mix of short-circuit-friendly members and
-    // real scans).
-    let mut queries: Vec<Graph> = vec![w.query.clone()];
-    for i in (0..db.len()).step_by(10) {
-        queries.push(db.get(GraphId(i)).clone());
-    }
-    let texts: Vec<String> = queries
-        .iter()
-        .map(|q| gss_graph::format::write_database(std::slice::from_ref(q), db.vocab()))
-        .collect();
-
-    // Direct-evaluation oracle for the mismatch gate: what a
-    // single-threaded graph_similarity_skyline call serializes to.
-    let base = QueryOptions {
-        prefilter: true,
-        ..QueryOptions::default()
-    };
-    let expected: Vec<String> = queries
-        .iter()
-        .map(|q| {
-            let r = graph_similarity_skyline(&db, q, &base);
-            Value::parse(&gss_core::to_json(&db, &r))
-                .expect("explain output is valid JSON")
-                .to_compact()
-        })
-        .collect();
-
-    const CONNECTIONS: usize = 4;
-    const PASSES: usize = 3;
-    let handle = serve(
-        Arc::clone(&db),
-        base,
-        ServerConfig {
-            workers: 4,
-            batch_max: 8,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind loopback server");
-    let addr = handle.addr();
-
-    let t0 = Instant::now();
-    let worker_results: Vec<(Vec<u64>, usize)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..CONNECTIONS)
-            .map(|c| {
-                let texts = &texts;
-                let expected = &expected;
-                scope.spawn(move || {
-                    let mut client = Client::connect(addr).expect("connect");
-                    let mut latencies = Vec::new();
-                    let mut mismatches = 0usize;
-                    for pass in 0..PASSES {
-                        for k in 0..texts.len() {
-                            // Stagger the order per connection and pass so
-                            // micro-batches mix distinct queries.
-                            let k = (k + c + pass) % texts.len();
-                            let t = Instant::now();
-                            let response = client.query(&texts[k]).expect("query");
-                            latencies.push(t.elapsed().as_micros() as u64);
-                            let served = match &response {
-                                gss_server::Response::Result { result, .. } => result.clone(),
-                                _ => String::new(),
-                            };
-                            if served != expected[k] {
-                                mismatches += 1;
-                            }
-                        }
-                    }
-                    (latencies, mismatches)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("serve bench worker panicked"))
-            .collect()
-    });
-    let wall_s = t0.elapsed().as_secs_f64();
-
-    let stats = Value::parse(&handle.stats_json()).expect("stats JSON");
-    handle.shutdown();
-    handle.join();
-
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut mismatches = 0usize;
-    for (lat, mm) in worker_results {
-        latencies.extend(lat);
-        mismatches += mm;
-    }
-    latencies.sort_unstable();
-    let counter = |k: &str| stats.get(k).and_then(Value::as_f64).unwrap_or_default() as u64;
-
-    let requests = latencies.len();
-    let report = ServeReport {
-        distinct_queries: texts.len(),
-        passes: PASSES,
-        connections: CONNECTIONS,
-        requests,
-        wall_s,
-        qps: requests as f64 / wall_s.max(1e-9),
-        p50_us: percentile_us(&latencies, 50),
-        p99_us: percentile_us(&latencies, 99),
-        max_us: *latencies.last().expect("nonempty") as f64,
-        cache_hits: counter("cache_hits"),
-        cache_hit_rate: stats
-            .get("cache_hit_rate")
-            .and_then(Value::as_f64)
-            .unwrap_or_default(),
-        batches: counter("batches"),
-        batched_queries: counter("batched_queries"),
-        mismatches,
-    };
-
-    let mut table = TextTable::new(vec![
-        "requests",
-        "wall",
-        "q/s",
-        "p50",
-        "p99",
-        "hit %",
-        "batches",
-        "mismatches",
-    ]);
-    table.row(vec![
-        format!("{}", report.requests),
-        fmt_us(report.wall_s * 1e6),
-        format!("{:.0}", report.qps),
-        fmt_us(report.p50_us),
-        fmt_us(report.p99_us),
-        format!("{:.0}%", report.cache_hit_rate * 100.0),
-        format!("{}", report.batches),
-        format!("{}", report.mismatches),
-    ]);
-    println!("{}", table.render());
-    println!(
-        "{} distinct queries × {} passes over {} connections (prefilter on)",
-        report.distinct_queries, report.passes, report.connections
-    );
-    println!();
-    report
-}
-
-/// Recorded S11 latency budget: p99 over the active query replay while a
-/// thousand idle connections sit on the reactor. Generous on purpose —
-/// the gate exists to catch readiness-layer stalls (missed wakeups,
-/// head-of-line blocking across connections), not to benchmark solver
-/// throughput.
-const S11_P99_BUDGET_US: f64 = 2_000_000.0;
-
-/// The S11 measurements: the epoll reactor front end holding ≥ 1k
-/// concurrent connections on ≤ 2 reactor threads — a mostly-idle wall
-/// plus an active replay subset — the `BENCH_6.json` artifact.
-struct ReactorReport {
-    connections: usize,
-    idle: usize,
-    active: usize,
-    reactor_threads: usize,
-    requests: usize,
-    wall_s: f64,
-    qps: f64,
-    ping_p50_us: f64,
-    ping_p99_us: f64,
-    p50_us: f64,
-    p99_us: f64,
-    max_us: f64,
-    mismatches: usize,
-}
-
-impl ReactorReport {
-    /// The scale contract from the scaling roadmap: ≥ 1k simultaneous
-    /// connections multiplexed onto at most two reactor threads.
-    fn gate_scale(&self) -> bool {
-        self.connections >= 1_000 && self.reactor_threads <= 2
-    }
-
-    fn gate_no_mismatches(&self) -> bool {
-        self.mismatches == 0
-    }
-
-    fn gate_latency(&self) -> bool {
-        self.p99_us <= S11_P99_BUDGET_US
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"schema\": \"gss-bench-reactor/1\",\n  \"scale\": {{\"connections\": {}, \
-             \"idle\": {}, \"active\": {}, \"reactor_threads\": {}}},\n  \
-             \"throughput\": {{\"requests\": {}, \"wall_s\": {:.4}, \
-             \"queries_per_sec\": {:.1}}},\n  \"latency\": {{\"ping_p50_us\": {:.1}, \
-             \"ping_p99_us\": {:.1}, \"query_p50_us\": {:.1}, \"query_p99_us\": {:.1}, \
-             \"query_max_us\": {:.1}}},\n  \"gate\": {{\"connections_ge_1k_on_le_2_reactors\": {}, \
-             \"query_p99_budget_us\": {:.0}, \"query_p99_within_budget\": {}, \
-             \"zero_mismatches\": {}, \"mismatches\": {}}}\n}}\n",
-            self.connections,
-            self.idle,
-            self.active,
-            self.reactor_threads,
-            self.requests,
-            self.wall_s,
-            self.qps,
-            self.ping_p50_us,
-            self.ping_p99_us,
-            self.p50_us,
-            self.p99_us,
-            self.max_us,
-            self.gate_scale(),
-            S11_P99_BUDGET_US,
-            self.gate_latency(),
-            self.gate_no_mismatches(),
-            self.mismatches,
-        )
-    }
-}
-
-/// Reads one response line off a raw wire connection. Only safe with a
-/// single in-flight request per connection, so a trailing `\n` means the
-/// response is complete.
-fn read_wire_line(stream: &mut std::net::TcpStream) -> String {
-    use std::io::Read;
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 256];
-    loop {
-        let n = stream.read(&mut chunk).expect("read response");
-        assert!(n > 0, "server closed the connection mid-response");
-        buf.extend_from_slice(&chunk[..n]);
-        if buf.last() == Some(&b'\n') {
-            return String::from_utf8(buf).expect("response is UTF-8");
-        }
-    }
-}
-
-fn s11_reactor() -> ReactorReport {
-    use gss_core::jsonio::Value;
-    use gss_core::GraphId;
-    use gss_server::{percentile_us, serve, Client, ServerConfig};
-    use std::io::Write;
-    use std::sync::Arc;
-
-    const IDLE: usize = 1_000;
-    const ACTIVE: usize = 16;
-    const PASSES: usize = 2;
-    const REACTOR_THREADS: usize = 2;
-
-    println!(
-        "== S11: reactor front end — {} connections on {} reactor threads ==",
-        IDLE + ACTIVE,
-        REACTOR_THREADS
-    );
-    let w = Workload::generate(&WorkloadConfig::bench_smoke());
-    let db = Arc::new(GraphDatabase::from_parts(w.vocab, w.graphs));
-    let mut queries: Vec<Graph> = vec![w.query.clone()];
-    for i in (0..db.len()).step_by(10) {
-        queries.push(db.get(GraphId(i)).clone());
-    }
-    let texts: Vec<String> = queries
-        .iter()
-        .map(|q| gss_graph::format::write_database(std::slice::from_ref(q), db.vocab()))
-        .collect();
-    let base = QueryOptions {
-        prefilter: true,
-        ..QueryOptions::default()
-    };
-    let expected: Vec<String> = queries
-        .iter()
-        .map(|q| {
-            let r = graph_similarity_skyline(&db, q, &base);
-            Value::parse(&gss_core::to_json(&db, &r))
-                .expect("explain output is valid JSON")
-                .to_compact()
-        })
-        .collect();
-
-    let handle = serve(
-        Arc::clone(&db),
-        base,
-        ServerConfig {
-            workers: 4,
-            batch_max: 8,
-            reactor_threads: REACTOR_THREADS,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind loopback server");
-    let addr = handle.addr();
-
-    // Phase 1 — the idle wall: a thousand raw connections, each proving
-    // it is registered with a round-trip ping (timed individually; these
-    // percentiles measure the readiness layer, no solver in the path).
-    let mut idle_conns: Vec<std::net::TcpStream> = (0..IDLE)
-        .map(|_| {
-            let s = std::net::TcpStream::connect(addr).expect("connect idle");
-            s.set_nodelay(true).expect("nodelay");
-            s
-        })
-        .collect();
-    let mut ping_latencies: Vec<u64> = Vec::with_capacity(IDLE);
-    for s in &mut idle_conns {
-        let t = Instant::now();
-        s.write_all(b"{\"op\":\"ping\"}\n").expect("write ping");
-        let line = read_wire_line(s);
-        ping_latencies.push(t.elapsed().as_micros() as u64);
-        assert!(line.contains("\"ok\":true"), "bad pong: {line}");
-    }
-    ping_latencies.sort_unstable();
-
-    // Phase 2 — the active subset replays the smoke queries through the
-    // typed client while the idle wall stays parked on the same reactors.
-    let t0 = Instant::now();
-    let worker_results: Vec<(Vec<u64>, usize)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..ACTIVE)
-            .map(|c| {
-                let texts = &texts;
-                let expected = &expected;
-                scope.spawn(move || {
-                    let mut client = Client::connect(addr).expect("connect active");
-                    let mut latencies = Vec::new();
-                    let mut mismatches = 0usize;
-                    for pass in 0..PASSES {
-                        for k in 0..texts.len() {
-                            let k = (k + c + pass) % texts.len();
-                            let t = Instant::now();
-                            let response = client.query(&texts[k]).expect("query");
-                            latencies.push(t.elapsed().as_micros() as u64);
-                            let served = match &response {
-                                gss_server::Response::Result { result, .. } => result.clone(),
-                                _ => String::new(),
-                            };
-                            if served != expected[k] {
-                                mismatches += 1;
-                            }
-                        }
-                    }
-                    (latencies, mismatches)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("reactor bench worker panicked"))
-            .collect()
-    });
-    let wall_s = t0.elapsed().as_secs_f64();
-
-    // Phase 3 — the storm is over; every idle connection must still be
-    // answering (a flood this time: all writes first, then all reads, so
-    // a thousand responses are in flight at once).
-    let mut mismatches = 0usize;
-    for s in &mut idle_conns {
-        s.write_all(b"{\"op\":\"ping\"}\n").expect("write ping");
-    }
-    for s in &mut idle_conns {
-        if !read_wire_line(s).contains("\"ok\":true") {
-            mismatches += 1;
-        }
-    }
-
-    drop(idle_conns);
-    handle.shutdown();
-    handle.join();
-
-    let mut latencies: Vec<u64> = Vec::new();
-    for (lat, mm) in worker_results {
-        latencies.extend(lat);
-        mismatches += mm;
-    }
-    latencies.sort_unstable();
-
-    let requests = latencies.len();
-    let report = ReactorReport {
-        connections: IDLE + ACTIVE,
-        idle: IDLE,
-        active: ACTIVE,
-        reactor_threads: REACTOR_THREADS,
-        requests,
-        wall_s,
-        qps: requests as f64 / wall_s.max(1e-9),
-        ping_p50_us: percentile_us(&ping_latencies, 50),
-        ping_p99_us: percentile_us(&ping_latencies, 99),
-        p50_us: percentile_us(&latencies, 50),
-        p99_us: percentile_us(&latencies, 99),
-        max_us: *latencies.last().expect("nonempty") as f64,
-        mismatches,
-    };
-
-    let mut table = TextTable::new(vec![
-        "conns",
-        "reactors",
-        "requests",
-        "q/s",
-        "ping p99",
-        "query p50",
-        "query p99",
-        "mismatches",
-    ]);
-    table.row(vec![
-        format!("{}", report.connections),
-        format!("{}", report.reactor_threads),
-        format!("{}", report.requests),
-        format!("{:.0}", report.qps),
-        fmt_us(report.ping_p99_us),
-        fmt_us(report.p50_us),
-        fmt_us(report.p99_us),
-        format!("{}", report.mismatches),
-    ]);
-    println!("{}", table.render());
-    println!(
-        "{} idle + {} active connections; idle wall re-pinged after the replay",
-        report.idle, report.active
-    );
-    println!();
-    report
-}
-
-/// The S12 measurements: interleaved mutation + query churn on the live
-/// store — writer batches bump epochs (with a tiny staleness budget so
-/// partial index rebuilds happen mid-run) while reader connections keep
-/// querying, then a quiescent replay collects epoch-keyed cache hits —
-/// the `BENCH_7.json` artifact.
-struct ChurnReport {
-    distinct_queries: usize,
-    churn_readers: usize,
-    staleness_budget: u64,
-    mutation_batches: u64,
-    mutation_failures: usize,
-    epochs: u64,
-    inserted: u64,
-    removed: u64,
-    updated: u64,
-    requests: usize,
-    wall_s: f64,
-    qps: f64,
-    p50_us: f64,
-    p99_us: f64,
-    cache_hits: u64,
-    cache_hit_rate: f64,
-    partial_rebuilds: u64,
-    full_rebuilds: u64,
-    stale_ops: u64,
-}
-
-impl ChurnReport {
-    fn gate_mutations(&self) -> bool {
-        self.mutation_failures == 0
-            && self.mutation_batches > 0
-            && self.epochs == self.mutation_batches
-    }
-
-    fn gate_cache_hits(&self) -> bool {
-        self.cache_hit_rate > 0.0
-    }
-
-    fn gate_partial_rebuilds(&self) -> bool {
-        self.partial_rebuilds >= 1
-    }
-
-    fn gate_throughput(&self) -> bool {
-        self.requests > 0 && self.qps > 0.0
-    }
-
-    fn to_json(&self) -> String {
-        let cfg = WorkloadConfig::bench_smoke();
-        format!(
-            "{{\n  \"schema\": \"gss-bench-churn/1\",\n  \"workload\": {{\"kind\": \"molecule\", \
-             \"database_size\": {}, \"graph_vertices\": {}, \"related_fraction\": {}, \
-             \"seed\": {}}},\n  \"churn\": {{\"distinct_queries\": {}, \"readers\": {}, \
-             \"staleness_budget\": {}, \"mutation_batches\": {}, \"mutation_failures\": {}, \
-             \"epochs\": {}, \"inserted\": {}, \"removed\": {}, \"updated\": {}}},\n  \
-             \"throughput\": {{\"requests\": {}, \"wall_s\": {:.4}, \
-             \"queries_per_sec\": {:.1}}},\n  \"latency\": {{\"p50_us\": {:.1}, \
-             \"p99_us\": {:.1}}},\n  \"server\": {{\"cache_hits\": {}, \
-             \"cache_hit_rate\": {:.4}}},\n  \"index\": {{\"partial_rebuilds\": {}, \
-             \"full_rebuilds\": {}, \"stale_ops\": {}}},\n  \"gate\": {{\
-             \"zero_mutation_failures\": {}, \"cache_hit_rate_gt_0\": {}, \
-             \"partial_rebuilds_ge_1\": {}, \"throughput_gt_0\": {}}}\n}}\n",
-            cfg.database_size,
-            cfg.graph_vertices,
-            cfg.related_fraction,
-            cfg.seed,
-            self.distinct_queries,
-            self.churn_readers,
-            self.staleness_budget,
-            self.mutation_batches,
-            self.mutation_failures,
-            self.epochs,
-            self.inserted,
-            self.removed,
-            self.updated,
-            self.requests,
-            self.wall_s,
-            self.qps,
-            self.p50_us,
-            self.p99_us,
-            self.cache_hits,
-            self.cache_hit_rate,
-            self.partial_rebuilds,
-            self.full_rebuilds,
-            self.stale_ops,
-            self.gate_mutations(),
-            self.gate_cache_hits(),
-            self.gate_partial_rebuilds(),
-            self.gate_throughput(),
-        )
-    }
-}
-
-fn s12_churn() -> ChurnReport {
-    use gss_core::jsonio::Value;
-    use gss_core::GraphId;
-    use gss_server::{
-        percentile_us, serve_store, Client, GraphStore, Response, ServerConfig, StoreConfig,
-    };
-    use std::sync::Arc;
-
-    const READERS: usize = 3;
-    const PASSES: usize = 2;
-    const BATCHES: usize = 40;
-    const STALENESS_BUDGET: u64 = 4;
-
-    println!(
-        "== S12: live-store churn — {BATCHES} mutation batches under {READERS} query readers \
-         (committed smoke workload) =="
-    );
-    let w = Workload::generate(&WorkloadConfig::bench_smoke());
-    let db = Arc::new(GraphDatabase::from_parts(w.vocab, w.graphs));
-    let store = Arc::new(GraphStore::new(
-        Arc::clone(&db),
-        StoreConfig {
-            index: Some(PivotIndexConfig::default()),
-            staleness_budget: STALENESS_BUDGET,
-        },
-    ));
-
-    let mut queries: Vec<Graph> = vec![w.query.clone()];
-    for i in (0..db.len()).step_by(20) {
-        queries.push(db.get(GraphId(i)).clone());
-    }
-    let texts: Vec<String> = queries
-        .iter()
-        .map(|q| gss_graph::format::write_database(std::slice::from_ref(q), db.vocab()))
-        .collect();
-    // Writer traffic reuses database structure under fresh names, so the
-    // vocabulary never grows and inserted graphs can never be pivots —
-    // the churn stays on the incremental/partial maintenance path.
-    let donor_text = |i: usize, name: &str| {
-        let g = db.get(GraphId(i % db.len()));
-        let text = gss_graph::format::write_database(std::slice::from_ref(g), db.vocab());
-        let body = text.split_once('\n').map_or("", |(_, b)| b);
-        format!("t {name}\n{body}")
-    };
-
-    let handle = serve_store(
-        Arc::clone(&store),
-        QueryOptions {
-            prefilter: true,
-            ..QueryOptions::default()
-        },
-        ServerConfig {
-            workers: 4,
-            batch_max: 8,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind loopback server");
-    let addr = handle.addr();
-
-    // Phase 1 — churn: one writer streams mutation batches while the
-    // readers replay the query set (each query pinning whatever epoch is
-    // current when it is admitted).
-    let t0 = Instant::now();
-    let (mutation_failures, reader_latencies) = std::thread::scope(|scope| {
-        let writer = scope.spawn(|| {
-            let mut client = Client::connect(addr).expect("connect writer");
-            let mut live: std::collections::VecDeque<String> = std::collections::VecDeque::new();
-            let mut failures = 0usize;
-            for i in 0..BATCHES {
-                let response = match i % 8 {
-                    5 if !live.is_empty() => {
-                        let name = live.pop_front().expect("nonempty");
-                        client.remove(&[name]).expect("remove")
-                    }
-                    7 if !live.is_empty() => {
-                        let name = live.back().expect("nonempty").clone();
-                        client
-                            .update(&name, &donor_text(i * 7 + 3, &name))
-                            .expect("update")
-                    }
-                    _ => {
-                        let name = format!("churn{i}");
-                        let ack = client
-                            .insert(&donor_text(i * 3 + 1, &name))
-                            .expect("insert");
-                        live.push_back(name);
-                        ack
-                    }
-                };
-                if !matches!(response, Response::Mutated { .. }) {
-                    failures += 1;
-                }
-            }
-            failures
-        });
-        let readers: Vec<_> = (0..READERS)
-            .map(|c| {
-                let texts = &texts;
-                scope.spawn(move || {
-                    let mut client = Client::connect(addr).expect("connect reader");
-                    let mut latencies = Vec::new();
-                    for pass in 0..PASSES {
-                        for k in 0..texts.len() {
-                            let k = (k + c + pass) % texts.len();
-                            let t = Instant::now();
-                            let response = client.query(&texts[k]).expect("query");
-                            latencies.push(t.elapsed().as_micros() as u64);
-                            assert!(response.is_ok(), "churn query refused");
-                        }
-                    }
-                    latencies
-                })
-            })
-            .collect();
-        let failures = writer.join().expect("churn writer panicked");
-        let latencies: Vec<u64> = readers
-            .into_iter()
-            .flat_map(|h| h.join().expect("churn reader panicked"))
-            .collect();
-        (failures, latencies)
-    });
-
-    // Phase 2 — quiescent replay: mutations stopped, so replaying the set
-    // twice on one connection must produce epoch-keyed cache hits.
-    let mut latencies = reader_latencies;
-    {
-        let mut client = Client::connect(addr).expect("connect replay");
-        for _ in 0..2 {
-            for text in &texts {
-                let t = Instant::now();
-                let response = client.query(text).expect("replay query");
-                latencies.push(t.elapsed().as_micros() as u64);
-                assert!(response.is_ok(), "quiescent replay refused");
-            }
-        }
-    }
-    let wall_s = t0.elapsed().as_secs_f64();
-
-    let stats = Value::parse(&handle.stats_json()).expect("stats JSON");
-    handle.shutdown();
-    handle.join();
-    let store_stats = store.stats();
-    latencies.sort_unstable();
-
-    let counter = |k: &str| stats.get(k).and_then(Value::as_f64).unwrap_or_default() as u64;
-    let requests = latencies.len();
-    let report = ChurnReport {
-        distinct_queries: texts.len(),
-        churn_readers: READERS,
-        staleness_budget: STALENESS_BUDGET,
-        mutation_batches: store_stats.batches,
-        mutation_failures,
-        epochs: store_stats.epoch,
-        inserted: store_stats.inserted,
-        removed: store_stats.removed,
-        updated: store_stats.updated,
-        requests,
-        wall_s,
-        qps: requests as f64 / wall_s.max(1e-9),
-        p50_us: percentile_us(&latencies, 50),
-        p99_us: percentile_us(&latencies, 99),
-        cache_hits: counter("cache_hits"),
-        cache_hit_rate: stats
-            .get("cache_hit_rate")
-            .and_then(Value::as_f64)
-            .unwrap_or_default(),
-        partial_rebuilds: store_stats.index_partial_rebuilds.unwrap_or_default(),
-        full_rebuilds: store_stats.index_rebuilds,
-        stale_ops: store_stats.index_stale_ops.unwrap_or_default(),
-    };
-
-    let mut table = TextTable::new(vec![
-        "queries", "q/s", "p50", "p99", "hit %", "epochs", "partials", "failures",
-    ]);
-    table.row(vec![
-        format!("{}", report.requests),
-        format!("{:.0}", report.qps),
-        fmt_us(report.p50_us),
-        fmt_us(report.p99_us),
-        format!("{:.0}%", report.cache_hit_rate * 100.0),
-        format!("{}", report.epochs),
-        format!("{}", report.partial_rebuilds),
-        format!("{}", report.mutation_failures),
-    ]);
-    println!("{}", table.render());
-    println!(
-        "{} mutation batches (+{} -{} ~{}), staleness budget {}, {} partial / {} full \
-         index rebuilds",
-        report.mutation_batches,
-        report.inserted,
-        report.removed,
-        report.updated,
-        report.staleness_budget,
-        report.partial_rebuilds,
-        report.full_rebuilds,
-    );
-    println!();
-    report
-}
-
-/// The S13 measurements: crash-churn on the durable store — a deterministic
-/// fault plan kills the WAL mid-churn, the store restarts from its data
-/// directory, and a retrying client resumes through injected connection
-/// resets — the `BENCH_8.json` artifact.
-struct CrashReport {
-    crash_point: &'static str,
-    crash_hit: u64,
-    acked_before_crash: u64,
-    recovered_epoch: u64,
-    recovery_replayed: u64,
-    recovery_truncated_tail: bool,
-    fingerprint_match: bool,
-    checkpoints: u64,
-    resumed_mutations: u64,
-    final_epoch: u64,
-    client_retries: u64,
-    deduped_replays: u64,
-    wall_s: f64,
-}
-
-impl CrashReport {
-    /// (q) restart recovers exactly the acked prefix: the recovered epoch
-    /// equals the acked count and the fingerprint matches a never-crashed
-    /// oracle.
-    fn gate_recovery(&self) -> bool {
-        self.acked_before_crash > 0
-            && self.recovered_epoch == self.acked_before_crash
-            && self.fingerprint_match
-    }
-
-    /// (r) resumed churn through injected resets applies every unique
-    /// mutation exactly once: no gaps, no duplicates.
-    fn gate_continuity(&self) -> bool {
-        self.resumed_mutations > 0
-            && self.final_epoch == self.acked_before_crash + self.resumed_mutations
-    }
-
-    /// (s) the resets actually bit and dedup answered: the client resent
-    /// at least once and at least one resend was replayed server-side.
-    fn gate_retries(&self) -> bool {
-        self.client_retries >= 1 && self.deduped_replays >= 1
-    }
-
-    fn to_json(&self) -> String {
-        let cfg = WorkloadConfig::bench_smoke();
-        format!(
-            "{{\n  \"schema\": \"gss-bench-crash/1\",\n  \"workload\": {{\"kind\": \"molecule\", \
-             \"database_size\": {}, \"graph_vertices\": {}, \"related_fraction\": {}, \
-             \"seed\": {}}},\n  \"crash\": {{\"point\": \"{}\", \"hit\": {}, \
-             \"acked_before_crash\": {}}},\n  \"recovery\": {{\"epoch\": {}, \"replayed\": {}, \
-             \"truncated_tail\": {}, \"fingerprint_match\": {}, \"checkpoints\": {}}},\n  \
-             \"resume\": {{\"mutations\": {}, \"final_epoch\": {}, \"client_retries\": {}, \
-             \"deduped_replays\": {}, \"wall_s\": {:.4}}},\n  \"gate\": {{\
-             \"recovery_acked_prefix\": {}, \"epoch_continuity\": {}, \
-             \"retries_deduped\": {}}}\n}}\n",
-            cfg.database_size,
-            cfg.graph_vertices,
-            cfg.related_fraction,
-            cfg.seed,
-            self.crash_point,
-            self.crash_hit,
-            self.acked_before_crash,
-            self.recovered_epoch,
-            self.recovery_replayed,
-            self.recovery_truncated_tail,
-            self.fingerprint_match,
-            self.checkpoints,
-            self.resumed_mutations,
-            self.final_epoch,
-            self.client_retries,
-            self.deduped_replays,
-            self.wall_s,
-            self.gate_recovery(),
-            self.gate_continuity(),
-            self.gate_retries(),
-        )
-    }
-}
-
-fn s13_crash_churn() -> CrashReport {
-    use gss_server::{
-        serve_store, Client, FaultPlan, GraphStore, Response, RetryPolicy, ServerConfig,
-        StoreConfig, WalConfig,
-    };
-    use std::sync::Arc;
-
-    const BATCHES: usize = 32;
-    const CRASH_HIT: u64 = 20;
-    const CHECKPOINT_EVERY: u64 = 8;
-    const RESUMED: usize = 12;
-
-    println!(
-        "== S13: crash-churn — WAL killed at append #{CRASH_HIT} of {BATCHES}, restart from \
-         the data directory, resume through injected connection resets =="
-    );
-    let w = Workload::generate(&WorkloadConfig::bench_smoke());
-    let db = Arc::new(GraphDatabase::from_parts(w.vocab, w.graphs));
-    let dir = std::env::temp_dir().join(format!("gss-bench-crash-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    // Writer traffic reuses database structure under fresh names (same
-    // trick as S12) so every batch is valid regardless of where the crash
-    // lands.
-    let donor_text = |i: usize, name: &str| {
-        let g = db.get(gss_core::GraphId(i % db.len()));
-        let text = gss_graph::format::write_database(std::slice::from_ref(g), db.vocab());
-        let body = text.split_once('\n').map_or("", |(_, b)| b);
-        format!("t {name}\n{body}")
-    };
-    let batch = |i: usize| {
-        gss_server::MutationBatch::default().insert(&donor_text(i * 3 + 1, &format!("crash{i}")))
-    };
-
-    let t0 = Instant::now();
-
-    // Phase 1 — churn into a deterministic crash: the fault plan kills the
-    // WAL on its CRASH_HIT-th append, so exactly CRASH_HIT - 1 batches are
-    // acked and everything after is refused.
-    let mut wal_config = WalConfig::new(&dir);
-    wal_config.checkpoint_every = CHECKPOINT_EVERY;
-    wal_config.faults =
-        Arc::new(FaultPlan::parse(&format!("wal.append@{CRASH_HIT}=crash")).expect("fault plan"));
-    let store = GraphStore::open_durable(Arc::clone(&db), StoreConfig::default(), wal_config)
-        .expect("open durable store");
-    let mut acked = 0u64;
-    for i in 0..BATCHES {
-        match store.apply(&batch(i)) {
-            Ok(_) => acked += 1,
-            Err(_) => break,
-        }
-    }
-    drop(store);
-
-    // Phase 2 — restart: recovery loads the latest checkpoint and replays
-    // the WAL tail; the result must equal a never-crashed oracle that saw
-    // exactly the acked prefix.
-    let recovered = GraphStore::open_durable(
-        Arc::clone(&db),
-        StoreConfig::default(),
-        WalConfig::new(&dir),
-    )
-    .expect("recover from data directory");
-    let oracle = GraphStore::new(Arc::clone(&db), StoreConfig::default());
-    for i in 0..acked as usize {
-        oracle.apply(&batch(i)).expect("oracle batch");
-    }
-    let recovered_epoch = recovered.snapshot().epoch();
-    let fingerprint_match = recovered.snapshot().fingerprint() == oracle.snapshot().fingerprint();
-    let recovered_stats = recovered.stats();
-    let wal_stats = recovered_stats.wal.unwrap_or_default();
-
-    // Phase 3 — resume behind the server with injected connection resets:
-    // a retrying client streams fresh mutations; resent batches must be
-    // deduplicated by their mutation_id, never double-applied.
-    let recovered = Arc::new(recovered);
-    let handle = serve_store(
-        Arc::clone(&recovered),
-        QueryOptions::default(),
-        ServerConfig {
-            workers: 2,
-            faults: Arc::new(
-                FaultPlan::parse("conn.write@2=reset;conn.write@7=reset").expect("fault plan"),
-            ),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind loopback server");
-    let mut client = Client::builder()
-        .retry(RetryPolicy {
-            max_retries: 6,
-            base_delay_ms: 1,
-            max_delay_ms: 20,
-            jitter_seed: 13,
-            timeout_ms: Some(10_000),
-        })
-        .connect(handle.addr())
-        .expect("connect retrying client");
-    let mut deduped_replays = 0u64;
-    for i in 0..RESUMED {
-        let name = format!("resume{i}");
-        match client
-            .insert(&donor_text(i * 5 + 2, &name))
-            .expect("resumed insert")
-        {
-            Response::Mutated { replayed, .. } => {
-                if replayed {
-                    deduped_replays += 1;
-                }
-            }
-            other => panic!("unexpected response: {}", other.to_line().trim_end()),
-        }
-    }
-    let client_retries = client.retries();
-    handle.shutdown();
-    handle.join();
-    let final_epoch = recovered.snapshot().epoch();
-    let wall_s = t0.elapsed().as_secs_f64();
-    std::fs::remove_dir_all(&dir).ok();
-
-    let report = CrashReport {
-        crash_point: "wal.append",
-        crash_hit: CRASH_HIT,
-        acked_before_crash: acked,
-        recovered_epoch,
-        recovery_replayed: wal_stats.recovery.replayed,
-        recovery_truncated_tail: wal_stats.recovery.truncated_tail,
-        fingerprint_match,
-        checkpoints: wal_stats.checkpoints,
-        resumed_mutations: RESUMED as u64,
-        final_epoch,
-        client_retries,
-        deduped_replays,
-        wall_s,
-    };
-
-    let mut table = TextTable::new(vec![
-        "acked",
-        "recovered",
-        "replayed",
-        "fp match",
-        "resumed",
-        "final",
-        "retries",
-        "replays",
-    ]);
-    table.row(vec![
-        format!("{}", report.acked_before_crash),
-        format!("{}", report.recovered_epoch),
-        format!("{}", report.recovery_replayed),
-        format!("{}", report.fingerprint_match),
-        format!("{}", report.resumed_mutations),
-        format!("{}", report.final_epoch),
-        format!("{}", report.client_retries),
-        format!("{}", report.deduped_replays),
-    ]);
-    println!("{}", table.render());
-    println!(
-        "crash at {}#{}: {} acked → recovered epoch {} ({} WAL records replayed over \
-         {} checkpoints); resumed {} mutations to epoch {} through {} retries / {} \
-         deduped replays",
-        report.crash_point,
-        report.crash_hit,
-        report.acked_before_crash,
-        report.recovered_epoch,
-        report.recovery_replayed,
-        report.checkpoints,
-        report.resumed_mutations,
-        report.final_epoch,
-        report.client_retries,
-        report.deduped_replays,
-    );
-    println!();
-    report
-}
-
-/// Wall-clock budget for adopting a saved compact database (S14). The
-/// smoke database loads in well under a millisecond on any machine the
-/// suite runs on — the generous ceiling only exists to catch a load path
-/// that silently regresses to re-parsing text.
-const COLD_START_BUDGET_MS: f64 = 250.0;
-
-/// Ceiling on arena bytes relative to the pointer-rich estimate (S14):
-/// the compact representation must use at most this fraction.
-const COMPACTION_CEILING: f64 = 0.6;
-
-struct ColdStartReport {
-    database_size: usize,
-    arena_bytes: usize,
-    pointer_rich_bytes: usize,
-    arena_bytes_per_graph: usize,
-    pointer_rich_bytes_per_graph: usize,
-    file_bytes: usize,
-    pack_ms: f64,
-    load_ms: f64,
-    parse_ms: f64,
-    adopted_compact: bool,
-    combos: usize,
-    mismatches: usize,
-}
-
-impl ColdStartReport {
-    fn compaction_ratio(&self) -> f64 {
-        self.arena_bytes as f64 / self.pointer_rich_bytes.max(1) as f64
-    }
-
-    fn gate_compaction(&self) -> bool {
-        self.compaction_ratio() <= COMPACTION_CEILING
-    }
-
-    fn gate_load(&self) -> bool {
-        self.adopted_compact && self.load_ms <= COLD_START_BUDGET_MS
-    }
-
-    fn gate_parity(&self) -> bool {
-        self.combos > 0 && self.mismatches == 0
-    }
-
-    fn to_json(&self) -> String {
-        let cfg = WorkloadConfig::bench_smoke();
-        format!(
-            "{{\n  \"schema\": \"gss-bench-coldstart/1\",\n  \"workload\": {{\"kind\": \
-             \"molecule\", \"database_size\": {}, \"graph_vertices\": {}, \
-             \"related_fraction\": {}, \"seed\": {}}},\n  \"memory\": {{\
-             \"arena_bytes\": {}, \"pointer_rich_bytes\": {}, \
-             \"arena_bytes_per_graph\": {}, \"pointer_rich_bytes_per_graph\": {}, \
-             \"compaction_ratio\": {:.4}, \"file_bytes\": {}}},\n  \
-             \"cold_start\": {{\"pack_ms\": {:.3}, \"load_ms\": {:.3}, \
-             \"parse_ms\": {:.3}, \"adopted_compact\": {}, \"budget_ms\": {:.1}}},\n  \
-             \"parity\": {{\"combos\": {}, \"mismatches\": {}}},\n  \"gate\": {{\
-             \"arena_le_0_6x_pointer_rich\": {}, \"load_within_budget\": {}, \
-             \"zero_answer_mismatches\": {}}}\n}}\n",
-            self.database_size,
-            cfg.graph_vertices,
-            cfg.related_fraction,
-            cfg.seed,
-            self.arena_bytes,
-            self.pointer_rich_bytes,
-            self.arena_bytes_per_graph,
-            self.pointer_rich_bytes_per_graph,
-            self.compaction_ratio(),
-            self.file_bytes,
-            self.pack_ms,
-            self.load_ms,
-            self.parse_ms,
-            self.adopted_compact,
-            COLD_START_BUDGET_MS,
-            self.combos,
-            self.mismatches,
-            self.gate_compaction(),
-            self.gate_load(),
-            self.gate_parity(),
-        )
-    }
-}
-
-/// S14: cold-start on the compact binary format — build the smoke
-/// database, pack it (compact + save), adopt it back with the zero-parse
-/// load path, and sweep every plan × thread count × solver config over
-/// both representations demanding byte-identical `Debug` output. The
-/// pointer-rich database stays in play as the parity oracle.
-fn s14_coldstart() -> ColdStartReport {
-    println!("== S14: cold start — compact pack / zero-parse load / answer parity ==");
-    let w = Workload::generate(&WorkloadConfig::bench_smoke());
-    let db = GraphDatabase::from_parts(w.vocab, w.graphs);
-    let pointer_rich = db.memory_stats();
-
-    // Pack: compact into the arena representation and save the framed
-    // binary image to a scratch file.
-    let path = std::env::temp_dir().join(format!("gss-bench-coldstart-{}.gsb", std::process::id()));
-    let pack_t = Instant::now();
-    let mut packed = db.clone();
-    packed.compact();
-    packed.save(&path).expect("save packed database");
-    let pack_ms = pack_t.elapsed().as_secs_f64() * 1e3;
-    let compact = packed.memory_stats();
-    let file_bytes = std::fs::metadata(&path)
-        .map(|m| m.len() as usize)
-        .unwrap_or(0);
-
-    // Cold start: the checksummed frame is validated and the bytes are
-    // adopted as the in-memory layout — no per-graph parsing. The text
-    // parse of the same database is the baseline it replaces.
-    let load_ms = time_us(3, || {
-        GraphDatabase::load(&path).expect("load packed database");
-    }) / 1e3;
-    let text = db.to_text();
-    let parse_ms = time_us(3, || {
-        GraphDatabase::from_text(&text).expect("parse text database");
-    }) / 1e3;
-    let loaded = GraphDatabase::load(&path).expect("load packed database");
-    let _ = std::fs::remove_file(&path);
-    let adopted_compact = loaded.is_compact();
-    assert_eq!(
-        loaded.fingerprint(),
-        db.fingerprint(),
-        "loaded database must fingerprint-match its source"
-    );
-
-    // One pivot index serves both representations: attachment is keyed on
-    // the database fingerprint, which the round trip preserves.
-    let index = std::sync::Arc::new(PivotIndex::build(&db, &PivotIndexConfig::default()));
-
-    // Answer parity: every plan × thread count × solver config must
-    // produce byte-identical skyline and skyband output from the
-    // arena-backed database and the pointer-rich oracle.
-    const SKYBAND_K: usize = 2;
-    let mut combos = 0usize;
-    let mut mismatches = 0usize;
-    for plan in [Plan::Naive, Plan::Prefilter, Plan::Indexed, Plan::Sharded] {
-        for threads in [1usize, 4] {
-            for approx in [false, true] {
-                let opts = QueryOptions {
-                    plan,
-                    threads,
-                    shards: 4,
-                    solvers: if approx {
-                        SolverConfig {
-                            ged: GedMode::Bipartite,
-                            mcs: McsMode::Greedy,
-                        }
-                    } else {
-                        SolverConfig::default()
-                    },
-                    ..QueryOptions::default()
-                }
-                .with_index(index.clone());
-                let oracle = graph_similarity_skyline(&db, &w.query, &opts);
-                let arena = graph_similarity_skyline(&loaded, &w.query, &opts);
-                combos += 1;
-                if format!("{oracle:?}") != format!("{arena:?}") {
-                    mismatches += 1;
-                    eprintln!("S14 skyline mismatch: {plan:?} threads={threads} approx={approx}");
-                }
-                let oracle_band = graph_similarity_skyband(&db, &w.query, SKYBAND_K, &opts);
-                let arena_band = graph_similarity_skyband(&loaded, &w.query, SKYBAND_K, &opts);
-                combos += 1;
-                if format!("{oracle_band:?}") != format!("{arena_band:?}") {
-                    mismatches += 1;
-                    eprintln!("S14 skyband mismatch: {plan:?} threads={threads} approx={approx}");
-                }
-            }
-        }
-    }
-
-    let report = ColdStartReport {
-        database_size: db.len(),
-        arena_bytes: compact.arena_bytes,
-        pointer_rich_bytes: pointer_rich.pointer_rich_bytes,
-        arena_bytes_per_graph: compact.arena_bytes_per_graph() as usize,
-        pointer_rich_bytes_per_graph: pointer_rich.pointer_rich_bytes_per_graph() as usize,
-        file_bytes,
-        pack_ms,
-        load_ms,
-        parse_ms,
-        adopted_compact,
-        combos,
-        mismatches,
-    };
-
-    let mut table = TextTable::new(vec![
-        "graphs",
-        "B/graph",
-        "ptr B/graph",
-        "ratio",
-        "pack",
-        "load",
-        "parse",
-        "combos",
-        "miss",
-    ]);
-    table.row(vec![
-        format!("{}", report.database_size),
-        format!("{}", report.arena_bytes_per_graph),
-        format!("{}", report.pointer_rich_bytes_per_graph),
-        format!("{:.2}", report.compaction_ratio()),
-        fmt_us(report.pack_ms * 1e3),
-        fmt_us(report.load_ms * 1e3),
-        fmt_us(report.parse_ms * 1e3),
-        format!("{}", report.combos),
-        format!("{}", report.mismatches),
-    ]);
-    println!("{}", table.render());
-    println!(
-        "packed {} graphs into {} bytes ({:.2}x pointer-rich); zero-parse load {:.2} ms \
-         vs text parse {:.2} ms; {} plan/thread/solver combos, {} mismatches",
-        report.database_size,
-        report.file_bytes,
-        report.compaction_ratio(),
-        report.load_ms,
-        report.parse_ms,
-        report.combos,
-        report.mismatches,
-    );
-    println!();
-    report
-}
-
-fn s1_skyline() {
-    println!("== S1: skyline algorithms (3-d anti-correlated points) ==");
-    let mut t = TextTable::new(vec!["n", "naive", "bnl", "sfs"]);
-    for &n in &[200usize, 1_000, 5_000] {
-        let mut rng = Rng::seed_from_u64(1);
-        let pts: Vec<Vec<f64>> = (0..n)
-            .map(|_| {
-                let mut p: Vec<f64> = (0..3).map(|_| rng.gen_f64()).collect();
-                let s: f64 = p.iter().sum();
-                p.iter_mut()
-                    .for_each(|x| *x = *x / s + 0.05 * rng.gen_f64());
-                p
-            })
-            .collect();
-        t.row(vec![
-            format!("{n}"),
-            fmt_us(time_us(5, || {
-                naive_skyline(&pts);
-            })),
-            fmt_us(time_us(5, || {
-                bnl_skyline(&pts);
-            })),
-            fmt_us(time_us(5, || {
-                sfs_skyline(&pts);
-            })),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
-fn pair(n: usize, seed: u64) -> (Graph, Graph) {
-    let mut vocab = Vocabulary::new();
-    let mut rng = Rng::seed_from_u64(seed);
-    let cfg = RandomGraphConfig {
-        vertices: n,
-        edges: n + n / 3,
-        ..Default::default()
-    };
-    let g1 = random_connected_graph("g1", &cfg, &mut vocab, &mut rng);
-    let g2 = perturb(&g1, 3, &mut vocab, &mut rng, "P");
-    (g1, g2)
-}
-
-fn s2_ged() {
-    println!("== S2: GED solvers (perturbed random graph pairs) ==");
-    let mut t = TextTable::new(vec![
-        "|V|",
-        "exact",
-        "bipartite",
-        "beam(16)",
-        "values e/b/m",
-    ]);
-    for &n in &[4usize, 6, 8, 10] {
-        let (g1, g2) = pair(n, 0x52 + n as u64);
-        let cost = CostModel::uniform();
-        let mut exact_val = 0.0;
-        let e = time_us(3, || {
-            let warm = bipartite_ged(&g1, &g2, &cost);
-            exact_val = exact_ged(
-                &g1,
-                &g2,
-                &GedOptions {
-                    warm_start: Some(warm.mapping),
-                    ..Default::default()
-                },
-            )
-            .cost;
-        });
-        let mut bip_val = 0.0;
-        let b = time_us(3, || {
-            bip_val = bipartite_ged(&g1, &g2, &cost).cost;
-        });
-        let mut beam_val = 0.0;
-        let m = time_us(3, || {
-            beam_val = beam_ged(&g1, &g2, &cost, 16).cost;
-        });
-        t.row(vec![
-            format!("{n}"),
-            fmt_us(e),
-            fmt_us(b),
-            fmt_us(m),
-            format!("{exact_val}/{bip_val}/{beam_val}"),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
-fn s3_mcs() {
-    println!("== S3: MCS solvers ==");
-    let mut t = TextTable::new(vec!["|V|", "exact", "greedy", "sizes e/g"]);
-    for &n in &[5usize, 7, 9, 11] {
-        let (g1, g2) = pair(n, 0x53 + n as u64);
-        let mut exact_val = 0usize;
-        let e = time_us(3, || {
-            exact_val = mcs_edge_size(&g1, &g2);
-        });
-        let mut greedy_val = 0usize;
-        let g = time_us(3, || {
-            greedy_val = greedy_mcs(&g1, &g2, usize::MAX).edges();
-        });
-        t.row(vec![
-            format!("{n}"),
-            fmt_us(e),
-            fmt_us(g),
-            format!("{exact_val}/{greedy_val}"),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
-fn s4_query() {
-    println!("== S4: end-to-end GSS query (molecule workloads) ==");
-    let mut t = TextTable::new(vec!["|D|", "exact 1 thread", "exact 4 threads", "approx"]);
-    for &n in &[10usize, 40, 120] {
-        let w = Workload::generate(&WorkloadConfig {
-            kind: WorkloadKind::Molecule,
-            database_size: n,
-            graph_vertices: 7,
-            seed: 0x54,
-            ..Default::default()
-        });
-        let db = GraphDatabase::from_parts(w.vocab, w.graphs);
-        let exact1 = time_us(2, || {
-            graph_similarity_skyline(
-                &db,
-                &w.query,
-                &QueryOptions {
-                    plan: Plan::Naive,
-                    ..Default::default()
-                },
-            );
-        });
-        let exact4 = time_us(2, || {
-            graph_similarity_skyline(
-                &db,
-                &w.query,
-                &QueryOptions {
-                    plan: Plan::Naive,
-                    threads: 4,
-                    ..Default::default()
-                },
-            );
-        });
-        let approx = time_us(2, || {
-            graph_similarity_skyline(
-                &db,
-                &w.query,
-                &QueryOptions {
-                    plan: Plan::Naive,
-                    solvers: SolverConfig {
-                        ged: GedMode::Bipartite,
-                        mcs: McsMode::Greedy,
-                    },
-                    ..Default::default()
-                },
-            );
-        });
-        t.row(vec![
-            format!("{n}"),
-            fmt_us(exact1),
-            fmt_us(exact4),
-            fmt_us(approx),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
-fn s6_prefilter() {
-    println!("== S6: filter-and-verify pruning (molecule workloads, 1 thread) ==");
-    let mut t = TextTable::new(vec![
-        "|D|",
-        "naive",
-        "prefilter",
-        "speedup",
-        "pruned/short/verified",
-    ]);
-    for &n in &[20usize, 60, 120] {
-        let w = Workload::generate(&WorkloadConfig {
-            kind: WorkloadKind::Molecule,
-            database_size: n,
-            graph_vertices: 7,
-            related_fraction: 0.3,
-            seed: 0x56,
-            ..Default::default()
-        });
-        let db = GraphDatabase::from_parts(w.vocab, w.graphs);
-        let naive_opts = QueryOptions {
-            plan: Plan::Naive,
-            ..QueryOptions::default()
-        };
-        let pruned_opts = QueryOptions {
-            prefilter: true,
-            ..QueryOptions::default()
-        };
-        let naive = time_us(3, || {
-            graph_similarity_skyline(&db, &w.query, &naive_opts);
-        });
-        let pruned = time_us(3, || {
-            graph_similarity_skyline(&db, &w.query, &pruned_opts);
-        });
-        let r = graph_similarity_skyline(&db, &w.query, &pruned_opts);
-        let base = graph_similarity_skyline(&db, &w.query, &naive_opts);
-        assert_eq!(
-            r.skyline, base.skyline,
-            "pruning must not change the answer"
-        );
-        assert_eq!(
-            r.dominated, base.dominated,
-            "pruning must not change witnesses"
-        );
-        let stats = r.pruning.expect("prefilter stats");
-        t.row(vec![
-            format!("{n}"),
-            fmt_us(naive),
-            fmt_us(pruned),
-            format!("{:.2}x", naive / pruned.max(1.0)),
-            format!(
-                "{}/{}/{}",
-                stats.pruned, stats.short_circuited, stats.verified
-            ),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
-#[allow(clippy::needless_range_loop)] // symmetric matrix fill reads clearest indexed
-fn s5_diversity() {
-    println!("== S5: diversity refinement ==");
-    let mut t = TextTable::new(vec!["n", "exact k=3", "greedy k=3"]);
-    for &n in &[8usize, 12, 16, 20] {
-        let mut rng = Rng::seed_from_u64(n as u64);
-        let ms: Vec<Vec<Vec<f64>>> = (0..3)
-            .map(|_| {
-                let mut m = vec![vec![0.0f64; n]; n];
-                for i in 0..n {
-                    for j in i + 1..n {
-                        let v = rng.gen_f64();
-                        m[i][j] = v;
-                        m[j][i] = v;
-                    }
-                }
-                m
-            })
-            .collect();
-        let e = time_us(3, || {
-            refine_exact(&ms, 3, u128::MAX).unwrap();
-        });
-        let g = time_us(3, || {
-            refine_greedy(&ms, 3);
-        });
-        t.row(vec![format!("{n}"), fmt_us(e), fmt_us(g)]);
-    }
-    println!("{}", t.render());
 }

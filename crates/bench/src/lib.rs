@@ -1,16 +1,20 @@
 //! # gss-bench — the evaluation harness
 //!
-//! Regenerates every table and figure of the paper (the `tables` binary)
-//! and benchmarks the stack's scaling behaviour (criterion benches).
+//! Two things live here; wall-clock performance is neither of them (that
+//! is the repository benchmark under `benchmark/`, see `BENCHMARK.json`).
 //!
-//! * `cargo run -p gss-bench --bin tables` — prints Tables I–V and the
-//!   Figure 1/2 walkthrough, paper value next to measured value, plus the
-//!   A1/A2 ablations described in `DESIGN.md`.
-//! * `cargo bench -p gss-bench` — skyline algorithms (S1), GED solvers
-//!   (S2), MCS solvers (S3), end-to-end queries (S4), diversity refinement
-//!   (S5).
+//! * `cargo run -p gss-bench --bin tables` — the paper: prints Tables I–V
+//!   and the Figure 1/2 walkthrough, paper value next to measured value,
+//!   plus the A1/A2 ablations described in `DESIGN.md`.
+//! * `cargo run --release -p gss-bench --bin scaling -- --json F --gate` —
+//!   the structural gate: a loop over the [`scenarios`] registry, each
+//!   scenario a [`report::Scenario`] returning one [`report::ScenarioReport`]
+//!   of named metrics and pass/fail gates.
 //!
-//! This library crate hosts the small shared helpers.
+//! The crate root hosts the small shared text helpers.
+
+pub mod report;
+pub mod scenarios;
 
 use std::fmt::Write as _;
 

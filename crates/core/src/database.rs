@@ -22,7 +22,7 @@
 //!
 //! Both representations answer every query with **byte-identical**
 //! results; `tests/storage_compact.rs` proptests enforce it and the
-//! S14 cold-start benchmark gates it in CI.
+//! `s14-coldstart` scenario of the `gss-bench` registry gates it in CI.
 //!
 //! # Persistence
 //!
@@ -804,40 +804,7 @@ pub mod codec {
 
     use std::fmt;
 
-    /// Streaming FNV-1a 64-bit hasher (checksums and fingerprints).
-    #[derive(Clone, Debug)]
-    pub struct Fnv64(u64);
-
-    impl Fnv64 {
-        /// The standard FNV-1a offset basis.
-        pub fn new() -> Self {
-            Fnv64(0xcbf2_9ce4_8422_2325)
-        }
-
-        /// Absorbs raw bytes.
-        pub fn write(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 ^= u64::from(b);
-                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-
-        /// Absorbs a `u64` (little-endian).
-        pub fn write_u64(&mut self, v: u64) {
-            self.write(&v.to_le_bytes());
-        }
-
-        /// The digest so far.
-        pub fn finish(&self) -> u64 {
-            self.0
-        }
-    }
-
-    impl Default for Fnv64 {
-        fn default() -> Self {
-            Fnv64::new()
-        }
-    }
+    pub use gss_graph::Fnv64;
 
     /// Why a binary artifact failed to decode.
     #[derive(Clone, Debug, PartialEq, Eq)]

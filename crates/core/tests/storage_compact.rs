@@ -151,3 +151,31 @@ proptest! {
         );
     }
 }
+
+/// Every persistent digest folds through the one `gss_graph::Fnv64`.
+/// These literals were recorded before the three FNV-1a copies were
+/// merged; a mismatch means saved images, indexes and WAL segments
+/// written by earlier builds no longer verify.
+#[test]
+fn digests_are_pinned_to_the_on_disk_format() {
+    let (db, _) = random_db(0x5eed, 6, 7);
+    assert_eq!(db.fingerprint(), 0x951f_1009_019f_1692);
+    let mut packed = db.clone();
+    packed.compact();
+    let image = packed.save_bytes();
+    assert_eq!(image.len(), 1748);
+    let (_, checksum) = image.split_at(image.len() - 8);
+    assert_eq!(
+        u64::from_le_bytes(checksum.try_into().expect("8-byte trailer")),
+        0x91d5_9593_b2c1_6913,
+        "saved-image frame checksum"
+    );
+
+    let mut pool = gss_graph::LabelPool::new();
+    for label in ["C", "N", "O", "-", "="] {
+        pool.intern(label);
+    }
+    assert_eq!(pool.pool_fingerprint(), 0x8060_9e70_82d5_2056);
+    let arena = gss_graph::GraphArena::from_graphs(db.iter().map(|(_, g)| g), db.vocab());
+    assert_eq!(arena.content_fingerprint(), 0xfe43_68eb_fdb0_3c68);
+}

@@ -54,11 +54,12 @@ impl Default for WorkloadConfig {
 }
 
 impl WorkloadConfig {
-    /// The canonical CI smoke workload: the 120-graph molecule database the
-    /// `scaling` benchmark report, the `BENCH_2.json` artifact and the CI
-    /// regression gate all share. One definition keeps "the committed smoke
-    /// workload" unambiguous — changing these values invalidates the perf
-    /// trajectory tracked across PRs, so don't, without a CHANGES.md note.
+    /// The canonical CI smoke workload: the 120-graph molecule database
+    /// every gated scenario of the `gss-bench` registry (the `scaling`
+    /// binary, CI's `bench-smoke` job) runs on. One definition keeps "the
+    /// committed smoke workload" unambiguous — the recorded gate baselines
+    /// (expanded-node totals, skip rates) are exact on these values, so
+    /// don't change them without re-recording and a CHANGES.md note.
     pub fn bench_smoke() -> WorkloadConfig {
         WorkloadConfig {
             kind: WorkloadKind::Molecule,

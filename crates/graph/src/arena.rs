@@ -51,22 +51,10 @@
 
 use std::collections::HashMap;
 
+use crate::fnv::Fnv64;
 use crate::graph::{EdgeId, Graph, VertexId};
 use crate::label::{Label, Vocabulary};
 use crate::stats::{GraphStats, Multiset};
-
-/// A stable FNV-1a 64-bit fold over little-endian words — deterministic
-/// across platforms, used for the arena's structural self-fingerprints.
-#[inline]
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Errors raised when assembling an arena from untrusted raw columns
 /// (the zero-parse load path).
@@ -212,15 +200,15 @@ impl LabelPool {
 
     /// Structural fingerprint of the pool content (entries + spans).
     pub fn pool_fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = Fnv64::new();
         for &b in &self.bytes {
-            h = fnv_u64(h, u64::from(b));
+            h.write_u64(u64::from(b));
         }
         for &o in &self.offsets {
-            h = fnv_u64(h, u64::from(o));
+            h.write_u64(u64::from(o));
         }
         // gss-lint: exempt(LabelPool::index) — derived lookup cache over `bytes`/`offsets`; rebuilt lazily and content-free
-        h
+        h.finish()
     }
 }
 
@@ -482,8 +470,8 @@ impl GraphArena {
     /// `GraphDatabase::fingerprint` in `gss-core` hashes label *strings*
     /// and stays representation-independent.)
     pub fn content_fingerprint(&self) -> u64 {
-        let mut h = self.pool.pool_fingerprint();
-        h = fnv_u64(h, u64::from(self.label_count));
+        let mut h = Fnv64::resume(self.pool.pool_fingerprint());
+        h.write_u64(u64::from(self.label_count));
         for col in [
             &self.names,
             &self.vertex_off,
@@ -493,12 +481,12 @@ impl GraphArena {
             &self.edge_v,
             &self.edge_labels,
         ] {
-            h = fnv_u64(h, col.len() as u64);
+            h.write_u64(col.len() as u64);
             for &v in col.iter() {
-                h = fnv_u64(h, u64::from(v));
+                h.write_u64(u64::from(v));
             }
         }
-        h
+        h.finish()
     }
 }
 
@@ -849,7 +837,7 @@ impl StatsColumns {
 
     /// Structural fingerprint of every stats column.
     pub fn columns_fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = Fnv64::new();
         for col in [
             &self.orders,
             &self.sizes,
@@ -867,18 +855,18 @@ impl StatsColumns {
             &self.eclass_label,
             &self.eclass_counts,
         ] {
-            h = fnv_u64(h, col.len() as u64);
+            h.write_u64(col.len() as u64);
             for &v in col.iter() {
-                h = fnv_u64(h, u64::from(v));
+                h.write_u64(u64::from(v));
             }
         }
         for &v in &self.wl_fingerprints {
-            h = fnv_u64(h, v);
+            h.write_u64(v);
         }
         for &v in &self.connected {
-            h = fnv_u64(h, u64::from(v));
+            h.write_u64(u64::from(v));
         }
-        h
+        h.finish()
     }
 }
 

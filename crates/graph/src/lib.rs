@@ -21,6 +21,8 @@
 //! * [`algo`] — traversal, connectivity and component utilities;
 //! * [`stats`] — label histograms used by distance lower bounds, plus the
 //!   per-graph [`GraphStats`] summary the query pipeline caches;
+//! * [`fnv`] — the workspace's one FNV-1a hasher ([`Fnv64`]), behind every
+//!   persistent checksum and fingerprint;
 //! * [`bitset`] — word-parallel [`Bitset`]/[`BitMatrix`] substrate for the
 //!   allocation-free solver kernels;
 //! * [`mod@format`] — a line-oriented text format (compatible in spirit with the
@@ -64,6 +66,7 @@ pub mod arena;
 pub mod bitset;
 pub mod builder;
 pub mod error;
+pub mod fnv;
 pub mod format;
 pub mod graph;
 pub mod label;
@@ -75,6 +78,7 @@ pub use arena::{GraphArena, GraphRef, LabelPool, StatsColumns};
 pub use bitset::{BitMatrix, Bitset};
 pub use builder::GraphBuilder;
 pub use error::GraphError;
+pub use fnv::Fnv64;
 pub use graph::{Edge, EdgeId, EdgeLookup, Graph, Vertex, VertexId};
 pub use label::{Label, Vocabulary};
 pub use rng::Rng;

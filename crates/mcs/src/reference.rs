@@ -7,8 +7,8 @@
 //! * property tests can assert the optimized kernels return identical
 //!   sizes/costs — and, where the search order is preserved, identical
 //!   witnesses — on random inputs, and
-//! * the solver benchmarks (`benches/solvers.rs`, the S9 scaling scenario)
-//!   can measure the speedup against the exact code they replaced.
+//! * the `s9-solvers` scenario of the `gss-bench` registry can gate the
+//!   kernels' expanded-node counts against the exact code they replaced.
 //!
 //! Nothing in the query pipeline calls these; they are test and benchmark
 //! substrate only.

@@ -36,6 +36,11 @@
 //! expiry `{"ok":false,"error":"deadline exceeded"}`
 //! ([`Response::Expired`]).
 //!
+//! A request line may be at most [`MAX_LINE_BYTES`] long (newline
+//! excluded). A longer one — terminated or not — is answered with
+//! [`Response::line_too_long`] and the connection is closed, so no client
+//! can make the server buffer without bound.
+//!
 //! ### The `query` verb
 //!
 //! * `"graph"` (required) — the query graph in the `t/v/e` text format
@@ -90,6 +95,12 @@
 use gss_core::jsonio::{escape, Value};
 use gss_core::Plan;
 use gss_skyline::Algorithm;
+
+/// The longest request line a server accepts, in bytes, newline excluded.
+/// Part of the wire spec rather than a server setting: a client can rely
+/// on any line up to this size being read, and must split larger `insert`
+/// batches across requests.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
 
 /// A parsed request line: one of the four protocol verbs.
 #[derive(Clone, Debug, PartialEq)]
@@ -602,6 +613,15 @@ fn envelope(id: &Option<Value>, body: &str) -> String {
 }
 
 impl Response {
+    /// The error a server answers a request line longer than
+    /// [`MAX_LINE_BYTES`] with, just before closing the connection.
+    pub fn line_too_long() -> Response {
+        Response::Error {
+            id: None,
+            message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+        }
+    }
+
     /// Serializes the response onto one wire line (newline included).
     pub fn to_line(&self) -> String {
         match self {

@@ -53,15 +53,12 @@ impl ShardedCache {
     fn shard(&self, key: &QueryKey) -> &Mutex<Shard> {
         // FNV-1a over the three fingerprints; they are already
         // well-mixed, this just folds them into a shard pick.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = gss_graph::Fnv64::new();
         for part in [key.database, key.query, key.options] {
-            for b in part.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            h.write_u64(part);
         }
         // gss-lint: allow(no-panic-in-request-path[index]) — h % len is in bounds by construction
-        &self.shards[(h % self.shards.len() as u64) as usize]
+        &self.shards[(h.finish() % self.shards.len() as u64) as usize]
     }
 
     /// Looks up a key, refreshing its recency on hit.

@@ -14,11 +14,16 @@
 
 use std::collections::VecDeque;
 
+use gss_protocol::MAX_LINE_BYTES;
+
 /// Buffered state of one reactor connection.
 #[derive(Default)]
 pub struct Conn {
     /// Bytes received but not yet forming a complete line.
     read_buf: Vec<u8>,
+    /// A line longer than [`MAX_LINE_BYTES`] arrived; input is discarded
+    /// from then on.
+    overflowed: bool,
     /// Serialized responses waiting for the socket.
     write_buf: Vec<u8>,
     /// Prefix of `write_buf` already written to the socket.
@@ -37,11 +42,20 @@ impl Conn {
 
     /// Appends freshly read bytes and returns every *complete* line they
     /// finish (without the trailing newline). Partial trailing data stays
-    /// buffered for the next read.
+    /// buffered for the next read — up to [`MAX_LINE_BYTES`]: a longer
+    /// line, terminated or not, frees the buffer and turns
+    /// [`Conn::overflowed`] on. The lines before it are still returned;
+    /// everything after it is dropped.
     pub fn push_bytes(&mut self, data: &[u8]) -> Vec<String> {
-        self.read_buf.extend_from_slice(data);
         let mut lines = Vec::new();
+        if self.overflowed {
+            return lines;
+        }
+        self.read_buf.extend_from_slice(data);
         while let Some(pos) = self.read_buf.iter().position(|&b| b == b'\n') {
+            if pos > MAX_LINE_BYTES {
+                break;
+            }
             let rest = self.read_buf.split_off(pos + 1);
             let mut line = std::mem::replace(&mut self.read_buf, rest);
             line.pop(); // the newline
@@ -49,7 +63,19 @@ impl Conn {
                         // answer it with an error envelope like any other bad input.
             lines.push(String::from_utf8_lossy(&line).into_owned());
         }
+        // What is left is one (partial) line: either it still fits, or
+        // the break above / an unterminated flood overran the limit.
+        if self.read_buf.len() > MAX_LINE_BYTES {
+            self.read_buf = Vec::new();
+            self.overflowed = true;
+        }
         lines
+    }
+
+    /// True once a request line exceeded [`MAX_LINE_BYTES`]: the owner
+    /// answers [`gss_protocol::Response::line_too_long`] and closes.
+    pub fn overflowed(&self) -> bool {
+        self.overflowed
     }
 
     /// Allocates the response slot for the next request; responses are
@@ -130,6 +156,38 @@ mod tests {
             vec!["a".to_owned(), "b".to_owned()]
         );
         assert_eq!(c.push_bytes(b"\n"), vec!["c"]);
+    }
+
+    #[test]
+    fn an_oversized_line_overflows_instead_of_buffering() {
+        // Unterminated: the flood is dropped the moment it passes the cap.
+        let mut c = Conn::new();
+        assert_eq!(c.push_bytes(b"ok\n"), vec!["ok"]);
+        let flood = vec![b'x'; MAX_LINE_BYTES];
+        assert!(c.push_bytes(&flood).is_empty());
+        assert!(!c.overflowed(), "exactly the limit still fits");
+        assert!(c.push_bytes(b"x").is_empty());
+        assert!(c.overflowed());
+        assert_eq!(c.read_buf.capacity(), 0, "the buffer is freed, not kept");
+        assert!(
+            c.push_bytes(b"late\n").is_empty(),
+            "input after it is dropped"
+        );
+
+        // Terminated: lines ahead of the long one survive, it does not.
+        let mut c = Conn::new();
+        let mut chunk = b"first\n".to_vec();
+        chunk.extend_from_slice(&vec![b'y'; MAX_LINE_BYTES + 1]);
+        chunk.extend_from_slice(b"\nafter\n");
+        assert_eq!(c.push_bytes(&chunk), vec!["first"]);
+        assert!(c.overflowed());
+
+        // A line of exactly the limit is a line.
+        let mut c = Conn::new();
+        let mut chunk = vec![b'z'; MAX_LINE_BYTES];
+        chunk.push(b'\n');
+        assert_eq!(c.push_bytes(&chunk).len(), 1);
+        assert!(!c.overflowed());
     }
 
     #[test]

@@ -383,6 +383,7 @@ impl Reactor {
                 entry.dead = true;
             }
             if !entry.dead && mask & (EPOLLIN | EPOLLRDHUP) != 0 {
+                let overflowed_before = entry.conn.overflowed();
                 let mut lines = Vec::new();
                 if let Some(stream) = entry.stream.as_mut() {
                     loop {
@@ -422,6 +423,14 @@ impl Reactor {
                         }
                         Outcome::Enqueued => {}
                     }
+                }
+                // An over-long line takes the next response slot for its
+                // error; `pump` hangs up once that has been written.
+                if entry.conn.overflowed() && !overflowed_before {
+                    let seq = entry.conn.begin_request();
+                    entry
+                        .conn
+                        .complete(seq, gss_protocol::Response::line_too_long().to_line());
                 }
             }
         }
@@ -517,6 +526,10 @@ impl Reactor {
                             }
                         };
                         entry.conn.advance_written(written);
+                    }
+                    if entry.conn.overflowed() && entry.conn.idle() {
+                        let _ = stream.shutdown(std::net::Shutdown::Both);
+                        entry.dead = true;
                     }
                 }
             }

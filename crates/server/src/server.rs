@@ -39,7 +39,7 @@
 //! engine's per-query [`gss_core::CancelToken`] (`cancelled`) — see
 //! [`Engine::evaluate_batch`].
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 
 use gss_core::jsonio::Value;
 use gss_core::{GraphDatabase, QueryOptions};
-use gss_protocol::Response;
+use gss_protocol::{Response, MAX_LINE_BYTES};
 use gss_store::fault::points;
 use gss_store::{FaultAction, FaultPlan, GraphStore, MutationBatch, StoreConfig};
 
@@ -555,17 +555,32 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        // A full line is MAX_LINE_BYTES plus its newline; reading no
+        // further than that bounds the buffer whatever the client streams,
+        // and a buffer that fills up without a newline is an over-long line.
+        let budget = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(budget).read_until(b'\n', &mut line) {
             Ok(0) => return, // client closed
             Ok(_) => {
-                // A timeout can split one line across reads; only process
-                // complete lines.
-                if !line.ends_with('\n') {
-                    continue;
+                if !line.ends_with(b"\n") {
+                    if line.len() <= MAX_LINE_BYTES {
+                        // A timeout can split one line across reads; only
+                        // process complete lines.
+                        continue;
+                    }
+                    let refusal = Response::line_too_long().to_line();
+                    if writer.write_all(refusal.as_bytes()).is_ok() && writer.flush().is_ok() {
+                        ServerStats::bump(&shared.engine.stats.served);
+                    }
+                    return;
                 }
-                let trimmed = line.trim();
+                // Invalid UTF-8 still yields a line; the protocol parser
+                // answers it with an error envelope like any other bad
+                // input (the reactor front end frames the same way).
+                let text = String::from_utf8_lossy(&line);
+                let trimmed = text.trim();
                 if !trimmed.is_empty() {
                     let response = handle_line(trimmed, &shared);
                     match shared.config.faults.fire(points::CONN_WRITE) {

@@ -19,8 +19,8 @@ const RESERVOIR_CAP: usize = 65_536;
 
 /// Nearest-rank percentile over an ascending-sorted slice of microsecond
 /// samples (0 for an empty slice). The one percentile definition shared
-/// by the stats reservoir, the `gss client --bench` report and the S8
-/// serving benchmark.
+/// by the stats reservoir, the `gss client --bench` report and the
+/// `gss-bench` serving scenarios.
 pub fn percentile_us(sorted: &[u64], p: usize) -> f64 {
     if sorted.is_empty() {
         0.0

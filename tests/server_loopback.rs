@@ -14,7 +14,8 @@
 //!    thread-per-connection front end serve byte-identical wire lines
 //!    for the same traffic, and the reactor preserves per-connection
 //!    request order under pipelining.
-//! 4. **Protocol behavior** — stats counters, deadlines, graceful drain.
+//! 4. **Protocol behavior** — stats counters, deadlines, graceful drain,
+//!    and the request-line size bound.
 //!
 //! Clients speak the typed [`similarity_skyline::protocol`] envelopes;
 //! raw `send_line` is reserved for malformed-input and byte-parity
@@ -27,7 +28,9 @@ use proptest::TestCaseError;
 use similarity_skyline::core::jsonio::Value;
 use similarity_skyline::datasets::workload::{Workload, WorkloadConfig, WorkloadKind};
 use similarity_skyline::prelude::*;
-use similarity_skyline::protocol::{QueryEnvelope, QueryOverrides, Request, Response};
+use similarity_skyline::protocol::{
+    QueryEnvelope, QueryOverrides, Request, Response, MAX_LINE_BYTES,
+};
 use similarity_skyline::server::{serve, Client, ServerConfig};
 
 /// The single-threaded oracle: what the server must serve, byte for byte.
@@ -281,6 +284,60 @@ fn reactor_pipelines_responses_in_request_order() {
 
     handle.shutdown();
     handle.join();
+}
+
+/// A request line past `MAX_LINE_BYTES` is refused, not buffered: each
+/// front end answers the request ahead of it, then the same typed error,
+/// then hangs up — and keeps serving everyone else.
+#[test]
+fn an_over_long_request_line_is_refused_and_the_connection_closed() {
+    use std::io::{Read, Write};
+
+    let (db, _) = workload_db(4, 0xB16);
+    let db = Arc::new(db);
+    let expected = format!(
+        "{}{}",
+        Response::Pong {
+            id: Some(Value::Number(1.0))
+        }
+        .to_line(),
+        Response::line_too_long().to_line()
+    );
+    assert!(expected.contains(&MAX_LINE_BYTES.to_string()));
+    for reactor_threads in [1, 0] {
+        let handle = serve(
+            Arc::clone(&db),
+            QueryOptions::default(),
+            ServerConfig {
+                reactor_threads,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind loopback");
+
+        let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .expect("read timeout");
+        stream
+            .write_all(b"{\"id\":1,\"op\":\"ping\"}\n")
+            .expect("write ping");
+        // One byte over and unterminated: the server has read every byte
+        // sent when it gives up, so the hang-up is a clean end of stream.
+        stream
+            .write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+            .expect("write flood");
+        let mut transcript = String::new();
+        stream
+            .read_to_string(&mut transcript)
+            .expect("the server closes the connection after refusing");
+        assert_eq!(transcript, expected, "reactor_threads = {reactor_threads}");
+
+        let mut bystander = Client::connect(handle.addr()).expect("connect bystander");
+        assert!(bystander.ping().expect("ping").is_ok());
+        handle.shutdown();
+        handle.join();
+    }
 }
 
 #[test]
