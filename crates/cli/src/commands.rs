@@ -85,8 +85,9 @@ k-skyband now runs through the same staged executor, excluding candidates
 whose lower bounds already have k verified dominators without solving them.
 
 `serve` runs the long-lived query server (newline-delimited JSON protocol,
-result caching, admission control — see the gss-server crate docs). The
-served database is live: `client` mutation flags (--insert-file, --remove,
+result caching, admission control — see the gss-server crate docs); all
+connections share --reactor-threads poll(2) event loops (default 1, and
+anything below 1 runs one; any unix). The served database is live: `client` mutation flags (--insert-file, --remove,
 --update … --update-file) apply atomic batches that bump the store epoch,
 maintain the pivot index incrementally (--staleness-budget caps drift
 before a partial rebuild), and invalidate cached results. `client` also

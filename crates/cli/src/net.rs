@@ -37,7 +37,6 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
         "shards",
         "queue",
         "cache",
-        "cache-shards",
         "batch",
         "deadline-ms",
         "prefilter",
@@ -115,10 +114,8 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
         shards: args.get_parsed_or("shards", defaults.shards)?,
         queue_capacity: args.get_parsed_or("queue", defaults.queue_capacity)?,
         cache_capacity: args.get_parsed_or("cache", defaults.cache_capacity)?,
-        cache_shards: args.get_parsed_or("cache-shards", defaults.cache_shards)?,
         batch_max: args.get_parsed_or("batch", defaults.batch_max)?,
         default_deadline_ms: args.get_parsed_or("deadline-ms", defaults.default_deadline_ms)?,
-        retry_after_ms: defaults.retry_after_ms,
         faults,
     };
     let graphs = store.snapshot().database().len();

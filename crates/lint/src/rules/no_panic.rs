@@ -1,14 +1,14 @@
 //! **no-panic-in-request-path** — the `gss-server` request path must
 //! never panic (PR 3).
 //!
-//! A panic in a connection, dispatcher or cache thread kills that thread
-//! and silently drops every response it owed; the protocol contract is
+//! A panic on a reactor or dispatcher thread kills that thread and
+//! silently drops every response it owed; the protocol contract is
 //! that failures flow to the wire as `{"ok":false,"error":...}`
-//! envelopes. This rule bans panic-capable constructs in the server's
-//! connection/dispatch/cache modules (`server.rs`, `engine.rs`,
-//! `cache.rs`), the event-driven front end (`reactor.rs`, `conn.rs` —
-//! a panic on a reactor thread strands every connection it multiplexes),
-//! the shared wire codecs (`gss-protocol`) and the mutation path
+//! envelopes. This rule bans panic-capable constructs in the server's one
+//! request path — the front end (`reactor.rs`, `conn.rs`: a panic on a
+//! reactor thread strands every connection it multiplexes), the protocol
+//! path and dispatcher (`server.rs`), evaluation and the result cache
+//! (`engine.rs`, `cache.rs`) — the shared wire codecs (`gss-protocol`) and the mutation path
 //! (`gss-store` — a panic inside `GraphStore::apply` poisons the writer
 //! lock and wedges every later mutation; the WAL append/recovery and
 //! fault-injection modules sit on that same path, and a panic there can
@@ -32,11 +32,11 @@ use super::{is_method_call, Rule};
 
 /// The request-path modules the rule watches.
 const WATCHED: &[&str] = &[
+    "server/src/reactor.rs",
+    "server/src/conn.rs",
     "server/src/server.rs",
     "server/src/engine.rs",
     "server/src/cache.rs",
-    "server/src/reactor.rs",
-    "server/src/conn.rs",
     "protocol/src/lib.rs",
     "store/src/lib.rs",
     "store/src/wal.rs",

@@ -1,12 +1,11 @@
-//! Per-connection buffering for the event-driven front end: newline
-//! framing over a byte stream plus **in-order response slots**.
+//! Per-connection buffering for the reactor: newline framing over a byte
+//! stream plus **in-order response slots**.
 //!
-//! The protocol answers requests in order per connection, which the
-//! thread-per-connection path gets for free by blocking. Under the
-//! reactor a connection can have several queries in flight with the
-//! dispatcher while later pings were answered instantly, so each parsed
-//! request takes a sequence-numbered slot here and only the *completed
-//! in-order prefix* ever reaches the write buffer.
+//! The protocol answers requests in order per connection, but a
+//! connection can have several queries in flight with the dispatcher
+//! while later pings were answered instantly, so each parsed request
+//! takes a sequence-numbered slot here and only the *completed in-order
+//! prefix* ever reaches the write buffer.
 //!
 //! Everything in this module is transport-free (plain buffers, no
 //! sockets), so the framing and ordering invariants are unit-testable
@@ -21,6 +20,9 @@ use gss_protocol::MAX_LINE_BYTES;
 pub struct Conn {
     /// Bytes received but not yet forming a complete line.
     read_buf: Vec<u8>,
+    /// Prefix of `read_buf` already searched for a newline (none there),
+    /// so each byte is examined once however many reads deliver a line.
+    scanned: usize,
     /// A line longer than [`MAX_LINE_BYTES`] arrived; input is discarded
     /// from then on.
     overflowed: bool,
@@ -52,21 +54,35 @@ impl Conn {
             return lines;
         }
         self.read_buf.extend_from_slice(data);
-        while let Some(pos) = self.read_buf.iter().position(|&b| b == b'\n') {
-            if pos > MAX_LINE_BYTES {
+        let mut start = 0; // where the line being framed begins
+        let mut from = self.scanned; // first byte not yet searched
+        while let Some(len) = self
+            .read_buf
+            .get(from..)
+            .and_then(|rest| rest.iter().position(|&b| b == b'\n'))
+        {
+            let end = from + len;
+            if end - start > MAX_LINE_BYTES {
                 break;
             }
-            let rest = self.read_buf.split_off(pos + 1);
-            let mut line = std::mem::replace(&mut self.read_buf, rest);
-            line.pop(); // the newline
-                        // Invalid UTF-8 still yields a line; the protocol parser will
-                        // answer it with an error envelope like any other bad input.
-            lines.push(String::from_utf8_lossy(&line).into_owned());
+            // Invalid UTF-8 still yields a line; the protocol parser will
+            // answer it with an error envelope like any other bad input.
+            let line = self.read_buf.get(start..end).unwrap_or(&[]);
+            lines.push(String::from_utf8_lossy(line).into_owned());
+            start = end + 1;
+            from = start;
+        }
+        if start > 0 {
+            // A fresh buffer for the remainder: a long line's capacity is
+            // released with it instead of staying with the connection.
+            self.read_buf = self.read_buf.split_off(start);
         }
         // What is left is one (partial) line: either it still fits, or
         // the break above / an unterminated flood overran the limit.
+        self.scanned = self.read_buf.len();
         if self.read_buf.len() > MAX_LINE_BYTES {
             self.read_buf = Vec::new();
+            self.scanned = 0;
             self.overflowed = true;
         }
         lines
@@ -188,6 +204,28 @@ mod tests {
         chunk.push(b'\n');
         assert_eq!(c.push_bytes(&chunk).len(), 1);
         assert!(!c.overflowed());
+    }
+
+    #[test]
+    fn a_line_arriving_in_pieces_frames_like_a_single_push() {
+        // A near-limit line followed by a pipelined second one, fed the
+        // way a reactor reads it: 16 KiB at a time.
+        let mut stream = vec![b'a'; MAX_LINE_BYTES - 5];
+        stream.extend_from_slice(b"\n{\"op\":\"ping\"}\ntail");
+        let whole = Conn::new().push_bytes(&stream);
+        assert_eq!(whole.len(), 2);
+
+        let mut c = Conn::new();
+        let mut pieces = Vec::new();
+        for piece in stream.chunks(16 * 1024) {
+            // The cursor keeps up with the buffer, so the next push only
+            // searches the bytes it brings.
+            pieces.extend(c.push_bytes(piece));
+            assert_eq!(c.scanned, c.read_buf.len());
+        }
+        assert_eq!(pieces, whole);
+        assert!(!c.overflowed());
+        assert_eq!(c.push_bytes(b"\n"), vec!["tail"]);
     }
 
     #[test]

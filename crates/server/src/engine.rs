@@ -101,6 +101,9 @@ pub struct QueryRequest {
     pub deadline: Instant,
 }
 
+/// Result-cache shard count (lock granularity).
+const CACHE_SHARDS: usize = 8;
+
 /// The transport-free serving core: one live store, one base option set,
 /// one result cache, one stats block.
 pub struct Engine {
@@ -162,7 +165,7 @@ impl Engine {
             base,
             workers: config.workers.max(1),
             default_deadline: Duration::from_millis(config.default_deadline_ms),
-            cache: ShardedCache::new(config.cache_capacity, config.cache_shards),
+            cache: ShardedCache::new(config.cache_capacity, CACHE_SHARDS),
             stats: ServerStats::default(),
             cold_start_ms,
         }

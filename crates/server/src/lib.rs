@@ -1,9 +1,9 @@
 //! # gss-server — concurrent similarity-skyline query serving
 //!
 //! The first stateful layer of the workspace: a long-lived, std-only TCP
-//! service (no async runtime — `std::net` plus worker threads) that loads
-//! a [`gss_core::GraphDatabase`] (and optionally a `gss-index` pivot
-//! index) **once** and serves many skyline queries, amortizing the
+//! service (no async runtime — `std::net`, `poll(2)` and worker threads)
+//! that loads a [`gss_core::GraphDatabase`] (and optionally a `gss-index`
+//! pivot index) **once** and serves many skyline queries, amortizing the
 //! build-once/serve-many lifecycle the index enables.
 //!
 //! ```no_run
@@ -25,25 +25,22 @@
 //! the [`gss_protocol`] crate; see its docs for the spec. This crate
 //! consumes the typed [`gss_protocol::Request`] / [`Response`] envelopes:
 //! requests are parsed once by the [`engine`], responses are serialized
-//! **once, at the connection edge** (`Response::to_line`), identically on
-//! every front end.
+//! **once, at the connection edge** (`Response::to_line`).
 //!
-//! ## Front ends
+//! ## Front end
 //!
-//! Two interchangeable connection front ends feed one shared protocol
-//! path (parse → cache probe → admission queue), so their responses are
-//! byte-identical by construction:
-//!
-//! * **Reactor** (Linux, the default) — [`ServerConfig::reactor_threads`]
-//!   event-loop threads multiplex *all* connections over nonblocking
-//!   sockets and an epoll readiness layer: per-connection read/write
-//!   buffers, newline framing, strict request-order response sequencing
-//!   even when later requests (cache hits, pings) complete before earlier
-//!   ones (evaluations). Thousands of idle connections cost two fds and
-//!   a few hundred bytes each — no thread, no stack.
-//! * **Thread-per-connection** (`reactor_threads: 0`, and every non-Linux
-//!   platform) — the legacy blocking front end, kept as the portable
-//!   fallback and as the byte-parity oracle for the reactor.
+//! One connection front end feeds the protocol path (parse → cache probe
+//! → admission queue): [`ServerConfig::reactor_threads`] event-loop
+//! threads multiplex *all* connections over nonblocking sockets and a
+//! level-triggered `poll(2)` readiness loop — per-connection read/write
+//! buffers, newline framing, strict request-order response sequencing
+//! even when later requests (cache hits, pings) complete before earlier
+//! ones (evaluations). Thousands of idle connections cost one fd and a
+//! few hundred bytes each — no thread, no stack. The loop needs nothing
+//! beyond POSIX, so the server builds on any unix (Linux, macOS, the
+//! BSDs); the price of the portable call is that each reactor wake is
+//! O(connections that reactor owns) — measured 0.62 µs per `poll` at 3
+//! fds and 29 µs at 1 000, against requests that take milliseconds.
 //!
 //! ## Sharded evaluation
 //!
@@ -118,10 +115,8 @@
 
 pub mod cache;
 pub mod client;
-#[cfg(target_os = "linux")]
 mod conn;
 pub mod engine;
-#[cfg(target_os = "linux")]
 mod reactor;
 pub mod server;
 pub mod stats;

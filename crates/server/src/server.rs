@@ -1,15 +1,13 @@
-//! The TCP transport: front ends, the bounded admission queue, and the
-//! micro-batching dispatcher.
+//! The TCP transport's back half: the bounded admission queue, the
+//! micro-batching dispatcher and the one protocol path every request
+//! line takes.
 //!
-//! Two front ends share one back end. The default is the **reactor**
-//! (`reactor_threads ≥ 1`, Linux): an epoll readiness loop that
-//! multiplexes thousands of connections per thread — see the `reactor`
-//! module. Setting `reactor_threads = 0` (or building on a
-//! platform without epoll) selects the legacy **thread-per-connection**
-//! front end, kept for byte-parity comparison and portability:
+//! There is one front end — the `poll(2)` readiness loop in the `reactor`
+//! module, [`ServerConfig::reactor_threads`] threads of it — and one back
+//! end:
 //!
 //! ```text
-//! reactor 0..R (or acceptor ──► connection threads)
+//! reactor 0..R    frame lines · sequence responses   [Conn]
 //!                 │  parse · cache lookup · admission   [process_line]
 //!                 ▼
 //!          AdmissionQueue (bounded, Mutex + Condvar)
@@ -18,20 +16,17 @@
 //!          dispatcher ──► Engine::evaluate_batch ──► Responder
 //! ```
 //!
-//! Both paths run the same `process_line` and serialize the same typed
-//! [`gss_protocol::Response`] at the socket edge, so the wire bytes are
-//! identical front end to front end.
-//!
-//! Admission control: a front end either answers from the cache, admits
-//! the job (a `Responder` carries the completion back — a blocking
-//! channel for connection threads, a completion queue for reactors), or —
-//! when the queue is at capacity or the server is draining — immediately
-//! writes the backpressure envelope with `retry_after_ms`. Nothing
-//! admitted is ever dropped: graceful drain stops *admission* but the
-//! dispatcher keeps popping until the queue is empty, so every admitted
-//! job receives a response (possibly `deadline exceeded`) before the
-//! dispatcher exits and sets `Shared::dispatcher_done` (the reactors'
-//! signal that no more completions are owed).
+//! Admission control: a reactor either answers a line itself (errors,
+//! `ping` / `stats` / `shutdown`, mutations, cache hits), admits the
+//! query (a `Responder` carries the completion back to the owning
+//! reactor's completion queue), or — when the queue is at capacity or the
+//! server is draining — immediately answers the backpressure envelope
+//! with `retry_after_ms`. Nothing admitted is ever dropped: graceful
+//! drain stops *admission* but the dispatcher keeps popping until the
+//! queue is empty, so every admitted job receives a response (possibly
+//! `deadline exceeded`) before the dispatcher exits and sets
+//! `Shared::dispatcher_done` (the reactors' signal that no more
+//! completions are owed).
 //!
 //! Deadlines are enforced twice: requests still queued past their
 //! deadline are dropped here (`deadline_expired`), and requests whose
@@ -39,21 +34,22 @@
 //! engine's per-query [`gss_core::CancelToken`] (`cancelled`) — see
 //! [`Engine::evaluate_batch`].
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use gss_core::jsonio::Value;
 use gss_core::{GraphDatabase, QueryOptions};
-use gss_protocol::{Response, MAX_LINE_BYTES};
-use gss_store::fault::points;
-use gss_store::{FaultAction, FaultPlan, GraphStore, MutationBatch, StoreConfig};
+use gss_protocol::Response;
+use gss_store::{FaultPlan, GraphStore, MutationBatch, StoreConfig};
 
 use crate::engine::{Engine, QueryRequest, Request};
+use crate::reactor::ReactorShared;
 use crate::stats::ServerStats;
+
+/// The `retry_after_ms` hint sent with backpressure rejections.
+const RETRY_AFTER_MS: u64 = 50;
 
 /// Configuration of one [`serve`] instance.
 #[derive(Clone, Debug)]
@@ -63,10 +59,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads the dispatcher spreads each micro-batch across.
     pub workers: usize,
-    /// Event-loop threads multiplexing connections (the default front
-    /// end; 1 is enough for thousands of idle connections). `0` selects
-    /// the legacy thread-per-connection front end, kept for byte-parity
-    /// comparison; platforms without epoll always use it.
+    /// Event-loop threads multiplexing connections (1 is enough for
+    /// thousands of idle connections; values below 1 run one).
     pub reactor_threads: usize,
     /// Static candidate shards for evaluation. `> 1` rewrites the base
     /// options to [`gss_core::Plan::Sharded`] with this shard count so a
@@ -78,14 +72,10 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Total result-cache entries (0 disables caching).
     pub cache_capacity: usize,
-    /// Cache shard count (lock granularity).
-    pub cache_shards: usize,
     /// Most queries one micro-batch evaluates together.
     pub batch_max: usize,
     /// Deadline applied to requests that do not carry `deadline_ms`.
     pub default_deadline_ms: u64,
-    /// The `retry_after_ms` hint sent with backpressure rejections.
-    pub retry_after_ms: u64,
     /// Deterministic fault plan for connection-level chaos testing
     /// (injection point `conn.write`). Empty in production; see
     /// [`gss_store::FaultPlan`].
@@ -101,46 +91,29 @@ impl Default for ServerConfig {
             shards: 1,
             queue_capacity: 64,
             cache_capacity: 256,
-            cache_shards: 8,
             batch_max: 8,
             default_deadline_ms: 30_000,
-            retry_after_ms: 50,
             faults: Arc::new(FaultPlan::none()),
         }
     }
 }
 
-/// How a completed evaluation travels back to its connection. Created at
-/// admission time by the front end that owns the connection; consumed
-/// exactly once by the dispatcher. Serialization to wire bytes happens
-/// here — the connection edge — so the cache and engine stay typed.
-pub(crate) enum Responder {
-    /// Thread-per-connection: the blocked connection thread waits on the
-    /// paired receiver.
-    Channel(mpsc::Sender<String>),
-    /// Reactor: the response joins the owning reactor's completion queue
-    /// under the connection's slab token and request sequence number.
-    #[cfg(target_os = "linux")]
-    Reactor {
-        reactor: Arc<crate::reactor::ReactorShared>,
-        token: usize,
-        seq: u64,
-    },
+/// How a completed evaluation travels back to its connection: the
+/// owning reactor's completion queue, under the connection's slab token
+/// and the request's sequence number. Created by the reactor for each
+/// request line; consumed at most once, by the dispatcher. Serialization
+/// to wire bytes happens here — the connection edge — so the cache and
+/// engine stay typed.
+pub(crate) struct Responder {
+    pub(crate) reactor: Arc<ReactorShared>,
+    pub(crate) token: usize,
+    pub(crate) seq: u64,
 }
 
 impl Responder {
     pub(crate) fn send(self, response: Response) {
-        let line = response.to_line();
-        match self {
-            // The receiver hanging up just means the client left early.
-            Responder::Channel(tx) => drop(tx.send(line)),
-            #[cfg(target_os = "linux")]
-            Responder::Reactor {
-                reactor,
-                token,
-                seq,
-            } => reactor.complete(token, seq, line),
-        }
+        self.reactor
+            .complete(self.token, self.seq, response.to_line());
     }
 }
 
@@ -214,7 +187,7 @@ impl AdmissionQueue {
     }
 }
 
-/// State shared by every front-end thread and the dispatcher.
+/// State shared by the reactors and the dispatcher.
 pub(crate) struct Shared {
     pub(crate) engine: Engine,
     pub(crate) queue: AdmissionQueue,
@@ -234,6 +207,14 @@ impl Shared {
     pub(crate) fn draining(&self) -> bool {
         self.engine.stats.draining.load(Ordering::Relaxed)
     }
+
+    /// The `stats` verb payload (a one-line JSON object).
+    fn stats_json(&self) -> String {
+        self.engine
+            .stats
+            .to_value(self.engine.cache.len())
+            .to_compact()
+    }
 }
 
 /// A running server. Dropping the handle does **not** stop the server;
@@ -242,9 +223,6 @@ impl Shared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    /// Present only with the thread-per-connection front end.
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    /// Present only with the reactor front end.
     reactors: Vec<std::thread::JoinHandle<()>>,
     dispatcher: std::thread::JoinHandle<()>,
 }
@@ -262,11 +240,7 @@ impl ServerHandle {
 
     /// The current `stats` verb payload (a one-line JSON object).
     pub fn stats_json(&self) -> String {
-        self.shared
-            .engine
-            .stats
-            .to_value(self.shared.engine.cache.len())
-            .to_compact()
+        self.shared.stats_json()
     }
 
     /// Begins graceful drain, exactly like receiving the `shutdown` verb.
@@ -274,21 +248,14 @@ impl ServerHandle {
         self.shared.begin_drain();
     }
 
-    /// Waits for the drain to complete (front end and dispatcher exited,
+    /// Waits for the drain to complete (dispatcher and reactors exited,
     /// every admitted job answered) and returns the final stats payload.
     pub fn join(self) -> String {
-        if let Some(acceptor) = self.acceptor {
-            let _ = acceptor.join();
-        }
         let _ = self.dispatcher.join();
         for reactor in self.reactors {
             let _ = reactor.join();
         }
-        self.shared
-            .engine
-            .stats
-            .to_value(self.shared.engine.cache.len())
-            .to_compact()
+        self.shared.stats_json()
     }
 }
 
@@ -327,20 +294,7 @@ pub fn serve_store(
         dispatcher_done: AtomicBool::new(false),
     });
 
-    let mut acceptor = None;
-    #[allow(unused_mut)] // mutated only on Linux
-    let mut reactors = Vec::new();
-    if cfg!(target_os = "linux") && shared.config.reactor_threads > 0 {
-        #[cfg(target_os = "linux")]
-        {
-            let (_handles, joins) =
-                crate::reactor::spawn_reactors(&shared, listener, shared.config.reactor_threads)?;
-            reactors = joins;
-        }
-    } else {
-        let shared = Arc::clone(&shared);
-        acceptor = Some(std::thread::spawn(move || accept_loop(listener, shared)));
-    }
+    let reactors = crate::reactor::spawn_reactors(&shared, listener)?;
     let dispatcher = {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || dispatch_loop(shared))
@@ -349,29 +303,9 @@ pub fn serve_store(
     Ok(ServerHandle {
         addr,
         shared,
-        acceptor,
         reactors,
         dispatcher,
     })
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    while !shared.draining() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(&shared);
-                // Connection threads are detached: they exit on client
-                // hangup or within one read-timeout of drain starting,
-                // and every response they still owe is owed by the
-                // dispatcher, which join() waits for.
-                std::thread::spawn(move || connection_loop(stream, shared));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
 }
 
 fn dispatch_loop(shared: Arc<Shared>) {
@@ -416,42 +350,33 @@ fn dispatch_loop(shared: Arc<Shared>) {
     shared.dispatcher_done.store(true, Ordering::Relaxed);
 }
 
-/// The outcome of processing one request line.
-pub(crate) enum Outcome {
-    /// Answered inline (errors, ping/stats/shutdown, cache hits,
-    /// backpressure): the front end writes the response itself.
-    Immediate(Response),
-    /// Admitted to the queue; the [`Responder`] made by the front end
-    /// will deliver the response.
-    Enqueued,
-}
-
-/// Parses and processes one request line — the single protocol path both
-/// front ends share, so stats accounting and response bytes cannot
-/// diverge between them. `responder` is invoked only if the request is
-/// actually admitted to the queue.
+/// Parses and processes one request line — the one protocol path, so
+/// stats accounting and response bytes have a single definition. Returns
+/// the response when the line is answered inline (errors, ping / stats /
+/// shutdown, mutations, cache hits, backpressure); `None` means the query
+/// was admitted and `respond` will deliver its response.
 pub(crate) fn process_line(
     line: &str,
     shared: &Arc<Shared>,
-    responder: impl FnOnce() -> Responder,
-) -> Outcome {
+    respond: Responder,
+) -> Option<Response> {
     let engine = &shared.engine;
     match engine.parse_request(line) {
-        Err(e) => Outcome::Immediate(Response::Error {
+        Err(e) => Some(Response::Error {
             id: e.id,
             message: e.message,
         }),
-        Ok(Request::Ping { id }) => Outcome::Immediate(Response::Pong { id }),
-        Ok(Request::Stats { id }) => Outcome::Immediate(engine.stats_response(&id)),
+        Ok(Request::Ping { id }) => Some(Response::Pong { id }),
+        Ok(Request::Stats { id }) => Some(engine.stats_response(&id)),
         Ok(Request::Shutdown { id }) => {
             shared.begin_drain();
-            Outcome::Immediate(Response::Draining { id })
+            Some(Response::Draining { id })
         }
         Ok(Request::Insert {
             id,
             graphs,
             mutation_id,
-        }) => Outcome::Immediate(mutate(
+        }) => Some(mutate(
             shared,
             id,
             MutationBatch::default().insert(&graphs),
@@ -466,14 +391,14 @@ pub(crate) fn process_line(
                 removes: names,
                 ..MutationBatch::default()
             };
-            Outcome::Immediate(mutate(shared, id, batch, mutation_id))
+            Some(mutate(shared, id, batch, mutation_id))
         }
         Ok(Request::Update {
             id,
             name,
             graph,
             mutation_id,
-        }) => Outcome::Immediate(mutate(
+        }) => Some(mutate(
             shared,
             id,
             MutationBatch::default().update(&name, &graph),
@@ -487,30 +412,27 @@ pub(crate) fn process_line(
                 engine
                     .stats
                     .record_latency_us(started.elapsed().as_micros() as u64);
-                return Outcome::Immediate(hit);
+                return Some(hit);
             }
             ServerStats::bump(&engine.stats.cache_misses);
             let job = Box::new(Job {
                 request: *request,
                 enqueued: started,
-                respond: responder(),
+                respond,
             });
-            match shared.queue.push(job) {
-                Err(rejected) => {
-                    ServerStats::bump(&engine.stats.rejected);
-                    Outcome::Immediate(Response::Backpressure {
-                        id: rejected.request.id,
-                        retry_after_ms: shared.config.retry_after_ms,
-                    })
-                }
-                Ok(()) => Outcome::Enqueued,
-            }
+            // `None`: admitted, the dispatcher answers through `respond`.
+            let rejected = shared.queue.push(job).err()?;
+            ServerStats::bump(&engine.stats.rejected);
+            Some(Response::Backpressure {
+                id: rejected.request.id,
+                retry_after_ms: RETRY_AFTER_MS,
+            })
         }
     }
 }
 
 /// Applies one mutation batch and builds its response envelope. Runs
-/// inline on the front-end thread: batches validate before touching
+/// inline on the reactor thread: batches validate before touching
 /// anything, writers serialize on the store's writer lock, and readers
 /// (queries) never block on it. A draining server refuses mutations the
 /// same way it refuses new queries.
@@ -545,93 +467,6 @@ fn mutate(
     }
 }
 
-fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
-    // The read timeout doubles as the drain poll interval: an idle
-    // connection notices drain within 100 ms.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        // A full line is MAX_LINE_BYTES plus its newline; reading no
-        // further than that bounds the buffer whatever the client streams,
-        // and a buffer that fills up without a newline is an over-long line.
-        let budget = (MAX_LINE_BYTES + 1 - line.len()) as u64;
-        match (&mut reader).take(budget).read_until(b'\n', &mut line) {
-            Ok(0) => return, // client closed
-            Ok(_) => {
-                if !line.ends_with(b"\n") {
-                    if line.len() <= MAX_LINE_BYTES {
-                        // A timeout can split one line across reads; only
-                        // process complete lines.
-                        continue;
-                    }
-                    let refusal = Response::line_too_long().to_line();
-                    if writer.write_all(refusal.as_bytes()).is_ok() && writer.flush().is_ok() {
-                        ServerStats::bump(&shared.engine.stats.served);
-                    }
-                    return;
-                }
-                // Invalid UTF-8 still yields a line; the protocol parser
-                // answers it with an error envelope like any other bad
-                // input (the reactor front end frames the same way).
-                let text = String::from_utf8_lossy(&line);
-                let trimmed = text.trim();
-                if !trimmed.is_empty() {
-                    let response = handle_line(trimmed, &shared);
-                    match shared.config.faults.fire(points::CONN_WRITE) {
-                        // A reset (or crash) drops the connection before
-                        // the response bytes leave — the client observes
-                        // a hung-up socket and must retry.
-                        Some(FaultAction::Reset) | Some(FaultAction::Crash) => {
-                            let _ = writer.shutdown(std::net::Shutdown::Both);
-                            return;
-                        }
-                        // Transient kinds (interrupted, short write,
-                        // would-block) are exactly what the blocking
-                        // `write_all` below absorbs by retrying; skipping
-                        // the write instead would corrupt the line
-                        // protocol, so fall through.
-                        _ => {}
-                    }
-                    if writer.write_all(response.as_bytes()).is_err() || writer.flush().is_err() {
-                        return;
-                    }
-                    ServerStats::bump(&shared.engine.stats.served);
-                }
-                line.clear();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.draining() {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-fn handle_line(line: &str, shared: &Arc<Shared>) -> String {
-    let (tx, rx) = mpsc::channel();
-    match process_line(line, shared, move || Responder::Channel(tx)) {
-        Outcome::Immediate(response) => response.to_line(),
-        Outcome::Enqueued => rx.recv().unwrap_or_else(|_| {
-            Response::Error {
-                id: None,
-                message: "internal: dispatcher gone".to_owned(),
-            }
-            .to_line()
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -639,7 +474,7 @@ mod tests {
     use std::time::Duration;
 
     fn job(n: u64) -> Box<Job> {
-        let (tx, _rx) = mpsc::channel();
+        let (reactor, _wake_rx) = ReactorShared::new().expect("socketpair");
         Box::new(Job {
             request: QueryRequest {
                 id: Some(Value::Number(n as f64)),
@@ -654,7 +489,11 @@ mod tests {
                 deadline: Instant::now() + Duration::from_secs(5),
             },
             enqueued: Instant::now(),
-            respond: Responder::Channel(tx),
+            respond: Responder {
+                reactor,
+                token: 0,
+                seq: n,
+            },
         })
     }
 

@@ -49,10 +49,12 @@ struct Reservoir {
     recorded: u64,
 }
 
-/// Counters shared by every connection thread and the dispatcher.
+/// Counters shared by the reactors and the dispatcher.
 #[derive(Default)]
 pub struct ServerStats {
-    /// Responses written, all verbs (including errors and rejections).
+    /// Responses released, in request order, to a live connection's write
+    /// buffer — all verbs, including errors and rejections. A response
+    /// whose connection died first is not counted.
     pub served: AtomicU64,
     /// `query` requests received.
     pub queries: AtomicU64,

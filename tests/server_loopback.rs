@@ -10,12 +10,12 @@
 //!    cache (`cached: true`) with payloads byte-identical to the fresh
 //!    evaluation, across random workloads and option sets (property
 //!    test).
-//! 3. **Front-end identity** — the epoll reactor and the legacy
-//!    thread-per-connection front end serve byte-identical wire lines
-//!    for the same traffic, and the reactor preserves per-connection
-//!    request order under pipelining.
-//! 4. **Protocol behavior** — stats counters, deadlines, graceful drain,
-//!    and the request-line size bound.
+//! 3. **Wire identity** — a fixed transcript of request lines gets
+//!    exactly the bytes the typed `Response` envelopes serialize to, and
+//!    the reactor preserves per-connection request order under
+//!    pipelining.
+//! 4. **Protocol behavior** — stats counters, deadlines, graceful drain
+//!    (also past a half-sent line), and the request-line size bound.
 //!
 //! Clients speak the typed [`similarity_skyline::protocol`] envelopes;
 //! raw `send_line` is reserved for malformed-input and byte-parity
@@ -176,29 +176,15 @@ fn concurrent_clients_match_the_single_threaded_oracle() {
     assert!(final_stats.contains("\"draining\":true"), "{final_stats}");
 }
 
-/// The epoll reactor and the thread-per-connection front end must be
-/// indistinguishable on the wire: same request lines in, byte-identical
-/// response lines out — across verbs, malformed input, cache hits and
-/// option overrides.
-#[cfg(target_os = "linux")]
+/// The wire bytes are pinned: fixed request lines in, exactly the lines
+/// the typed envelopes serialize to out — across verbs, malformed input,
+/// cache hits and option overrides.
 #[test]
-fn reactor_and_threaded_front_ends_serve_identical_bytes() {
+fn the_wire_transcript_matches_the_typed_envelopes() {
     let (db, queries) = workload_db(12, 0xFACE);
     let db = Arc::new(db);
-    let front_end = |reactor_threads: usize| {
-        serve(
-            Arc::clone(&db),
-            QueryOptions::default(),
-            ServerConfig {
-                reactor_threads,
-                workers: 2,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind loopback")
-    };
-    let reactor = front_end(1);
-    let threaded = front_end(0);
+    let config = ServerConfig::default();
+    let handle = serve(Arc::clone(&db), QueryOptions::default(), config).expect("bind loopback");
 
     let escape = similarity_skyline::core::jsonio::escape;
     let q0 = escape(&graph_text(&db, &queries[0]));
@@ -209,31 +195,53 @@ fn reactor_and_threaded_front_ends_serve_identical_bytes() {
         "{\"id\":2,\"op\":\"frobnicate\"}".to_owned(),
         "{\"op\":\"query\"}".to_owned(),
         format!("{{\"id\":\"q0\",\"op\":\"query\",\"graph\":\"{q0}\"}}"),
-        // Again: served from the cache, so `cached` flips identically.
+        // Again: served from the cache, so only `cached` flips.
         format!("{{\"id\":\"q0\",\"op\":\"query\",\"graph\":\"{q0}\"}}"),
         format!("{{\"op\":\"query\",\"graph\":\"{q1}\",\"options\":{{\"prefilter\":true}}}}"),
         format!("{{\"op\":\"query\",\"graph\":\"{q1}\",\"options\":{{\"bogus\":1}}}}"),
         "{\"id\":9,\"op\":\"query\",\"graph\":\"t q\\nv 0\"}".to_owned(),
     ];
+    let id = |n: f64| Some(Value::Number(n));
+    let error = |id, message: &str| Response::Error {
+        id,
+        message: message.to_owned(),
+    };
+    let result = |id: Option<&str>, cached, qi: usize, prefilter| {
+        let options = QueryOptions {
+            prefilter,
+            ..QueryOptions::default()
+        };
+        Response::Result {
+            id: id.map(|id| Value::String(id.to_owned())),
+            cached,
+            result: oracle(&db, &queries[qi], &options),
+        }
+    };
+    let bad_graph = "cannot parse query graph: parse error at line 2: v line missing label";
+    let expected = [
+        Response::Pong { id: id(1.0) },
+        error(None, "bad request: JSON error at byte 0: expected \"null\""),
+        error(id(2.0), "unknown op \"frobnicate\""),
+        error(None, "query needs a \"graph\" field (t/v/e text)"),
+        result(Some("q0"), false, 0, false),
+        result(Some("q0"), true, 0, false),
+        result(None, false, 1, true),
+        error(None, "unknown option \"bogus\""),
+        error(id(9.0), bad_graph),
+    ];
 
-    let mut on_reactor = Client::connect(reactor.addr()).expect("connect reactor");
-    let mut on_threaded = Client::connect(threaded.addr()).expect("connect threaded");
-    for line in &lines {
-        let a = on_reactor.send_line(line).expect("reactor response");
-        let b = on_threaded.send_line(line).expect("threaded response");
-        assert_eq!(a, b, "front ends disagree on {line:?}");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for (line, expected) in lines.iter().zip(&expected) {
+        let served = client.send_line(line).expect("response");
+        assert_eq!(served, expected.to_line().trim_end(), "{line:?}");
     }
-
-    for handle in [reactor, threaded] {
-        handle.shutdown();
-        handle.join();
-    }
+    handle.shutdown();
+    handle.join();
 }
 
 /// Pipelined requests on one connection come back strictly in request
 /// order, even though pings are answered inline while queries take the
 /// dispatcher round-trip (the reactor's sequence-slot ordering).
-#[cfg(target_os = "linux")]
 #[test]
 fn reactor_pipelines_responses_in_request_order() {
     use std::io::{BufRead, BufReader, Write};
@@ -286,9 +294,10 @@ fn reactor_pipelines_responses_in_request_order() {
     handle.join();
 }
 
-/// A request line past `MAX_LINE_BYTES` is refused, not buffered: each
-/// front end answers the request ahead of it, then the same typed error,
-/// then hangs up — and keeps serving everyone else.
+/// A request line past `MAX_LINE_BYTES` is refused, not buffered: the
+/// server answers the request ahead of it, then the typed error, then
+/// hangs up — and keeps serving everyone else. With two reactors the
+/// flooded connection and the bystander sit on different threads.
 #[test]
 fn an_over_long_request_line_is_refused_and_the_connection_closed() {
     use std::io::{Read, Write};
@@ -304,7 +313,7 @@ fn an_over_long_request_line_is_refused_and_the_connection_closed() {
         Response::line_too_long().to_line()
     );
     assert!(expected.contains(&MAX_LINE_BYTES.to_string()));
-    for reactor_threads in [1, 0] {
+    for reactor_threads in [1, 2] {
         let handle = serve(
             Arc::clone(&db),
             QueryOptions::default(),
@@ -338,6 +347,61 @@ fn an_over_long_request_line_is_refused_and_the_connection_closed() {
         handle.shutdown();
         handle.join();
     }
+}
+
+/// `reactor_threads` is a plain thread count: anything below one runs one
+/// reactor — no error, no other mode.
+#[test]
+fn zero_reactor_threads_serve_like_one() {
+    let (db, _) = workload_db(4, 0x2E20);
+    let db = Arc::new(db);
+    let pong = |reactor_threads| {
+        let config = ServerConfig {
+            reactor_threads,
+            ..ServerConfig::default()
+        };
+        let handle = serve(Arc::clone(&db), QueryOptions::default(), config).expect("bind");
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        let line = client
+            .send_line("{\"id\":7,\"op\":\"ping\"}")
+            .expect("pong");
+        handle.shutdown();
+        (line, handle.join())
+    };
+    assert_eq!(pong(0), pong(1));
+}
+
+/// A connection parked mid-line owes no response, so it cannot hold up a
+/// drain: `shutdown` is acknowledged and `join` returns while the client
+/// still has half a request on the wire.
+#[test]
+fn drain_completes_past_a_half_sent_line() {
+    use std::io::{Read, Write};
+
+    let (db, _) = workload_db(4, 0x4A1F);
+    let handle = serve(
+        Arc::new(db),
+        QueryOptions::default(),
+        ServerConfig::default(),
+    )
+    .expect("bind loopback");
+    let mut stalled = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    stalled
+        .write_all(b"{\"id\":1,\"op\":\"pi")
+        .expect("half a line");
+    // The ping proves the reactor is past accepting both connections.
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    assert!(client.ping().expect("ping").is_ok());
+    assert!(matches!(
+        client.shutdown().expect("shutdown"),
+        Response::Draining { .. }
+    ));
+    let final_stats = handle.join();
+    assert!(final_stats.contains("\"served\":2,"), "{final_stats}");
+    // Never answered, just closed.
+    let mut rest = Vec::new();
+    let _ = stalled.read_to_end(&mut rest);
+    assert!(rest.is_empty(), "{rest:?}");
 }
 
 #[test]
