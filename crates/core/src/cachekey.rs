@@ -100,24 +100,44 @@ pub fn query_fingerprint(query: &Graph, vocab: &Vocabulary) -> u64 {
 /// response: measures (order-sensitive), skyline algorithm, solver modes
 /// (with their numeric parameters), the prefilter flag, the requested
 /// [`crate::Plan`], and the attached index's identity
-/// ([`crate::QueryIndex::describe`]). `threads` is deliberately excluded —
-/// see the module docs.
+/// ([`crate::QueryIndex::describe`]). `threads` and `shards` are
+/// deliberately excluded — see the module docs.
+///
+/// The exhaustive destructuring is the completeness check: a new
+/// [`QueryOptions`] field does not compile here until it is hashed or
+/// bound as `_` with the reason it cannot change the response.
 pub fn options_fingerprint(options: &QueryOptions) -> u64 {
+    let QueryOptions {
+        measures,
+        skyline_algorithm,
+        solvers,
+        // Thread count never changes the result bytes: the server
+        // normalizes every evaluation to wave-parallel batches with
+        // per-query threads = 1, and the wave schedule is deterministic.
+        threads: _,
+        // The shard count never changes the result bytes: the sharded
+        // assembly reports exactly the skyline ∪ straggler set with derived
+        // pruning counters, invariant in how the candidates were split.
+        shards: _,
+        plan,
+        prefilter,
+        index,
+    } = options;
     let mut h = Fnv64::new();
-    h.write_u64(options.measures.len() as u64);
-    for m in &options.measures {
+    h.write_u64(measures.len() as u64);
+    for m in measures {
         hash_str(&mut h, m.name());
     }
     hash_str(
         &mut h,
-        match options.skyline_algorithm {
+        match skyline_algorithm {
             gss_skyline::Algorithm::Naive => "naive",
             gss_skyline::Algorithm::Bnl => "bnl",
             gss_skyline::Algorithm::Sfs => "sfs",
             gss_skyline::Algorithm::DivideConquer2D => "dc2d",
         },
     );
-    match options.solvers.ged {
+    match solvers.ged {
         GedMode::Exact => hash_str(&mut h, "ged:exact"),
         GedMode::ExactBudget(n) => {
             hash_str(&mut h, "ged:budget");
@@ -129,18 +149,18 @@ pub fn options_fingerprint(options: &QueryOptions) -> u64 {
             h.write_u64(w as u64);
         }
     }
-    match options.solvers.mcs {
+    match solvers.mcs {
         McsMode::Exact => hash_str(&mut h, "mcs:exact"),
         McsMode::Greedy => hash_str(&mut h, "mcs:greedy"),
     }
-    h.write_u64(u64::from(options.prefilter));
+    h.write_u64(u64::from(*prefilter));
     // The requested plan is part of the key: plans never change answers,
     // but they do change the response document (pruning stats, per-graph
     // `exact` flags), and `Auto` resolves deterministically from the
     // database + options, both already covered by the composite key.
     hash_str(&mut h, "plan:");
-    hash_str(&mut h, options.plan.name());
-    match &options.index {
+    hash_str(&mut h, plan.name());
+    match index {
         None => hash_str(&mut h, "index:none"),
         Some(index) => {
             hash_str(&mut h, "index:");

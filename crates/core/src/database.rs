@@ -91,7 +91,6 @@ pub struct GraphDatabase {
     /// One cache cell per graph, aligned with `slots`. `Arc` so clones
     /// share already-computed summaries; `OnceLock` for thread-safe
     /// fill-once semantics under the parallel scans.
-    // gss-lint: exempt(GraphDatabase::stats) — derived cache: every summary is a pure function of the stored content + `vocab`, which the fingerprint already covers; hashing fill state would make the key depend on scan history
     stats: Vec<Arc<OnceLock<GraphStats>>>,
 }
 
@@ -478,22 +477,33 @@ impl GraphDatabase {
     /// mutation-epoch bump — two live-store snapshots never collide even
     /// when a mutation round-trip restores identical content.
     pub fn fingerprint(&self) -> u64 {
+        // Exhaustive: a new field must be hashed or bound as `_` with a reason.
+        let GraphDatabase {
+            vocab,
+            slots,
+            compact,
+            epoch,
+            // Derived cache: every summary is a pure function of the stored
+            // content + `vocab`, which the fingerprint already covers;
+            // hashing fill state would make the key depend on scan history.
+            stats: _,
+        } = self;
         let mut h = codec::Fnv64::new();
-        h.write_u64(self.epoch);
+        h.write_u64(*epoch);
         // Labels hash as their vocabulary strings, not their interned ids:
         // ids are vocabulary-relative, and two different databases can
         // intern different strings to the same dense ids.
         let label = |h: &mut codec::Fnv64, l: gss_graph::Label| {
-            let name = self.vocab.name(l).unwrap_or("");
+            let name = vocab.name(l).unwrap_or("");
             h.write_u64(name.len() as u64);
             h.write(name.as_bytes());
         };
-        h.write_u64(self.slots.len() as u64);
+        h.write_u64(slots.len() as u64);
         // Both representations hash the identical byte stream — arena
         // labels are vocabulary ids by construction, so the same strings
         // come out either way. This keeps the fingerprint stable across
         // `compact()`, save/load, and graph-granular copy-on-write.
-        for slot in &self.slots {
+        for slot in slots {
             match slot {
                 Slot::Owned(g) => {
                     h.write_u64(g.order() as u64);
@@ -509,8 +519,7 @@ impl GraphDatabase {
                     }
                 }
                 Slot::Arena { idx, .. } => {
-                    let r = self
-                        .compact
+                    let r = compact
                         .as_ref()
                         .expect("arena slot without a compact store")
                         .arena

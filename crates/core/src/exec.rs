@@ -206,6 +206,11 @@ impl std::error::Error for Cancelled {}
 struct TokenState {
     cancelled: AtomicBool,
     deadline: Option<Instant>,
+    /// Checkpoints polled so far, so a test token can fire at its k-th.
+    #[cfg(test)]
+    polls: std::sync::atomic::AtomicUsize,
+    #[cfg(test)]
+    fire_at: Option<usize>,
 }
 
 /// A cooperative cancellation handle shared between a query evaluation and
@@ -234,8 +239,19 @@ impl CancelToken {
     pub fn with_deadline(deadline: Instant) -> CancelToken {
         CancelToken {
             inner: Arc::new(TokenState {
-                cancelled: AtomicBool::new(false),
                 deadline: Some(deadline),
+                ..TokenState::default()
+            }),
+        }
+    }
+
+    /// A token that fires at its `k`-th checkpoint (0-based).
+    #[cfg(test)]
+    fn firing_at(k: usize) -> CancelToken {
+        CancelToken {
+            inner: Arc::new(TokenState {
+                fire_at: Some(k),
+                ..TokenState::default()
             }),
         }
     }
@@ -263,6 +279,10 @@ impl CancelToken {
     /// The wave-boundary check the executor calls: `Err(Cancelled)` once
     /// the token fired.
     pub fn checkpoint(&self) -> Result<(), Cancelled> {
+        #[cfg(test)]
+        if self.inner.fire_at == Some(self.inner.polls.fetch_add(1, AtomicOrdering::Relaxed)) {
+            self.cancel();
+        }
         if self.is_cancelled() {
             Err(Cancelled)
         } else {
@@ -456,7 +476,6 @@ impl<'a> Verifier<'a> {
         while cursor < order.len() {
             self.cancel.checkpoint()?;
             let mut batch: Vec<usize> = Vec::with_capacity(threads);
-            // gss-lint: allow(cancellation-checkpoint) — fills one wave (≤ threads items) of domination checks; the enclosing wave loop checkpoints every pass
             while cursor < order.len() && batch.len() < threads {
                 let i = order[cursor];
                 cursor += 1;
@@ -477,7 +496,6 @@ impl<'a> Verifier<'a> {
                     &self.options.solvers,
                 )
             });
-            // gss-lint: allow(cancellation-checkpoint) — records one wave's results (≤ threads items); the enclosing wave loop checkpoints every pass
             for (k, v) in results.into_iter().enumerate() {
                 let i = batch[k];
                 self.exact[i] = Some(v);
@@ -556,7 +574,6 @@ fn run_partitions(
     let n = v.db.len();
     let plan = index.plan(v.db, v.query, &v.options.measures);
     crate::index::validate_plan(&plan, n);
-    // gss-lint: allow(cancellation-checkpoint) — linear plan validation before any solver work; partition counts are small by construction
     for p in &plan.partitions {
         assert_eq!(
             p.bound.values.len(),
@@ -577,7 +594,6 @@ fn run_partitions(
         if v.frontier_dominates(&part.bound.values) {
             v.stats.index_skipped += part.members.len();
             v.stats.index_partitions_skipped += 1;
-            // gss-lint: allow(cancellation-checkpoint) — bookkeeping over one partition's members; the partition loop checkpoints every iteration
             for id in &part.members {
                 partition_of[id.index()] = pi;
             }
@@ -595,11 +611,9 @@ fn run_partitions(
                     ctx,
                 )
             });
-        // gss-lint: allow(cancellation-checkpoint) — stores one partition's summaries; the partition loop checkpoints every iteration
         for (k, s) in batch.into_iter().enumerate() {
             summaries[members[k]] = Some(s);
         }
-        // gss-lint: allow(cancellation-checkpoint) — constant-time domination probes per member, no solver; the partition loop checkpoints and v.run checkpoints per wave
         for &i in &members {
             v.try_short_circuit(i, summaries[i].as_ref().expect("just summarized"));
         }
@@ -615,7 +629,6 @@ fn prefilter_verify(
     summaries: &[Option<PrefilterSummary>],
 ) -> Result<(), Cancelled> {
     let n = v.db.len();
-    // gss-lint: allow(cancellation-checkpoint) — constant-time domination probes, no solver; the wave loop inside v.run checkpoints
     for (i, summary) in summaries.iter().enumerate() {
         v.try_short_circuit(i, summary.as_ref().expect("all summarized"));
     }
@@ -673,7 +686,6 @@ fn sharded_verify(
         };
         let mut v = Verifier::new(db, query, &per_shard, cancel, frontier);
         let members: Vec<usize> = shard_range(n, shards, s).collect();
-        // gss-lint: allow(cancellation-checkpoint) — constant-time domination probes, no solver; the wave loop inside v.run checkpoints
         for &i in &members {
             v.try_short_circuit(i, summaries[i].as_ref().expect("all summarized"));
         }
@@ -758,7 +770,6 @@ pub fn skyline(
                         &ctx,
                     )
                 });
-            // gss-lint: allow(cancellation-checkpoint) — linear reporting bookkeeping after the checkpointed scan decided what to verify
             for (k, s) in batch.into_iter().enumerate() {
                 summaries[skipped[k]] = Some(s);
             }
@@ -815,10 +826,8 @@ pub fn skyline(
             // that is itself in the pool.
             let mut computed: Vec<Option<GcsVector>> = vec![None; n];
             let mut pool: Vec<usize> = Vec::new();
-            // gss-lint: allow(cancellation-checkpoint) — linear merge bookkeeping after the checkpointed shard scans returned
             for (frontier, exacts) in shard_results {
                 pool.extend(frontier);
-                // gss-lint: allow(cancellation-checkpoint) — moves already-computed vectors, no solver
                 for (i, g) in exacts {
                     computed[i] = Some(g);
                 }
@@ -849,7 +858,6 @@ pub fn skyline(
             // shards did not compute are filled here. Stragglers are
             // provably dominated, so the skyline cannot change.
             let mut in_sky = vec![false; n];
-            // gss-lint: allow(cancellation-checkpoint) — linear flag fill after the checkpointed shard scans returned
             for &i in &sky {
                 in_sky[i] = true;
             }
@@ -885,13 +893,11 @@ pub fn skyline(
                     )
                 },
             )?;
-            // gss-lint: allow(cancellation-checkpoint) — linear result placement; the wave computation above checkpointed
             for (j, g) in fresh.into_iter().enumerate() {
                 computed[missing[j]] = Some(g);
             }
 
             let mut exact: Vec<Option<GcsVector>> = vec![None; n];
-            // gss-lint: allow(cancellation-checkpoint) — linear reporting assembly after every solver stage returned
             for &i in sky.iter().chain(stragglers.iter()) {
                 exact[i] = computed[i].take();
             }
@@ -947,7 +953,6 @@ pub fn skyline(
     // Exact vectors where verified, lower bounds elsewhere.
     let mut evaluated = Vec::with_capacity(n);
     let mut gcs = Vec::with_capacity(n);
-    // gss-lint: allow(cancellation-checkpoint) — linear result assembly; every solver stage already returned
     for (i, e) in exact.into_iter().enumerate() {
         match e {
             Some(v) => {
@@ -1089,9 +1094,7 @@ pub fn skyband(
             // derive them from.
             let shard_results = sharded_verify(db, query, options, cancel, &summaries, Some(k))?;
             let mut exact: Vec<Option<GcsVector>> = vec![None; n];
-            // gss-lint: allow(cancellation-checkpoint) — linear merge bookkeeping after the checkpointed shard scans returned
             for (_, exacts) in shard_results {
-                // gss-lint: allow(cancellation-checkpoint) — moves already-computed vectors, no solver
                 for (i, g) in exacts {
                     exact[i] = Some(g);
                 }
@@ -1180,8 +1183,11 @@ fn compute_witnesses(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{graph_similarity_skyline, try_graph_similarity_skyline};
+    use crate::index::{IndexPartition, IndexPlan};
+    use crate::measures::MeasureKind;
+    use crate::query::graph_similarity_skyline;
     use gss_datasets::paper::figure3_database;
+    use gss_datasets::workload::{Workload, WorkloadConfig};
     use std::time::Duration;
 
     fn paper_db() -> (GraphDatabase, Graph) {
@@ -1266,25 +1272,82 @@ mod tests {
         assert_eq!(format!("{Cancelled}"), "query evaluation cancelled");
     }
 
+    /// Every graph alone in a partition under an all-zero (trivially
+    /// admissible) bound, so the indexed plan runs its partition loop.
+    #[derive(Debug)]
+    struct SingletonIndex;
+
+    impl QueryIndex for SingletonIndex {
+        fn plan(&self, db: &GraphDatabase, _: &Graph, measures: &[MeasureKind]) -> IndexPlan {
+            let partitions = (0..db.len())
+                .map(|i| IndexPartition {
+                    members: vec![GraphId(i)],
+                    bound: GcsVector {
+                        values: vec![0.0; measures.len()],
+                    },
+                })
+                .collect();
+            IndexPlan {
+                partitions,
+                pivot_probes: 0,
+            }
+        }
+
+        fn describe(&self) -> String {
+            "singleton partitions".to_owned()
+        }
+    }
+
+    /// The cancellation contract of every plan, for skyline and skyband:
+    /// a token firing at any checkpoint the uncancelled run polls aborts
+    /// the query, and the run polls at least once per wave of solver calls.
     #[test]
     fn pre_cancelled_token_aborts_every_plan() {
-        let (db, q) = paper_db();
-        let token = CancelToken::new();
-        token.cancel();
-        for plan in [Plan::Auto, Plan::Naive, Plan::Prefilter, Plan::Sharded] {
+        let w = Workload::generate(&WorkloadConfig {
+            graph_vertices: 6,
+            related_fraction: 0.0,
+            ..WorkloadConfig::default()
+        });
+        let db = GraphDatabase::from_parts(w.vocab, w.graphs);
+        let q = w.query;
+        // Each plan with its wave width at threads = 1.
+        for (plan, wave) in [
+            (Plan::Naive, NAIVE_WAVE_PER_THREAD),
+            (Plan::Prefilter, 1),
+            (Plan::Indexed, 1),
+            (Plan::Sharded, 1),
+        ] {
             let opts = QueryOptions {
                 plan,
+                shards: 3,
+                index: Some(Arc::new(SingletonIndex)),
                 ..QueryOptions::default()
             };
-            assert_eq!(
-                try_graph_similarity_skyline(&db, &q, &opts, &token).err(),
-                Some(Cancelled),
-                "{plan:?}"
-            );
-            assert!(
-                crate::query::try_graph_similarity_skyband(&db, &q, 2, &opts, &token).is_err(),
-                "{plan:?}"
-            );
+            // The candidates a query verified with a solver (a lower bound
+            // where the plan reports no counters).
+            let run = |what: &str, t: &CancelToken| match what {
+                "skyline" => {
+                    skyline(&db, &q, &opts, t).map(|r| r.pruning.map_or(db.len(), |p| p.verified))
+                }
+                _ => skyband(&db, &q, 2, &opts, t)
+                    .map(|r| r.pruning.map_or(r.members.len(), |p| p.verified)),
+            };
+            for what in ["skyline", "skyband"] {
+                let counting = CancelToken::new();
+                let verified = run(what, &counting).expect("an unfired token never cancels");
+                let polls = counting.inner.polls.load(AtomicOrdering::Relaxed);
+                assert!(
+                    polls * wave >= verified,
+                    "{plan:?} {what}: {polls} checkpoints for {verified} verified"
+                );
+                for k in 0..polls {
+                    assert_eq!(
+                        run(what, &CancelToken::firing_at(k)),
+                        Err(Cancelled),
+                        "{plan:?} {what}: fired at checkpoint {k} of {polls}"
+                    );
+                }
+            }
         }
     }
 

@@ -64,14 +64,12 @@ pub struct QueryOptions {
     /// Exact/approximate solver selection for the primitives.
     pub solvers: SolverConfig,
     /// Worker threads for the per-graph GCS scan (1 = sequential).
-    // gss-lint: exempt(QueryOptions::threads) — thread count never changes the result bytes: the server normalizes every evaluation to wave-parallel batches with per-query threads=1 (PR 3), and the wave schedule is deterministic
     pub threads: usize,
     /// Static candidate partitions for [`Plan::Sharded`]: the database is
     /// split into this many contiguous ranges, each verified by its own
     /// sequential filter-and-verify pipeline, and the per-shard frontiers
     /// are merged into one skyline (see [`crate::exec`]). Ignored by every
     /// other plan; values `<= 1` run the sharded pipeline as one shard.
-    // gss-lint: exempt(QueryOptions::shards) — the shard count never changes the result bytes: the sharded assembly reports exactly the skyline ∪ straggler set with derived pruning counters, which is invariant in how the candidate space was partitioned (PR 7)
     pub shards: usize,
     /// The evaluation strategy (see [`crate::exec`]). `Plan::Auto` (the
     /// default) picks from the database size, this option set and index

@@ -57,7 +57,9 @@
 //! behavior — which does depend on node counts — also stays bit-identical.
 //!
 //! The per-node candidate list lives in per-depth reusable buffers, making
-//! the search allocation-free after the first descent.
+//! the search allocation-free after the first descent (`tests/kernel_alloc.rs`
+//! caps allocations per call at a ceiling linear in the input, not in the
+//! nodes expanded).
 //!
 //! The solver accepts an optional *node budget*; when exhausted it returns
 //! the best complete mapping found so far flagged `exact = false`, making it
@@ -171,7 +173,6 @@ impl Solver<'_> {
     /// Incremental cost of deciding `u` (the vertex at `depth`) as `choice`
     /// (`Some(v)` substitution, `None` deletion), given all vertices earlier
     /// in the order are decided.
-    // gss-lint: kernel — runs per search node of the GED branch-and-bound; one allocation here repeats millions of times per query
     fn decide_cost(&self, u: VertexId, choice: Option<VertexId>) -> f64 {
         let mut c = 0.0;
         match choice {
@@ -219,7 +220,6 @@ impl Solver<'_> {
 
     /// Cost of completing a state where all g1 vertices are decided:
     /// insert every unused g2 vertex and every g2 edge touching one.
-    // gss-lint: kernel — runs per search node of the GED branch-and-bound; one allocation here repeats millions of times per query
     fn completion_cost(&self) -> f64 {
         let mut c = 0.0;
         for v in self.g2.vertices() {
@@ -238,7 +238,6 @@ impl Solver<'_> {
 
     /// Removes a substituted pair's cross contribution from the unit sums.
     #[inline]
-    // gss-lint: kernel — runs per search node of the GED branch-and-bound; one allocation here repeats millions of times per query
     fn pair_remove(&mut self, c1: i64, c2: i64) {
         self.del_units -= (c1 - c2).max(0);
         self.ins_units -= (c2 - c1).max(0);
@@ -246,7 +245,6 @@ impl Solver<'_> {
 
     /// Adds a substituted pair's cross contribution to the unit sums.
     #[inline]
-    // gss-lint: kernel — runs per search node of the GED branch-and-bound; one allocation here repeats millions of times per query
     fn pair_add(&mut self, c1: i64, c2: i64) {
         self.del_units += (c1 - c2).max(0);
         self.ins_units += (c2 - c1).max(0);
@@ -260,7 +258,6 @@ impl Solver<'_> {
     /// neighbour's cross set (now decided-decided, charged by
     /// [`Solver::decide_cost`]). Must run *before* `map`/`inv` are set —
     /// it reads the pre-decision undecided state.
-    // gss-lint: kernel — runs per search node of the GED branch-and-bound; one allocation here repeats millions of times per query
     fn decide(&mut self, u: VertexId, lu: Label, choice: Option<VertexId>) {
         dec_aligned(
             &mut self.r1_vlabels[lu.index()],
@@ -345,7 +342,6 @@ impl Solver<'_> {
     }
 
     /// Exact inverse of [`Solver::decide`] (LIFO order).
-    // gss-lint: kernel — runs per search node of the GED branch-and-bound; one allocation here repeats millions of times per query
     fn undecide(&mut self, u: VertexId, lu: Label, choice: Option<VertexId>) {
         match choice {
             Some(v) => {
@@ -425,7 +421,6 @@ impl Solver<'_> {
     /// The aligned-multiset part of the bound — `O(1)` from the
     /// incrementally maintained counters; identical to the reference
     /// solver's whole bound.
-    // gss-lint: kernel — runs per search node of the GED branch-and-bound; one allocation here repeats millions of times per query
     fn aligned_bound(&self, depth: usize) -> f64 {
         let n1r = (self.order.len() - depth) as i64;
         let vertex_ops = (n1r.max(self.n2r) - self.common_v).max(0) as f64;
@@ -435,7 +430,6 @@ impl Solver<'_> {
 
     /// Admissible lower bound on the cost still to come (see module docs):
     /// the aligned part plus, for unlimited searches, the cross-edge term.
-    // gss-lint: kernel — runs per search node of the GED branch-and-bound; one allocation here repeats millions of times per query
     fn lower_bound(&self, depth: usize) -> f64 {
         let cross = if self.cross_enabled {
             self.del_units as f64 * self.cm.edge_del + self.ins_units as f64 * self.cm.edge_ins
@@ -516,7 +510,6 @@ impl Solver<'_> {
         vertex_ops * self.cm.min_vertex_op() + edge_ops * self.cm.min_edge_op()
     }
 
-    // gss-lint: kernel — runs per search node of the GED branch-and-bound; one allocation here repeats millions of times per query
     fn search(&mut self, depth: usize, cost_so_far: f64) {
         if self.aborted {
             return;
@@ -560,7 +553,8 @@ impl Solver<'_> {
         // incumbent appears early. The buffer is per-depth and reused
         // across the whole search.
         if self.cand_bufs.len() <= depth {
-            // gss-lint: allow(no-alloc-in-kernel) — amortized: grows only on the first visit to a new max depth, then every deeper node reuses the buffer
+            // Amortized: grows only on the first visit to a new max depth,
+            // then every deeper node reuses the buffer.
             self.cand_bufs.resize_with(depth + 1, Vec::new);
         }
         let mut buf = std::mem::take(&mut self.cand_bufs[depth]);

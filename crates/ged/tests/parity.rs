@@ -10,8 +10,17 @@
 
 use gss_ged::bipartite::bipartite_ged;
 use gss_ged::reference::reference_exact_ged;
-use gss_ged::{exact_ged, CostModel, GedOptions};
+use gss_ged::{exact_ged, CostModel, GedOptions, GedResult};
 use gss_graph::{Graph, Label, Rng, VertexId};
+
+/// `[kernel, reference]` under one signature: if either one's signature
+/// drifts, this array stops compiling.
+const SOLVERS: [fn(&Graph, &Graph, &GedOptions) -> GedResult; 2] = [exact_ged, reference_exact_ged];
+
+/// Runs both solvers on one input: `[kernel result, reference result]`.
+fn both(g1: &Graph, g2: &Graph, options: &GedOptions) -> [GedResult; 2] {
+    SOLVERS.map(|solve| solve(g1, g2, options))
+}
 
 fn random_graph(rng: &mut Rng, n: usize, m: usize, labels: usize) -> Graph {
     let mut g = Graph::new("r");
@@ -52,12 +61,7 @@ fn cost_models() -> Vec<CostModel> {
 /// `a` is the rewritten solver's result, `b` the reference's. With
 /// `expanded_equal` the node counts must match exactly (budgeted runs);
 /// otherwise the rewrite may only expand fewer nodes.
-fn assert_identical(
-    a: &gss_ged::GedResult,
-    b: &gss_ged::GedResult,
-    expanded_equal: bool,
-    context: &str,
-) {
+fn assert_identical([a, b]: &[GedResult; 2], expanded_equal: bool, context: &str) {
     assert_eq!(a.cost, b.cost, "{context}: cost");
     assert_eq!(a.mapping.map, b.mapping.map, "{context}: mapping");
     assert_eq!(a.exact, b.exact, "{context}: exact flag");
@@ -87,9 +91,11 @@ fn exact_solver_is_bit_identical_to_reference_across_cost_models() {
                 cost,
                 ..GedOptions::default()
             };
-            let fast = exact_ged(&g1, &g2, &options);
-            let slow = reference_exact_ged(&g1, &g2, &options);
-            assert_identical(&fast, &slow, false, &format!("case {case} model {k}"));
+            assert_identical(
+                &both(&g1, &g2, &options),
+                false,
+                &format!("case {case} model {k}"),
+            );
         }
     }
 }
@@ -108,8 +114,7 @@ fn parity_holds_with_warm_starts_and_node_budgets() {
             ..GedOptions::default()
         };
         assert_identical(
-            &exact_ged(&g1, &g2, &warm_opts),
-            &reference_exact_ged(&g1, &g2, &warm_opts),
+            &both(&g1, &g2, &warm_opts),
             false,
             &format!("case {case} warm"),
         );
@@ -120,8 +125,7 @@ fn parity_holds_with_warm_starts_and_node_budgets() {
             ..GedOptions::default()
         };
         assert_identical(
-            &exact_ged(&g1, &g2, &budget_opts),
-            &reference_exact_ged(&g1, &g2, &budget_opts),
+            &both(&g1, &g2, &budget_opts),
             true,
             &format!("case {case} budget"),
         );
@@ -136,8 +140,7 @@ fn pinned_expanded_count_on_fixed_pair() {
     let mut rng = Rng::seed_from_u64(0x415);
     let g1 = random_graph(&mut rng, 6, 8, 2);
     let g2 = random_graph(&mut rng, 6, 7, 2);
-    let fast = exact_ged(&g1, &g2, &GedOptions::default());
-    let slow = reference_exact_ged(&g1, &g2, &GedOptions::default());
+    let [fast, slow] = both(&g1, &g2, &GedOptions::default());
     assert!(fast.exact);
     assert_eq!(fast.cost, slow.cost);
     assert_eq!(fast.mapping.map, slow.mapping.map);
@@ -157,8 +160,7 @@ fn pinned_expanded_count_on_fixed_pair() {
         node_limit: Some(40),
         ..GedOptions::default()
     };
-    let fast_b = exact_ged(&g1, &g2, &budget);
-    let slow_b = reference_exact_ged(&g1, &g2, &budget);
+    let [fast_b, slow_b] = both(&g1, &g2, &budget);
     assert_eq!(fast_b.cost, slow_b.cost);
     assert_eq!(fast_b.mapping.map, slow_b.mapping.map);
     assert_eq!(fast_b.expanded, slow_b.expanded);

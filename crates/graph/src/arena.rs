@@ -149,7 +149,6 @@ impl LabelPool {
     ///
     /// # Panics
     /// Panics for ids the pool never produced.
-    // gss-lint: kernel — two array reads on the hot name/label lookup path; no allocation allowed
     #[inline]
     pub fn get(&self, id: u32) -> &str {
         let (s, e) = (
@@ -200,14 +199,20 @@ impl LabelPool {
 
     /// Structural fingerprint of the pool content (entries + spans).
     pub fn pool_fingerprint(&self) -> u64 {
+        // Exhaustive: a new field must be hashed or bound as `_` with a reason.
+        let LabelPool {
+            bytes,
+            offsets,
+            // Derived lookup cache over `bytes` / `offsets`, rebuilt lazily.
+            index: _,
+        } = self;
         let mut h = Fnv64::new();
-        for &b in &self.bytes {
+        for &b in bytes {
             h.write_u64(u64::from(b));
         }
-        for &o in &self.offsets {
+        for &o in offsets {
             h.write_u64(u64::from(o));
         }
-        // gss-lint: exempt(LabelPool::index) — derived lookup cache over `bytes`/`offsets`; rebuilt lazily and content-free
         h.finish()
     }
 }
@@ -470,16 +475,28 @@ impl GraphArena {
     /// `GraphDatabase::fingerprint` in `gss-core` hashes label *strings*
     /// and stays representation-independent.)
     pub fn content_fingerprint(&self) -> u64 {
-        let mut h = Fnv64::resume(self.pool.pool_fingerprint());
-        h.write_u64(u64::from(self.label_count));
+        // Exhaustive: a new column does not compile until it is hashed.
+        let GraphArena {
+            pool,
+            label_count,
+            names,
+            vertex_off,
+            edge_off,
+            vertex_labels,
+            edge_u,
+            edge_v,
+            edge_labels,
+        } = self;
+        let mut h = Fnv64::resume(pool.pool_fingerprint());
+        h.write_u64(u64::from(*label_count));
         for col in [
-            &self.names,
-            &self.vertex_off,
-            &self.edge_off,
-            &self.vertex_labels,
-            &self.edge_u,
-            &self.edge_v,
-            &self.edge_labels,
+            names,
+            vertex_off,
+            edge_off,
+            vertex_labels,
+            edge_u,
+            edge_v,
+            edge_labels,
         ] {
             h.write_u64(col.len() as u64);
             for &v in col.iter() {
@@ -507,42 +524,36 @@ pub struct GraphRef<'a> {
 
 impl<'a> GraphRef<'a> {
     /// The graph's display name.
-    // gss-lint: kernel — pool lookup on the scan path; no allocation allowed
     #[inline]
     pub fn name(&self) -> &'a str {
         self.arena.pool.get(self.arena.names[self.idx])
     }
 
     /// Number of vertices, `|V(g)|`.
-    // gss-lint: kernel — two offset reads; no allocation allowed
     #[inline]
     pub fn order(&self) -> usize {
         (self.arena.vertex_off[self.idx + 1] - self.arena.vertex_off[self.idx]) as usize
     }
 
     /// Number of edges — the paper's `|g|`.
-    // gss-lint: kernel — two offset reads; no allocation allowed
     #[inline]
     pub fn size(&self) -> usize {
         (self.arena.edge_off[self.idx + 1] - self.arena.edge_off[self.idx]) as usize
     }
 
     /// The label of vertex `v` (graph-local dense id).
-    // gss-lint: kernel — one contiguous column read per candidate vertex; no allocation allowed
     #[inline]
     pub fn vertex_label(&self, v: VertexId) -> Label {
         Label(self.arena.vertex_labels[self.arena.vertex_off[self.idx] as usize + v.index()])
     }
 
     /// The label of edge `e` (graph-local dense id).
-    // gss-lint: kernel — one contiguous column read per candidate edge; no allocation allowed
     #[inline]
     pub fn edge_label(&self, e: EdgeId) -> Label {
         Label(self.arena.edge_labels[self.arena.edge_off[self.idx] as usize + e.index()])
     }
 
     /// The endpoints of edge `e`, in insertion order (graph-local ids).
-    // gss-lint: kernel — two contiguous column reads per candidate edge; no allocation allowed
     #[inline]
     pub fn edge_endpoints(&self, e: EdgeId) -> (VertexId, VertexId) {
         let row = self.arena.edge_off[self.idx] as usize + e.index();
@@ -837,33 +848,53 @@ impl StatsColumns {
 
     /// Structural fingerprint of every stats column.
     pub fn columns_fingerprint(&self) -> u64 {
+        // Exhaustive: a new column does not compile until it is hashed.
+        let StatsColumns {
+            orders,
+            sizes,
+            wl_fingerprints,
+            connected,
+            degree_off,
+            degree_vals,
+            vlabel_off,
+            vlabel_keys,
+            vlabel_counts,
+            elabel_off,
+            elabel_keys,
+            elabel_counts,
+            eclass_off,
+            eclass_lo,
+            eclass_hi,
+            eclass_label,
+            eclass_counts,
+        } = self;
         let mut h = Fnv64::new();
         for col in [
-            &self.orders,
-            &self.sizes,
-            &self.degree_off,
-            &self.degree_vals,
-            &self.vlabel_off,
-            &self.vlabel_keys,
-            &self.vlabel_counts,
-            &self.elabel_off,
-            &self.elabel_keys,
-            &self.elabel_counts,
-            &self.eclass_off,
-            &self.eclass_lo,
-            &self.eclass_hi,
-            &self.eclass_label,
-            &self.eclass_counts,
+            orders,
+            sizes,
+            degree_off,
+            degree_vals,
+            vlabel_off,
+            vlabel_keys,
+            vlabel_counts,
+            elabel_off,
+            elabel_keys,
+            elabel_counts,
+            eclass_off,
+            eclass_lo,
+            eclass_hi,
+            eclass_label,
+            eclass_counts,
         ] {
             h.write_u64(col.len() as u64);
             for &v in col.iter() {
                 h.write_u64(u64::from(v));
             }
         }
-        for &v in &self.wl_fingerprints {
+        for &v in wl_fingerprints {
             h.write_u64(v);
         }
-        for &v in &self.connected {
+        for &v in connected {
             h.write_u64(u64::from(v));
         }
         h.finish()

@@ -21,7 +21,8 @@
 //!
 //! Both are plain data holders: they never allocate after construction
 //! (`resize` reuses capacity), so solvers can keep them in reusable
-//! workspaces across thousands of pair evaluations.
+//! workspaces across thousands of pair evaluations. `tests/kernel_alloc.rs`
+//! holds the set operations and iteration to zero allocations.
 
 /// Number of bits in one storage word.
 const WORD_BITS: usize = 64;
@@ -143,14 +144,12 @@ impl Bitset {
     }
 
     /// Copies `other` into `self` (universes must match).
-    // gss-lint: kernel — word-parallel bitset op on caller-owned storage; called from every solver inner loop
     pub fn copy_from(&mut self, other: &Bitset) {
         debug_assert_eq!(self.len, other.len, "universe mismatch");
         self.words.copy_from_slice(&other.words);
     }
 
     /// In-place intersection with another set.
-    // gss-lint: kernel — word-parallel bitset op on caller-owned storage; called from every solver inner loop
     pub fn intersect_with(&mut self, other: &Bitset) {
         debug_assert_eq!(self.len, other.len, "universe mismatch");
         for (a, b) in self.words.iter_mut().zip(&other.words) {
@@ -159,7 +158,6 @@ impl Bitset {
     }
 
     /// In-place union with another set.
-    // gss-lint: kernel — word-parallel bitset op on caller-owned storage; called from every solver inner loop
     pub fn union_with(&mut self, other: &Bitset) {
         debug_assert_eq!(self.len, other.len, "universe mismatch");
         for (a, b) in self.words.iter_mut().zip(&other.words) {
@@ -168,7 +166,6 @@ impl Bitset {
     }
 
     /// In-place difference: removes every element of `other`.
-    // gss-lint: kernel — word-parallel bitset op on caller-owned storage; called from every solver inner loop
     pub fn difference_with(&mut self, other: &Bitset) {
         debug_assert_eq!(self.len, other.len, "universe mismatch");
         for (a, b) in self.words.iter_mut().zip(&other.words) {
@@ -178,7 +175,6 @@ impl Bitset {
 
     /// Overwrites `self` with a [`BitMatrix`] row (the row length must
     /// equal this set's universe).
-    // gss-lint: kernel — word-parallel bitset op on caller-owned storage; called from every solver inner loop
     pub fn assign_row(&mut self, m: &BitMatrix, row: usize) {
         debug_assert_eq!(self.len, m.cols(), "universe mismatch");
         self.words.copy_from_slice(m.row_words(row));
@@ -186,7 +182,6 @@ impl Bitset {
 
     /// In-place intersection with a [`BitMatrix`] row (the row length must
     /// equal this set's universe).
-    // gss-lint: kernel — word-parallel bitset op on caller-owned storage; called from every solver inner loop
     pub fn intersect_with_row(&mut self, m: &BitMatrix, row: usize) {
         for (a, b) in self.words.iter_mut().zip(m.row_words(row)) {
             *a &= b;
@@ -194,7 +189,6 @@ impl Bitset {
     }
 
     /// In-place difference with a [`BitMatrix`] row.
-    // gss-lint: kernel — word-parallel bitset op on caller-owned storage; called from every solver inner loop
     pub fn difference_with_row(&mut self, m: &BitMatrix, row: usize) {
         for (a, b) in self.words.iter_mut().zip(m.row_words(row)) {
             *a &= !b;
@@ -202,7 +196,6 @@ impl Bitset {
     }
 
     /// Sets `self` to `a ∩ b` (all three universes must match).
-    // gss-lint: kernel — word-parallel bitset op on caller-owned storage; called from every solver inner loop
     pub fn assign_intersection(&mut self, a: &Bitset, b: &Bitset) {
         debug_assert_eq!(self.len, a.len, "universe mismatch");
         debug_assert_eq!(self.len, b.len, "universe mismatch");
@@ -238,7 +231,6 @@ impl Iterator for BitIter<'_> {
     type Item = usize;
 
     #[inline]
-    // gss-lint: kernel — word-parallel bitset op on caller-owned storage; called from every solver inner loop
     fn next(&mut self) -> Option<usize> {
         while self.current == 0 {
             self.word_index += 1;

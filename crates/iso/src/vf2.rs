@@ -147,13 +147,13 @@ impl<'a> Matcher<'a> {
         true
     }
 
-    // gss-lint: kernel — the VF2 recursion; per-depth state is preallocated in the embedding context
     fn recurse(&mut self, depth: usize) {
         if self.found.len() >= self.limit {
             return;
         }
         if depth == self.order.len() {
-            // gss-lint: allow(no-alloc-in-kernel) — success path: materializes one found embedding, bounded by `limit`, not per search node
+            // The one allocation in the recursion: one per found embedding,
+            // bounded by `limit`, never per search node.
             let map = self.core_p.iter().map(|&t| VertexId(t)).collect();
             self.found.push(Embedding { map });
             return;

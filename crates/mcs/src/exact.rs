@@ -26,8 +26,9 @@
 //!
 //! ## Why this is fast (and still exact)
 //!
-//! The kernel does no per-search-node heap allocation and no per-node
-//! rescans:
+//! The kernel does no per-search-node heap allocation (`tests/kernel_alloc.rs`
+//! caps allocations per call at a ceiling linear in the input) and no
+//! per-node rescans:
 //!
 //! * the `potential` counters are maintained **incrementally** — deciding or
 //!   undoing a pair touches only the decided vertex's incident edges,
@@ -143,7 +144,6 @@ impl Solver<'_> {
     /// Maps `u -> v`, updating the incremental potential counters: a g1
     /// edge leaves `pot1` when its second endpoint becomes mapped (it can
     /// no longer *become* shared), and symmetrically for g2.
-    // gss-lint: kernel — runs per node of the MCS clique search over the product graph; buffers are preallocated per depth
     fn apply(&mut self, u: VertexId, v: VertexId) {
         debug_assert!(!self.banned[u.index()], "candidates are never banned");
         for (w, _) in self.g1.neighbors(u) {
@@ -162,7 +162,6 @@ impl Solver<'_> {
     }
 
     /// Reverses [`Solver::apply`] (must be called in LIFO order).
-    // gss-lint: kernel — runs per node of the MCS clique search over the product graph; buffers are preallocated per depth
     fn undo(&mut self, u: VertexId, v: VertexId) {
         self.map1[u.index()] = UNMAPPED;
         self.map2[v.index()] = UNMAPPED;
@@ -220,7 +219,6 @@ impl Solver<'_> {
             .count()
     }
 
-    // gss-lint: kernel — runs per node of the MCS clique search over the product graph; buffers are preallocated per depth
     fn record_if_better(&mut self) {
         let key = self.key(self.score_edges, self.mapped);
         if key > self.best_key {
@@ -233,7 +231,6 @@ impl Solver<'_> {
     }
 
     /// Writes the current mapping into the reusable incumbent buffers.
-    // gss-lint: kernel — runs per node of the MCS clique search over the product graph; buffers are preallocated per depth
     fn snapshot_into_best(&mut self) {
         self.best_vertex_pairs.clear();
         for (i, &m) in self.map1.iter().enumerate() {
@@ -257,7 +254,6 @@ impl Solver<'_> {
     }
 
     /// Shared edges gained by mapping `u -> v` right now.
-    // gss-lint: kernel — runs per node of the MCS clique search over the product graph; buffers are preallocated per depth
     fn gain(&self, u: VertexId, v: VertexId) -> u32 {
         let mut gain = 0;
         for (w, ew) in self.g1.neighbors(u) {
@@ -279,7 +275,6 @@ impl Solver<'_> {
     /// scan order, deduplicated keep-first through the flat bitset mask,
     /// then stably sorted best-immediate-gain-first so large solutions
     /// appear early and the bound prunes harder.
-    // gss-lint: kernel — runs per node of the MCS clique search over the product graph; buffers are preallocated per depth
     fn collect_candidates(&mut self, buf: &mut Vec<Candidate>) {
         buf.clear();
         let n2 = self.g2.order();
@@ -326,7 +321,6 @@ impl Solver<'_> {
         buf.sort_by_key(|c| std::cmp::Reverse(c.gain));
     }
 
-    // gss-lint: kernel — runs per node of the MCS clique search over the product graph; buffers are preallocated per depth
     fn extend(&mut self, depth: usize) {
         if self.done {
             return;
@@ -353,7 +347,8 @@ impl Solver<'_> {
             return;
         }
         if self.cand_bufs.len() <= depth {
-            // gss-lint: allow(no-alloc-in-kernel) — amortized: grows only on the first visit to a new max depth, then every deeper node reuses the buffer
+            // Amortized: grows only on the first visit to a new max depth,
+            // then every deeper node reuses the buffer.
             self.cand_bufs.resize_with(depth + 1, Vec::new);
         }
         let mut buf = std::mem::take(&mut self.cand_bufs[depth]);

@@ -123,7 +123,6 @@ impl CliqueSolver<'_> {
         }
     }
 
-    // gss-lint: kernel — runs per node of the max-clique recursion; candidate sets are reused row intersections
     fn expand(&mut self, depth: usize) {
         self.expanded += 1;
         self.ensure_depth(depth + 1);
@@ -170,7 +169,6 @@ impl CliqueSolver<'_> {
 /// Greedy colouring of `p`: repeatedly peel a maximal independent set (one
 /// colour class) until every candidate is coloured. Outputs vertices in
 /// ascending colour order with their colour numbers (1-based).
-// gss-lint: kernel — runs per node of the max-clique recursion; candidate sets are reused row intersections
 fn color_sort(
     adj: &BitMatrix,
     p: &Bitset,

@@ -10,7 +10,20 @@
 
 use gss_graph::{Graph, Label, Rng, VertexId};
 use gss_mcs::reference::{max_clique_reference, maximum_common_subgraph_reference};
-use gss_mcs::{max_clique_expanded, maximum_common_subgraph_expanded, Objective};
+use gss_mcs::{max_clique_expanded, maximum_common_subgraph_expanded, Mcs, Objective};
+
+/// A connected-MCS solver: witness and expanded-node count.
+type McsSolver = fn(&Graph, &Graph, Objective) -> (Mcs, u64);
+/// A max-clique solver: clique vertices and expanded-node count.
+type CliqueSolver = fn(&[Vec<bool>]) -> (Vec<usize>, u64);
+
+/// `[kernel, reference]` pairs, each under one signature: if either side's
+/// signature drifts, its array stops compiling.
+const MCS: [McsSolver; 2] = [
+    maximum_common_subgraph_expanded,
+    maximum_common_subgraph_reference,
+];
+const CLIQUE: [CliqueSolver; 2] = [max_clique_expanded, max_clique_reference];
 
 fn random_graph(rng: &mut Rng, n: usize, m: usize, labels: usize) -> Graph {
     let mut g = Graph::new("r");
@@ -42,8 +55,8 @@ fn connected_mcs_is_bit_identical_to_reference_both_objectives() {
         let g1 = random_graph(&mut rng, n1, m1, labels);
         let g2 = random_graph(&mut rng, n2, m2, labels);
         for objective in [Objective::Edges, Objective::Vertices] {
-            let (fast, fast_nodes) = maximum_common_subgraph_expanded(&g1, &g2, objective);
-            let (slow, slow_nodes) = maximum_common_subgraph_reference(&g1, &g2, objective);
+            let [(fast, fast_nodes), (slow, slow_nodes)] =
+                MCS.map(|solve| solve(&g1, &g2, objective));
             assert_eq!(
                 fast.vertex_pairs, slow.vertex_pairs,
                 "case {case} {objective:?}: vertex witness"
@@ -76,8 +89,7 @@ fn clique_size_matches_reference_on_random_matrices() {
                 }
             }
         }
-        let (fast, _) = max_clique_expanded(&adj);
-        let (slow, _) = max_clique_reference(&adj);
+        let [(fast, _), (slow, _)] = CLIQUE.map(|solve| solve(&adj));
         assert_eq!(fast.len(), slow.len(), "case {case}: clique size");
     }
 }
@@ -104,13 +116,15 @@ fn pinned_node_counts_on_fixed_workload() {
                 }
             }
         }
-        clique_new += max_clique_expanded(&adj).1;
-        clique_ref += max_clique_reference(&adj).1;
+        let [new, reference] = CLIQUE.map(|solve| solve(&adj).1);
+        clique_new += new;
+        clique_ref += reference;
 
         let g1 = random_graph(&mut rng, 6, 8, 2);
         let g2 = random_graph(&mut rng, 6, 8, 2);
-        mcs_new += maximum_common_subgraph_expanded(&g1, &g2, Objective::Edges).1;
-        mcs_ref += maximum_common_subgraph_reference(&g1, &g2, Objective::Edges).1;
+        let [new, reference] = MCS.map(|solve| solve(&g1, &g2, Objective::Edges).1);
+        mcs_new += new;
+        mcs_ref += reference;
     }
     assert!(
         clique_new <= clique_ref,

@@ -91,6 +91,11 @@
 //! [`QueryEnvelope`] whose graph is still raw text.
 
 #![warn(missing_docs)]
+// The codecs run on the server's request path, which never panics: a
+// malformed line becomes a `WireError`. Tests are exempt via `clippy.toml`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable, clippy::todo)]
+#![deny(clippy::unimplemented, clippy::allow_attributes_without_reason)]
 
 use gss_core::jsonio::{escape, Value};
 use gss_core::Plan;

@@ -82,22 +82,18 @@ pub enum Request {
 /// admitted against.
 pub struct QueryRequest {
     /// Client correlation id, echoed back in the response.
-    // gss-lint: exempt(QueryRequest::id) — per-request correlation metadata, echoed in the envelope around the cached document, never inside it
     pub id: Option<Value>,
     /// The snapshot database this query evaluates against: mutations
     /// landing after admission cannot disturb it.
-    // gss-lint: exempt(QueryRequest::db) — the snapshot's identity IS the key's `database` component (its epoch-folded fingerprint, captured by `QueryKey::with_database` at parse time)
     pub db: Arc<GraphDatabase>,
     /// The parsed query graph.
     pub graph: Graph,
     /// Effective options (server base + per-request overrides).
     pub options: QueryOptions,
     /// The result-cache key.
-    // gss-lint: exempt(QueryRequest::key) — the key IS the fingerprint (the with_database output), not an input to it
     pub key: QueryKey,
     /// Absolute execution deadline: the dispatcher drops the request if it
     /// is still queued past this instant.
-    // gss-lint: exempt(QueryRequest::deadline) — scheduling metadata; an expired request gets an error envelope, never a cached document
     pub deadline: Instant,
 }
 
@@ -311,13 +307,21 @@ impl Engine {
             .deadline_ms
             .unwrap_or(self.default_deadline.as_millis() as u64);
 
+        // Every field of the one `QueryRequest` literal is keyed or says why not.
         let key = QueryKey::with_database(snapshot.fingerprint(), &vocab, &graph, &options);
         Ok(Request::Query(Box::new(QueryRequest {
+            // Correlation metadata, echoed in the envelope around the
+            // cached document, never inside it.
             id: envelope.id,
+            // Its identity IS `key.database`: the snapshot's epoch-folded
+            // fingerprint, passed to `with_database` above.
             db: Arc::clone(snapshot.database()),
             graph,
             options,
+            // The key IS the fingerprint, not an input to it.
             key,
+            // Scheduling metadata: an expired request gets an error
+            // envelope, never a cached document.
             deadline: Instant::now() + Duration::from_millis(deadline_ms),
         })))
     }
@@ -438,7 +442,11 @@ impl Engine {
     /// [`crate::ServerStats::cancelled`], distinct from the in-queue
     /// `deadline_expired` drops). Duplicates share one evaluation, so its
     /// token fires only once the **latest** duplicate deadline passed.
-    // gss-lint: allow(no-panic-in-request-path[index]) — all indices are positions produced by enumerate() over the same `jobs`/`reps`/`responses` slices; in-bounds by construction
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every index is a position enumerate() produced over the same \
+                  `jobs` / `reps` / `results` / `responses` slices"
+    )]
     pub fn evaluate_batch(&self, jobs: &[QueryRequest]) -> Vec<Response> {
         let mut responses: Vec<Option<Response>> = (0..jobs.len()).map(|_| None).collect();
         // Group by (database, options) fingerprint pair, preserving
@@ -551,6 +559,10 @@ impl Engine {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::unreachable,
+    reason = "tests destructure the request variant they just parsed"
+)]
 mod tests {
     use super::*;
     use gss_datasets::workload::{Workload, WorkloadConfig};

@@ -110,8 +110,33 @@
 //! maintained pivot index or a tuned staleness budget via
 //! [`serve_store`]; plain [`serve`] wraps the database in an index-less
 //! store so mutation works out of the box.
+//!
+//! ## Lock discipline
+//!
+//! No evaluation ever runs under a lock, and that follows from the
+//! structure of the crate:
+//!
+//! * every `Mutex` is a private field of [`ShardedCache`], the admission
+//!   queue, a reactor's shared completion/injection state or
+//!   [`ServerStats`];
+//! * no guard leaves the method that takes it — the only `MutexGuard`s in
+//!   any signature are the private poison-recovering `lock` helpers of the
+//!   reactor and stats modules, whose callers push, drain or read plain
+//!   data;
+//! * none of those methods takes a closure or reaches the [`Engine`];
+//! * the one evaluation call, [`Engine::evaluate_batch`] in the
+//!   dispatcher loop, runs on jobs `pop_batch` already moved out of the
+//!   queue, after its guard dropped.
+//!
+//! A change that breaks one of these four facts is the one to review for
+//! a solver call under a cache or queue lock.
 
 #![warn(missing_docs)]
+// The request path never panics: a panicking reactor or dispatcher drops
+// every response it owes. Crate-wide, tests exempt via `clippy.toml`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable, clippy::todo)]
+#![deny(clippy::unimplemented, clippy::allow_attributes_without_reason)]
 
 pub mod cache;
 pub mod client;

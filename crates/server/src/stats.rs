@@ -7,7 +7,7 @@
 //! end-to-end query latencies from which p50/p99 are computed on demand.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use gss_core::jsonio::Value;
 use gss_core::BatchStats;
@@ -22,11 +22,15 @@ const RESERVOIR_CAP: usize = 65_536;
 /// by the stats reservoir, the `gss client --bench` report and the
 /// `gss-bench` serving scenarios.
 pub fn percentile_us(sorted: &[u64], p: usize) -> f64 {
-    if sorted.is_empty() {
-        0.0
-    } else {
-        sorted[(sorted.len() - 1) * p / 100] as f64
-    }
+    let rank = sorted.len().saturating_sub(1) * p / 100;
+    sorted.get(rank).map_or(0.0, |&us| us as f64)
+}
+
+/// Poison recovery: every guarded value here is plain counters, valid
+/// after any panic, and a stats block must never take the dispatcher down
+/// with it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Percentile snapshot of the latency reservoir.
@@ -92,27 +96,26 @@ impl ServerStats {
 
     /// Adds one end-to-end query latency sample.
     pub fn record_latency_us(&self, us: u64) {
-        let mut r = self.latencies.lock().expect("latency reservoir poisoned");
+        let mut r = lock(&self.latencies);
         if r.samples.len() < RESERVOIR_CAP {
             r.samples.push(us);
         } else {
             let slot = (r.recorded % RESERVOIR_CAP as u64) as usize;
-            r.samples[slot] = us;
+            if let Some(sample) = r.samples.get_mut(slot) {
+                *sample = us;
+            }
         }
         r.recorded += 1;
     }
 
     /// Merges one batch's aggregated engine counters into the totals.
     pub fn absorb_batch(&self, batch: &BatchStats) {
-        self.totals
-            .lock()
-            .expect("batch totals poisoned")
-            .merge(batch);
+        lock(&self.totals).merge(batch);
     }
 
     /// The engine totals so far.
     pub fn totals(&self) -> BatchStats {
-        *self.totals.lock().expect("batch totals poisoned")
+        *lock(&self.totals)
     }
 
     /// Cache hit rate over all queries seen, in `[0, 1]`.
@@ -129,19 +132,19 @@ impl ServerStats {
     /// Computes p50/p99/max over the current latency window.
     pub fn latency_snapshot(&self) -> LatencySnapshot {
         let sorted = {
-            let r = self.latencies.lock().expect("latency reservoir poisoned");
+            let r = lock(&self.latencies);
             let mut s = r.samples.clone();
             s.sort_unstable();
             s
         };
-        if sorted.is_empty() {
+        let Some(&max) = sorted.last() else {
             return LatencySnapshot::default();
-        }
+        };
         LatencySnapshot {
             count: sorted.len(),
             p50_us: percentile_us(&sorted, 50),
             p99_us: percentile_us(&sorted, 99),
-            max_us: *sorted.last().expect("nonempty") as f64,
+            max_us: max as f64,
         }
     }
 
@@ -181,8 +184,8 @@ impl ServerStats {
             ),
             (
                 "totals".into(),
-                Value::parse(&gss_core::batch_stats_to_json(&totals))
-                    .expect("batch stats serialize to valid JSON"),
+                // A serializer bug degrades to `null`, not a panic.
+                Value::parse(&gss_core::batch_stats_to_json(&totals)).unwrap_or(Value::Null),
             ),
         ])
     }
@@ -249,6 +252,31 @@ mod tests {
                 .and_then(|l| l.get("count"))
                 .and_then(Value::as_f64),
             Some(1.0)
+        );
+    }
+
+    #[test]
+    fn a_poisoned_reservoir_still_records_and_reports() {
+        let stats = ServerStats::default();
+        stats.record_latency_us(5);
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _guard = stats.latencies.lock();
+                panic!("poison the latency reservoir");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(stats.latencies.is_poisoned());
+        stats.record_latency_us(7);
+        let lat = stats.latency_snapshot();
+        assert_eq!(lat.count, 2);
+        assert_eq!(lat.max_us, 7.0);
+        let v = stats.to_value(0);
+        assert_eq!(
+            v.get("latency")
+                .and_then(|l| l.get("count"))
+                .and_then(Value::as_f64),
+            Some(2.0)
         );
     }
 

@@ -71,6 +71,11 @@
 //! ```
 
 #![warn(missing_docs)]
+// The mutation path never panics: a panic in `apply` could strand a
+// half-written log record. Crate-wide, so `wal` and `fault` too; not tests.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::indexing_slicing, clippy::unreachable, clippy::todo)]
+#![deny(clippy::unimplemented, clippy::allow_attributes_without_reason)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -122,11 +127,8 @@ impl Default for StoreConfig {
 /// cache identity. Queries admitted against a snapshot run to completion
 /// on it no matter how many mutations land meanwhile.
 pub struct Snapshot {
-    // gss-lint: exempt(Snapshot::db) — the cached `fingerprint` below IS this database's fingerprint (captured once per epoch); hashing the graphs again on every access would cost O(|D|) per query
     db: Arc<GraphDatabase>,
-    // gss-lint: exempt(Snapshot::index) — index identity reaches the cache key through `options_fingerprint` (its `describe()` string) on the snapshot-pinned options, not through the database component
     index: Option<Arc<PivotIndex>>,
-    // gss-lint: exempt(Snapshot::epoch) — already folded into the cached fingerprint by `GraphDatabase::fingerprint`; kept unhashed as a human-readable label for stats and receipts
     epoch: u64,
     fingerprint: u64,
 }
@@ -172,7 +174,21 @@ impl Snapshot {
     /// The epoch-folded database fingerprint — the `database` component
     /// of every cache key derived from this snapshot.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        // Exhaustive: a new field must be hashed or bound as `_` with a reason.
+        let Snapshot {
+            // The captured `fingerprint` IS this database's fingerprint
+            // (once per epoch); rehashing the graphs would cost O(|D|).
+            db: _,
+            // Index identity reaches the cache key through
+            // `options_fingerprint` (its `describe()` string) on the
+            // snapshot-pinned options, not through the database component.
+            index: _,
+            // Already folded into the fingerprint by
+            // `GraphDatabase::fingerprint`; kept as a label for receipts.
+            epoch: _,
+            fingerprint,
+        } = self;
+        *fingerprint
     }
 }
 
@@ -290,7 +306,13 @@ pub enum IndexMaintenance {
 }
 
 /// What one successful [`GraphStore::apply`] did.
+///
+/// `#[non_exhaustive]` makes a receipt unconstructible outside this
+/// crate, where [`GraphStore::apply_logged`] builds it only after the
+/// batch is on the log. An ack (`gss-server`'s `Response::Mutated`) is
+/// made from a receipt, so it cannot precede durability.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[non_exhaustive]
 pub struct MutationReceipt {
     /// The epoch the batch produced (current epoch for an empty batch).
     pub epoch: u64,

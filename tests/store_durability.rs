@@ -107,7 +107,12 @@ proptest! {
                             acked += 1;
                             prop_assert_eq!(receipt.epoch, acked as u64);
                         }
-                        Err(MutationError::Durability(_)) => break,
+                        Err(MutationError::Durability(_)) => {
+                            // A refused batch was never published: the
+                            // head is still the last acked epoch.
+                            prop_assert_eq!(store.epoch(), acked as u64);
+                            break;
+                        }
                         Err(e) => panic!("unexpected error: {e}"),
                     }
                 }
