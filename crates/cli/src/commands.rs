@@ -753,7 +753,7 @@ pub fn convert(args: &Args) -> Result<String, ArgError> {
 }
 
 /// `gss paper` — the headline reproduction summary (the full table-by-table
-/// report lives in `cargo run -p gss-bench --bin tables`).
+/// report lives in `cargo run --example paper_walkthrough`).
 pub fn paper() -> String {
     use gss_datasets::paper::{expected, figure3_database};
     let data = figure3_database();
@@ -783,7 +783,7 @@ pub fn paper() -> String {
             .collect();
         let _ = writeln!(out, "refined 𝕊     = {sel:?}   (paper: [g1, g4])");
     }
-    let _ = writeln!(out, "full report: cargo run -p gss-bench --bin tables");
+    let _ = writeln!(out, "full report: cargo run --example paper_walkthrough");
     out
 }
 

@@ -21,8 +21,9 @@
 //! cloning an arena-backed database is O(slots), not O(content).
 //!
 //! Both representations answer every query with **byte-identical**
-//! results; `tests/storage_compact.rs` proptests enforce it and the
-//! `s14-coldstart` scenario of the `gss-bench` registry gates it in CI.
+//! results; `tests/storage_compact.rs` proptests enforce it, and its
+//! `smoke_workload_arena_is_compact_and_loads_without_parsing` pins the
+//! compaction ratio and the zero-parse load on the smoke workload.
 //!
 //! # Persistence
 //!

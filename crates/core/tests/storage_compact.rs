@@ -11,11 +11,15 @@
 //!   every plan × shard count × thread count × solver config, with the
 //!   pointer-rich database as the oracle, and
 //! * rejection of any single corrupted byte in the saved image.
+//!
+//! On the committed smoke workload the arena must also stay compact and
+//! load from disk without re-parsing.
 
 use gss_core::{
     graph_similarity_skyband, graph_similarity_skyline, GedMode, GraphDatabase, McsMode, Plan,
     QueryOptions, SolverConfig,
 };
+use gss_datasets::workload::{Workload, WorkloadConfig};
 use gss_graph::{Graph, Rng, VertexId, Vocabulary};
 use proptest::prelude::*;
 
@@ -150,6 +154,48 @@ proptest! {
             bit, at, bytes.len()
         );
     }
+}
+
+/// The storage gates on the committed smoke workload
+/// ([`WorkloadConfig::bench_smoke`]): the arena uses at most 0.6× the
+/// pointer-rich bytes, and loading the saved image adopts it as the
+/// in-memory layout within 250 ms. The smoke database loads in about a
+/// millisecond; the generous ceiling only catches a load path that
+/// silently regressed to re-parsing text.
+#[test]
+fn smoke_workload_arena_is_compact_and_loads_without_parsing() {
+    const COMPACTION_CEILING: f64 = 0.6;
+    const LOAD_BUDGET_MS: f64 = 250.0;
+
+    let w = Workload::generate(&WorkloadConfig::bench_smoke());
+    let db = GraphDatabase::from_parts(w.vocab, w.graphs);
+    let mut packed = db.clone();
+    packed.compact();
+    let pointer_rich = db.memory_stats().pointer_rich_bytes;
+    let arena = packed.memory_stats().arena_bytes;
+    let ratio = arena as f64 / pointer_rich.max(1) as f64;
+    assert!(
+        ratio <= COMPACTION_CEILING,
+        "arena uses {arena} bytes vs {pointer_rich} pointer-rich ({ratio:.2}x, ceiling \
+         {COMPACTION_CEILING}x)"
+    );
+
+    let path = std::env::temp_dir().join(format!("gss-smoke-{}.gsb", std::process::id()));
+    packed.save(&path).expect("save packed database");
+    let started = std::time::Instant::now();
+    let loaded = GraphDatabase::load(&path);
+    let load_ms = started.elapsed().as_secs_f64() * 1e3;
+    std::fs::remove_file(&path).ok();
+    let loaded = loaded.expect("load packed database");
+    assert!(
+        loaded.is_compact(),
+        "load must adopt the image, not re-parse"
+    );
+    assert_eq!(loaded.fingerprint(), db.fingerprint());
+    assert!(
+        load_ms <= LOAD_BUDGET_MS,
+        "load took {load_ms:.2} ms (budget {LOAD_BUDGET_MS} ms)"
+    );
 }
 
 /// Every persistent digest folds through the one `gss_graph::Fnv64`.

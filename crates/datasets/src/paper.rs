@@ -7,10 +7,9 @@
 //! Examples 2–4, and 16 of the 18 cells of Table IV.
 //!
 //! The two deviating cells are *provably unattainable* under the paper's own
-//! Definition 8 — see `EXPERIMENTS.md` for the argument; in short,
-//! `DistEd(q,g4) = 2`, `DistEd(q,g7) = 4` and `g7 ⊇ q` with `|g7|−|q| = 4`
-//! force any `g4 → g7` edit path to have even length, so the reported
-//! `DistEd(g4,g7) = 5` is impossible (we realize 6), and the coupling
+//! Definition 8. `DistEd(q,g4) = 2`, `DistEd(q,g7) = 4` and `g7 ⊇ q` with
+//! `|g7|−|q| = 4` force any `g4 → g7` edit path to have even length, so the
+//! reported `DistEd(g4,g7) = 5` is impossible (we realize 6), and the coupling
 //! `DistEd(g5,g7) = 3` pins `g7`'s extra edges in a way that makes
 //! `DistEd(g1,g7) = 7` incompatible with `DistEd(g1,g4) = 6` (we realize 6).
 //! All skyline-level conclusions of the paper (Table II, Table III, the

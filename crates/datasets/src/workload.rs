@@ -2,8 +2,10 @@
 //!
 //! A workload consists of a query graph and a database derived from it by
 //! controlled perturbation (so ground-truth "good answers" exist by
-//! construction), mixed with unrelated decoys. Used by the `gss-bench`
-//! harness and the recall ablation (experiment A1 in `DESIGN.md`).
+//! construction), mixed with unrelated decoys. Used by the property and
+//! structural-gate tests and by the repository benchmark; the one ablation
+//! kept as a test runs on the paper's Figure 3 database instead (see
+//! `tests/paper_tables.rs::structure_weighted_edit_costs_admit_g3_into_the_skyline`).
 
 use gss_graph::{Graph, Rng, Vocabulary};
 
@@ -54,12 +56,12 @@ impl Default for WorkloadConfig {
 }
 
 impl WorkloadConfig {
-    /// The canonical CI smoke workload: the 120-graph molecule database
-    /// every gated scenario of the `gss-bench` registry (the `scaling`
-    /// binary, CI's `bench-smoke` job) runs on. One definition keeps "the
-    /// committed smoke workload" unambiguous — the recorded gate baselines
-    /// (expanded-node totals, skip rates) are exact on these values, so
-    /// don't change them without re-recording and a CHANGES.md note.
+    /// The committed smoke workload: the 120-graph molecule database the
+    /// structural-gate tests pin their literals to (README "Structural
+    /// gates and their tests"). One definition keeps "the committed smoke
+    /// workload" unambiguous — the recorded gate baselines (expanded-node
+    /// totals, skip rates) are exact on these values, so don't change them
+    /// without re-recording and a CHANGES.md note.
     pub fn bench_smoke() -> WorkloadConfig {
         WorkloadConfig {
             kind: WorkloadKind::Molecule,

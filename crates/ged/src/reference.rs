@@ -9,8 +9,9 @@
 //! * property tests can assert the rewrite returns identical costs,
 //!   mappings and `expanded` counters across cost models (the rewrite
 //!   preserves the search order, so all three must match exactly), and
-//! * the `s9-solvers` scenario of the `gss-bench` registry can gate the
-//!   rewrite's expanded-node count against the exact code it replaced.
+//! * `tests/cross_solver.rs::smoke_workload_solver_sweep_stays_within_recorded_expansion_baselines`
+//!   can gate the rewrite's expanded-node count against the exact code it
+//!   replaced.
 //!
 //! Nothing in the query pipeline calls this; it is test and benchmark
 //! substrate only.

@@ -7,8 +7,9 @@
 //! * property tests can assert the optimized kernels return identical
 //!   sizes/costs — and, where the search order is preserved, identical
 //!   witnesses — on random inputs, and
-//! * the `s9-solvers` scenario of the `gss-bench` registry can gate the
-//!   kernels' expanded-node counts against the exact code they replaced.
+//! * `tests/cross_solver.rs::smoke_workload_solver_sweep_stays_within_recorded_expansion_baselines`
+//!   can gate the kernels' expanded-node counts against the exact code
+//!   they replaced.
 //!
 //! Nothing in the query pipeline calls these; they are test and benchmark
 //! substrate only.

@@ -20,7 +20,7 @@ const RESERVOIR_CAP: usize = 65_536;
 /// Nearest-rank percentile over an ascending-sorted slice of microsecond
 /// samples (0 for an empty slice). The one percentile definition shared
 /// by the stats reservoir, the `gss client --bench` report and the
-/// `gss-bench` serving scenarios.
+/// connection-wall test in `tests/server_loopback.rs`.
 pub fn percentile_us(sorted: &[u64], p: usize) -> f64 {
     let rank = sorted.len().saturating_sub(1) * p / 100;
     sorted.get(rank).map_or(0.0, |&us| us as f64)

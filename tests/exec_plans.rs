@@ -11,7 +11,9 @@
 //!    explain document* is byte-identical across shard counts (the
 //!    server's cache key exempts `shards`, so this is load-bearing);
 //! 3. **Auto economy** — `Plan::Auto` never performs more exact solver
-//!    calls than the best manual plan on the same query;
+//!    calls than the best manual plan on the same query (on random
+//!    workloads and on the committed smoke workload, where the pruned
+//!    skyband must also exclude candidates by bounds alone);
 //! 4. **Cancellation** — a fired [`CancelToken`] aborts every plan (and
 //!    each query of a batch independently) instead of returning a partial
 //!    answer.
@@ -297,4 +299,47 @@ proptest! {
         prop_assert_eq!(&ok.dominated, &direct.dominated);
         prop_assert!(results[1].is_err());
     }
+}
+
+/// The planner's structural gates on the committed smoke workload
+/// ([`WorkloadConfig::bench_smoke`]), with the pivot index attached:
+/// `Plan::Auto` spends no more exact solver calls than the best manual
+/// plan, and the pruned 2-skyband excludes at least one candidate by
+/// lower bounds alone (neither verified nor short-circuited).
+#[test]
+fn smoke_workload_auto_is_solver_optimal_and_the_skyband_prunes() {
+    let w = Workload::generate(&WorkloadConfig::bench_smoke());
+    let (db, q) = (GraphDatabase::from_parts(w.vocab, w.graphs), w.query);
+    let index = Arc::new(PivotIndex::build(&db, &PivotIndexConfig::default()));
+    let options = |plan| plan_options(&index, plan, 1, SolverConfig::default());
+
+    let naive = graph_similarity_skyline(&db, &q, &options(Plan::Naive));
+    let calls = |plan: Plan| {
+        let r = graph_similarity_skyline(&db, &q, &options(plan));
+        assert_eq!(r.skyline, naive.skyline, "{plan:?} changed the answer");
+        assert_eq!(r.dominated, naive.dominated, "{plan:?} changed witnesses");
+        solver_calls(&r)
+    };
+    let best_manual = solver_calls(&naive)
+        .min(calls(Plan::Prefilter))
+        .min(calls(Plan::Indexed));
+    let auto = calls(Plan::Auto);
+    assert!(
+        auto <= best_manual,
+        "Plan::Auto ran {auto} exact solver calls, the best manual plan ran {best_manual}"
+    );
+
+    let band = graph_similarity_skyband(&db, &q, 2, &options(Plan::Auto));
+    let naive_band = graph_similarity_skyband(&db, &q, 2, &options(Plan::Naive));
+    assert_eq!(
+        band.members, naive_band.members,
+        "pruned skyband changed membership"
+    );
+    let stats = band.pruning.expect("pruned skyband stats");
+    let excluded = stats.candidates - stats.verified - stats.short_circuited;
+    assert!(
+        excluded > 0,
+        "the pruned skyband excluded {excluded} of {} candidates without solving",
+        stats.candidates
+    );
 }

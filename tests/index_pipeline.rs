@@ -8,14 +8,16 @@
 //!    unsound);
 //! 2. **Equivalence** — the indexed scan returns *identical* skylines and
 //!    domination witnesses to the naive scan, across workload kinds,
-//!    thread counts, solver configurations and index shapes;
+//!    thread counts, solver configurations, index shapes and database
+//!    representations (pointer-rich or compact arena);
 //! 3. **Persistence** — save → load → query is byte-identical to querying
 //!    the in-memory index (same skylines, witnesses, GCS matrix,
 //!    evaluated flags and pruning stats), and corrupted artifacts are
 //!    rejected up front.
 //!
 //! Plus one deliberate counterexample pinning down *why* the index only
-//! applies the triangle inequality to the GED dimensions.
+//! applies the triangle inequality to the GED dimensions, and the index's
+//! structural gates on the committed smoke workload.
 
 use std::sync::Arc;
 
@@ -99,12 +101,19 @@ proptest! {
         threads in 1usize..4,
         pivots in 1usize..4,
         rings in 1usize..4,
+        arena in any::<bool>(),
     ) {
         let kind = if molecule { WorkloadKind::Molecule } else { WorkloadKind::Uniform };
         let (db, q) = build_workload(seed, size, kind);
         let naive = graph_similarity_skyline(&db, &q, &QueryOptions::default());
         let opts = indexed_options(&db, pivots, rings, threads, SolverConfig::default());
-        let indexed = graph_similarity_skyline(&db, &q, &opts);
+        // The index is keyed on the database fingerprint, which compaction
+        // preserves, so one index serves both representations.
+        let mut scanned = db.clone();
+        if arena {
+            scanned.compact();
+        }
+        let indexed = graph_similarity_skyline(&scanned, &q, &opts);
         prop_assert_eq!(&indexed.skyline, &naive.skyline);
         prop_assert_eq!(&indexed.dominated, &naive.dominated, "witnesses must be identical");
         let stats = indexed.pruning.expect("indexed stats");
@@ -194,6 +203,42 @@ proptest! {
             "flipping byte {} of {} must be rejected", at, bytes.len()
         );
     }
+}
+
+/// The index's structural gates on the committed smoke workload
+/// ([`WorkloadConfig::bench_smoke`]), where both counts repeat exactly:
+/// the pivot index never costs an exact solver call the prefilter-only
+/// scan would not make, and it skips at least 30 % of the candidates
+/// wholesale at the partition level.
+#[test]
+fn smoke_workload_index_verifies_no_more_than_prefilter_and_skips_30_percent() {
+    let w = Workload::generate(&WorkloadConfig::bench_smoke());
+    let db = GraphDatabase::from_parts(w.vocab, w.graphs);
+    let index = Arc::new(PivotIndex::build(&db, &PivotIndexConfig::default()));
+    let prefilter = QueryOptions {
+        prefilter: true,
+        ..QueryOptions::default()
+    };
+    let pre = graph_similarity_skyline(&db, &w.query, &prefilter);
+    let idx = graph_similarity_skyline(&db, &w.query, &QueryOptions::default().with_index(index));
+    assert_eq!(idx.skyline, pre.skyline, "the index changed the answer");
+    assert_eq!(idx.dominated, pre.dominated, "the index changed witnesses");
+
+    let (pre, idx) = (
+        pre.pruning.expect("prefilter stats"),
+        idx.pruning.expect("indexed stats"),
+    );
+    assert!(
+        idx.verified <= pre.verified,
+        "indexed scan verified {} candidates, prefilter-only verified {}",
+        idx.verified,
+        pre.verified
+    );
+    assert!(
+        idx.index_skip_rate() >= 0.30,
+        "index skipped {:.1}% of candidates at the partition level",
+        idx.index_skip_rate() * 100.0
+    );
 }
 
 /// The C6 counterexample from the `gss-index` crate docs, kept as an

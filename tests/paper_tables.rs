@@ -153,7 +153,8 @@ fn section7_refinement_selects_g1_g4() {
         );
     }
     // v1 (normalized GED): four of six cells match; S3 and S5 deviate by
-    // exactly the two unattainable Table IV GED entries (see EXPERIMENTS.md).
+    // exactly the two unattainable Table IV GED entries (the argument is in
+    // the `gss_datasets::paper` module docs).
     let v1: Vec<f64> = refined
         .evaluation
         .candidates
@@ -203,4 +204,52 @@ fn table4_ged_cells_paper_vs_measured() {
         matches, 4,
         "4 of 6 pairwise GED cells match the paper exactly"
     );
+}
+
+/// Edit-cost-model sensitivity (an ablation beyond the paper, which fixes
+/// the uniform model): structural edits (insert / delete) cost `w` × a
+/// relabel. Every member of the paper's skyline survives each weighting,
+/// but at `w ≥ 2` g3 joins — its optimal edit path is relabel-heavy while
+/// g5's is insertion-heavy, so weighting structure breaks g5 ≻ g3.
+/// Compound-measure answers are sensitive to the edit-cost model exactly
+/// at dominance ties.
+#[test]
+fn structure_weighted_edit_costs_admit_g3_into_the_skyline() {
+    use similarity_skyline::ged::{exact_ged, GedOptions};
+    let data = figure3_database();
+    let db = GraphDatabase::from_parts(data.vocab, data.graphs);
+    // DistMcs and DistGu do not depend on the edit-cost model.
+    let uniform = graph_similarity_skyline(&db, &data.query, &QueryOptions::default());
+    let paper = vec![0, 3, 4, 6]; // {g1, g4, g5, g7}
+    let with_g3 = vec![0, 2, 3, 4, 6];
+    for (w, dist_ed, skyline) in [
+        (1.0, [4.0, 4.0, 3.0, 2.0, 3.0, 4.0, 4.0], &paper),
+        (2.0, [8.0, 5.0, 4.0, 2.0, 5.0, 7.0, 8.0], &with_g3),
+        (4.0, [13.0, 7.0, 6.0, 2.0, 9.0, 13.0, 16.0], &with_g3),
+    ] {
+        let options = GedOptions {
+            cost: CostModel::structure_weighted(w),
+            ..GedOptions::default()
+        };
+        let measured: Vec<f64> = db
+            .iter()
+            .map(|(_, g)| exact_ged(g, &data.query, &options).cost)
+            .collect();
+        assert_eq!(measured, dist_ed, "DistEd(g1..g7, q) at w = {w}");
+        let points: Vec<Vec<f64>> = uniform
+            .gcs
+            .iter()
+            .zip(&measured)
+            .map(|(gcs, &ed)| {
+                let mut p = gcs.values.clone();
+                p[0] = ed;
+                p
+            })
+            .collect();
+        assert_eq!(
+            &similarity_skyline::skyline::skyline(&points, Algorithm::Bnl),
+            skyline,
+            "skyline at w = {w}"
+        );
+    }
 }

@@ -16,6 +16,8 @@
 //!    pipelining.
 //! 4. **Protocol behavior** — stats counters, deadlines, graceful drain
 //!    (also past a half-sent line), and the request-line size bound.
+//! 5. **Connection scale** — a thousand idle connections on two reactors
+//!    neither stall nor corrupt the active ones.
 //!
 //! Clients speak the typed [`similarity_skyline::protocol`] envelopes;
 //! raw `send_line` is reserved for malformed-input and byte-parity
@@ -290,6 +292,133 @@ fn reactor_pipelines_responses_in_request_order() {
         "responses must arrive in request order"
     );
 
+    handle.shutdown();
+    handle.join();
+}
+
+/// The `poll(2)` front end under a wall of connections: a thousand idle
+/// sockets plus sixteen active ones replaying the committed smoke workload
+/// ([`WorkloadConfig::bench_smoke`]) on two reactor threads (508 fds each,
+/// so every wake re-arms 508 `pollfd`s). Every response equals direct
+/// evaluation, every idle connection still answers after the replay, and
+/// the replay's p99 stays within 2 s — a stall detector (missed wakeups,
+/// head-of-line blocking across connections), not a benchmark.
+///
+/// Client and server share this process, so the test holds both ends of
+/// ~1 016 loopback connections at once: it needs `ulimit -n` above ~2 100.
+#[test]
+fn a_thousand_idle_connections_on_two_reactors_leave_the_active_ones_answering() {
+    use similarity_skyline::server::percentile_us;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    use std::time::Instant;
+
+    const IDLE: usize = 1_000;
+    const ACTIVE: usize = 16;
+    const PASSES: usize = 2;
+    const P99_BUDGET_US: f64 = 2_000_000.0;
+
+    let w = Workload::generate(&WorkloadConfig::bench_smoke());
+    let db = Arc::new(GraphDatabase::from_parts(w.vocab, w.graphs));
+    let options = QueryOptions {
+        prefilter: true,
+        ..QueryOptions::default()
+    };
+    // The planted query plus every tenth database graph: a mix of
+    // short-circuit-friendly members and real scans.
+    let mut queries = vec![w.query];
+    queries.extend(
+        (0..db.len())
+            .step_by(10)
+            .map(|i| db.get(GraphId(i)).clone()),
+    );
+    let texts: Vec<String> = queries.iter().map(|q| graph_text(&db, q)).collect();
+    let expected: Vec<String> = queries.iter().map(|q| oracle(&db, q, &options)).collect();
+    let handle = serve(
+        Arc::clone(&db),
+        options,
+        ServerConfig {
+            workers: 4,
+            batch_max: 8,
+            reactor_threads: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let addr = handle.addr();
+
+    let ping = |conn: &mut BufReader<TcpStream>| {
+        conn.get_mut()
+            .write_all(b"{\"op\":\"ping\"}\n")
+            .expect("write ping");
+    };
+    let pong = |conn: &mut BufReader<TcpStream>| {
+        let mut line = String::new();
+        conn.read_line(&mut line).expect("read pong");
+        assert!(line.contains("\"ok\":true"), "bad pong: {line:?}");
+    };
+
+    // The idle wall: each connection proves it is registered with a
+    // round trip.
+    let mut idle: Vec<BufReader<TcpStream>> = (0..IDLE)
+        .map(|_| BufReader::new(TcpStream::connect(addr).expect("connect idle")))
+        .collect();
+    for conn in &mut idle {
+        ping(conn);
+        pong(conn);
+    }
+
+    // The active connections replay the queries while the wall stays
+    // parked on the same reactors, staggered per connection and pass so
+    // micro-batches mix distinct queries.
+    let mut latencies: Vec<u64> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..ACTIVE)
+            .map(|c| {
+                let (texts, expected) = (&texts, &expected);
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect active");
+                    let mut latencies = Vec::new();
+                    for pass in 0..PASSES {
+                        for k in 0..texts.len() {
+                            let k = (k + c + pass) % texts.len();
+                            let t = Instant::now();
+                            let response = client.query(&texts[k]).expect("query");
+                            latencies.push(t.elapsed().as_micros() as u64);
+                            match response {
+                                Response::Result { result, .. } => {
+                                    assert_eq!(result, expected[k], "connection {c} query {k}")
+                                }
+                                other => panic!("connection {c}: {other:?}"),
+                            }
+                        }
+                    }
+                    latencies
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|h| h.join().expect("active connection"))
+            .collect()
+    });
+    latencies.sort_unstable();
+    assert_eq!(latencies.len(), ACTIVE * PASSES * texts.len());
+
+    // Every idle connection still answers: all writes first, then all
+    // reads, so a thousand responses are in flight at once.
+    for conn in &mut idle {
+        ping(conn);
+    }
+    for conn in &mut idle {
+        pong(conn);
+    }
+
+    let p99 = percentile_us(&latencies, 99);
+    assert!(
+        p99 <= P99_BUDGET_US,
+        "query p99 {p99:.0} µs under the wall (budget {P99_BUDGET_US:.0} µs)"
+    );
+    drop(idle);
     handle.shutdown();
     handle.join();
 }
