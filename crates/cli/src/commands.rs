@@ -27,28 +27,28 @@ gss — similarity-skyline graph queries (Abbaci et al., GDM/ICDE 2011)
 
 USAGE:
   gss query    --db FILE (--query-name NAME | --query-file FILE)
-               [--refine K] [--approx] [--prefilter] [--index IDX]
+               [--refine K] [--approx] [--index IDX]
                [--plan auto|naive|prefilter|indexed|sharded] [--shards N]
-               [--threads N] [--algo naive|bnl|sfs] [--format text|json]
+               [--threads N] [--format text|json]
   gss measure  --db FILE --a NAME --b NAME
   gss topk     --db FILE --query-name NAME --measure ed|ned|mcs|gu [--k K]
   gss skyband  --db FILE --query-name NAME [--k K] [--approx] [--threads N]
-               [--prefilter] [--index IDX]
+               [--index IDX]
                [--plan auto|naive|prefilter|indexed|sharded] [--shards N]
   gss index    build --db FILE --out IDX [--pivots K] [--rings R]
                [--exclude NAME]
   gss index    stats --index IDX [--db FILE]
   gss serve    --db FILE [--index IDX] [--addr HOST:PORT] [--workers N]
-               [--reactor-threads N] [--shards N] [--queue N] [--cache N]
-               [--batch N] [--prefilter] [--approx] [--staleness-budget N]
+               [--reactor-threads N] [--plan PLAN] [--shards N] [--queue N]
+               [--cache N] [--batch N] [--deadline-ms MS] [--approx]
+               [--staleness-budget N]
                [--data-dir DIR [--fsync always|off|every-N]
                [--checkpoint-every N]]
   gss client   --addr HOST:PORT [--query-file FILE|-] [--stats] [--shutdown]
                [--insert-file FILE|-] [--remove NAME[,NAME…]]
                [--update NAME --update-file FILE|-]
                [--bench --db FILE [--connections C] [--repeat R] [--limit N]]
-               [--prefilter] [--approx] [--algo naive|bnl|sfs] [--plan PLAN]
-               [--deadline-ms MS] [--retry N]
+               [--approx] [--plan PLAN] [--deadline-ms MS] [--retry N]
   gss wal      inspect DIR
   gss pack     --db FILE --out FILE
   gss generate --kind molecule|uniform --count N [--vertices V] [--seed S]
@@ -71,16 +71,19 @@ representations answer every query byte-identically.
 With --query-name the named graph is removed from the database and queried
 against the rest; with --query-file the database is used whole and the
 query graph is the first graph of the given file (use `-` to read it from
-stdin, so scripts can pipe queries). With --prefilter it runs
-the filter-and-verify pipeline: cheap lower bounds prune candidates before
-the exact solvers, with identical results (the report then includes
-pruning statistics). With --index it also consults a pivot index built by
-`gss index build`, skipping whole candidate partitions up front — build
-with --exclude NAME when querying by --query-name so the index matches the
-database the query actually scans. --plan forces one evaluation strategy
+stdin, so scripts can pipe queries). --plan forces one evaluation strategy
 (all strategies return identical answers); the default `auto` picks from
 the database size and index availability, and the report names the
-strategy that actually ran. `skyband` accepts the same pruning flags: the
+strategy that actually ran. `--plan prefilter` runs the filter-and-verify
+pipeline: cheap lower bounds prune candidates before the exact solvers
+(the report then includes pruning statistics). With --index it also
+consults a pivot index built by `gss index build`, skipping whole
+candidate partitions up front — build with --exclude NAME when querying
+by --query-name so the index matches the database the query actually
+scans. --shards N without --plan selects `sharded` over N candidate
+ranges. `serve` takes the same --plan/--shards as its base options, and
+`client --plan` overrides them per query. `skyband` accepts the same plan
+flags: the
 k-skyband now runs through the same staged executor, excluding candidates
 whose lower bounds already have k verified dominators without solving them.
 
@@ -155,10 +158,12 @@ pub(crate) fn solver_config(args: &Args) -> SolverConfig {
     }
 }
 
-/// Parses `--plan` (default `auto`) and validates it against the loaded
-/// index: the indexed plan without `--index` would panic deep in the
-/// engine, so fail with a usable message here instead.
-pub(crate) fn parse_plan(args: &Args, has_index: bool) -> Result<Plan, ArgError> {
+/// Parses `--plan` (default `auto`) and `--shards` (default 1) for
+/// `query`, `skyband` and `serve` alike. The plan is validated against the
+/// loaded index: the indexed plan without `--index` would panic deep in
+/// the engine, so fail with a usable message here instead. Asking for more
+/// than one shard without naming a plan means the sharded plan.
+pub(crate) fn parse_plan(args: &Args, has_index: bool) -> Result<(Plan, usize), ArgError> {
     let plan = match args.get("plan") {
         None => Plan::Auto,
         Some(token) => Plan::parse(token).ok_or_else(|| {
@@ -172,17 +177,11 @@ pub(crate) fn parse_plan(args: &Args, has_index: bool) -> Result<Plan, ArgError>
             "--plan indexed requires --index IDX (build one with `gss index build`)".to_owned(),
         ));
     }
-    Ok(plan)
-}
-
-/// [`parse_plan`] plus the `--shards` convenience: asking for more than
-/// one shard without naming a plan means the sharded plan.
-pub(crate) fn parse_plan_sharded(args: &Args, has_index: bool) -> Result<Plan, ArgError> {
-    let plan = parse_plan(args, has_index)?;
-    if args.get("plan").is_none() && args.get_parsed_or("shards", 1usize)? > 1 {
-        return Ok(Plan::Sharded);
+    let shards = args.get_parsed_or("shards", 1usize)?.max(1);
+    if args.get("plan").is_none() && shards > 1 {
+        return Ok((Plan::Sharded, shards));
     }
-    Ok(plan)
+    Ok((plan, shards))
 }
 
 /// The one-line plan report shown by `query` and `skyband`.
@@ -297,37 +296,22 @@ pub fn query(args: &Args) -> Result<String, ArgError> {
         "query-file",
         "refine",
         "approx",
-        "prefilter",
         "index",
         "plan",
         "shards",
         "threads",
-        "algo",
         "format",
     ])?;
     let db = load_db(args)?;
     let (db, q) = resolve_query(db, args)?;
     let index = load_index(&db, args)?;
-    let plan = parse_plan_sharded(args, index.is_some())?;
-    let shards = args.get_parsed_or("shards", 1usize)?.max(1);
+    let (plan, shards) = parse_plan(args, index.is_some())?;
     let threads = args.get_parsed_or("threads", 1usize)?;
-    let algo = match args.get_or("algo", "bnl") {
-        "naive" => gss_skyline::Algorithm::Naive,
-        "bnl" => gss_skyline::Algorithm::Bnl,
-        "sfs" => gss_skyline::Algorithm::Sfs,
-        other => {
-            return Err(ArgError(format!(
-                "unknown --algo {other:?} (naive|bnl|sfs)"
-            )))
-        }
-    };
     let options = QueryOptions {
         solvers: solver_config(args),
         threads,
-        skyline_algorithm: algo,
         plan,
         shards,
-        prefilter: args.flag("prefilter"),
         index: index.map(|i| i as Arc<dyn gss_core::QueryIndex>),
         ..Default::default()
     };
@@ -485,8 +469,8 @@ pub fn measure(args: &Args) -> Result<String, ArgError> {
 
 /// `gss skyband` — the k-skyband relaxation of the similarity skyline:
 /// graphs dominated by fewer than `k` others (`k = 1` is the skyline).
-/// Runs through the staged executor, so the pruning flags of `gss query`
-/// (`--prefilter`, `--index`, `--plan`) apply here too, with identical
+/// Runs through the staged executor, so the plan flags of `gss query`
+/// (`--index`, `--plan`, `--shards`) apply here too, with identical
 /// membership and a pruning report when the pipeline ran.
 pub fn skyband(args: &Args) -> Result<String, ArgError> {
     args.reject_unknown(&[
@@ -495,7 +479,6 @@ pub fn skyband(args: &Args) -> Result<String, ArgError> {
         "k",
         "approx",
         "threads",
-        "prefilter",
         "index",
         "plan",
         "shards",
@@ -503,8 +486,7 @@ pub fn skyband(args: &Args) -> Result<String, ArgError> {
     let db = load_db(args)?;
     let (db, q) = split_query(db, args.require("query-name")?)?;
     let index = load_index(&db, args)?;
-    let plan = parse_plan_sharded(args, index.is_some())?;
-    let shards = args.get_parsed_or("shards", 1usize)?.max(1);
+    let (plan, shards) = parse_plan(args, index.is_some())?;
     let k = args.get_parsed_or("k", 2usize)?;
     let threads = args.get_parsed_or("threads", 1usize)?;
     let options = QueryOptions {
@@ -512,7 +494,6 @@ pub fn skyband(args: &Args) -> Result<String, ArgError> {
         threads,
         plan,
         shards,
-        prefilter: args.flag("prefilter"),
         index: index.map(|i| i as Arc<dyn gss_core::QueryIndex>),
         ..Default::default()
     };
@@ -872,8 +853,6 @@ e 0 1 -
             "--approx",
             "--threads",
             "2",
-            "--algo",
-            "sfs",
         ]))
         .unwrap();
         assert!(out.contains("similarity skyline"));
@@ -1023,7 +1002,8 @@ e 0 1 -
             &path,
             "--query-name",
             "needle",
-            "--prefilter",
+            "--plan",
+            "prefilter",
         ]))
         .unwrap();
         assert!(pruned.contains("prefilter:"), "{pruned}");
@@ -1042,13 +1022,14 @@ e 0 1 -
                 .join("\n")
         };
         assert_eq!(sky(&naive), sky(&pruned));
-        // JSON gains the pruning object only with --prefilter.
+        // JSON gains the pruning object only under the prefilter plan.
         let json = query(&args(&[
             "--db",
             &path,
             "--query-name",
             "needle",
-            "--prefilter",
+            "--plan",
+            "prefilter",
             "--format",
             "json",
         ]))
@@ -1257,7 +1238,8 @@ e 0 1 -
             "needle",
             "--k",
             "1",
-            "--prefilter",
+            "--plan",
+            "prefilter",
         ]))
         .unwrap();
         assert!(pruned.contains("plan: prefilter"), "{pruned}");
@@ -1355,15 +1337,16 @@ e 0 1 -
         let (_keep, path) = write_temp_db();
         assert!(query(&args(&["--db", &path, "--query-name", "nope"])).is_err());
         assert!(query(&args(&["--db", "/no/such/file", "--query-name", "x"])).is_err());
-        assert!(query(&args(&[
-            "--db",
-            &path,
-            "--query-name",
-            "needle",
-            "--bogus",
-            "1"
-        ]))
-        .is_err());
+        // `--prefilter` and `--algo` are retired: `--plan` is the one spelling.
+        for unknown in [&["--bogus", "1"][..], &["--prefilter"], &["--algo", "bnl"]] {
+            let mut words = vec!["--db", &path, "--query-name", "needle"];
+            words.extend_from_slice(unknown);
+            let err = query(&args(&words)).unwrap_err().to_string();
+            assert!(
+                err.starts_with(&format!("unknown option {}", unknown[0])),
+                "{err}"
+            );
+        }
         assert!(topk(&args(&[
             "--db",
             &path,

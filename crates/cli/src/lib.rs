@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! gss query    --db db.gdb --query-name q [--refine K] [--approx] [--threads N]
-//!              [--prefilter] [--index db.gsi]
+//!              [--plan PLAN] [--index db.gsi]
 //! gss measure  --db db.gdb --a g1 --b g2
 //! gss topk     --db db.gdb --query-name q --measure ed|mcs|gu [--k K]
 //! gss index    build --db db.gdb --out db.gsi [--pivots K] [--rings R]

@@ -24,7 +24,7 @@ use gss_server::{
 use gss_store::{FsyncPolicy, WalConfig};
 
 use crate::args::{ArgError, Args};
-use crate::commands::{load_db, load_index, parse_plan_sharded, read_text_input, solver_config};
+use crate::commands::{load_db, load_index, parse_plan, read_text_input, solver_config};
 
 /// `gss serve` — run the query server until a `shutdown` request drains it.
 pub fn serve(args: &Args) -> Result<String, ArgError> {
@@ -39,7 +39,6 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
         "cache",
         "batch",
         "deadline-ms",
-        "prefilter",
         "approx",
         "plan",
         "staleness-budget",
@@ -49,11 +48,11 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
     ])?;
     let db = load_db(args)?;
     let index = load_index(&db, args)?;
-    let plan = parse_plan_sharded(args, index.is_some())?;
+    let (plan, shards) = parse_plan(args, index.is_some())?;
     let base = QueryOptions {
         solvers: solver_config(args),
         plan,
-        prefilter: args.flag("prefilter"),
+        shards,
         ..Default::default()
     };
     // The index lives in the live store (not the base options): each
@@ -111,7 +110,6 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
         addr: args.get_or("addr", "127.0.0.1:7878").to_owned(),
         workers: args.get_parsed_or("workers", defaults.workers)?,
         reactor_threads: args.get_parsed_or("reactor-threads", defaults.reactor_threads)?,
-        shards: args.get_parsed_or("shards", defaults.shards)?,
         queue_capacity: args.get_parsed_or("queue", defaults.queue_capacity)?,
         cache_capacity: args.get_parsed_or("cache", defaults.cache_capacity)?,
         batch_max: args.get_parsed_or("batch", defaults.batch_max)?,
@@ -207,19 +205,8 @@ fn wal_inspect(args: &Args) -> Result<String, ArgError> {
 /// (the default builder when none are given).
 fn client_builder(args: &Args) -> Result<ClientBuilder, ArgError> {
     let mut builder = Client::builder();
-    if args.flag("prefilter") {
-        builder = builder.prefilter(true);
-    }
     if args.flag("approx") {
         builder = builder.approx(true);
-    }
-    if let Some(algo) = args.get("algo") {
-        builder = builder.algo(match algo {
-            "naive" => gss_skyline::Algorithm::Naive,
-            "bnl" => gss_skyline::Algorithm::Bnl,
-            "sfs" => gss_skyline::Algorithm::Sfs,
-            _ => return Err(ArgError(format!("unknown --algo {algo:?} (naive|bnl|sfs)"))),
-        });
     }
     if let Some(plan) = args.get("plan") {
         builder = builder.plan(gss_core::Plan::parse(plan).ok_or_else(|| {
@@ -268,9 +255,7 @@ pub fn client(args: &Args) -> Result<String, ArgError> {
         "connections",
         "repeat",
         "limit",
-        "prefilter",
         "approx",
-        "algo",
         "plan",
         "deadline-ms",
         "retry",

@@ -37,9 +37,10 @@ fn gss() -> Command {
     Command::new(env!("CARGO_BIN_EXE_gss"))
 }
 
-/// Starts `gss serve` on an OS-assigned port and returns the child plus
-/// the bound address parsed from its stderr announcement.
-fn start_server(db_path: &std::path::Path) -> (Child, String) {
+/// Starts `gss serve` (plus `extra` flags) on an OS-assigned port and
+/// returns the child plus the bound address parsed from its stderr
+/// announcement.
+fn start_server(db_path: &std::path::Path, extra: &[&str]) -> (Child, String) {
     let mut child = gss()
         .args([
             "serve",
@@ -50,6 +51,7 @@ fn start_server(db_path: &std::path::Path) -> (Child, String) {
             "--workers",
             "2",
         ])
+        .args(extra)
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
@@ -86,7 +88,8 @@ fn run_client(args: &[&str]) -> String {
 fn serve_query_stats_shutdown_round_trip() {
     let db_path = write_temp("db.gdb", DB_TEXT);
     let query_path = write_temp("q.gdb", QUERY_TEXT);
-    let (mut child, addr) = start_server(&db_path);
+    // An explicit plan is served as asked, whatever the shard count.
+    let (mut child, addr) = start_server(&db_path, &["--plan", "prefilter", "--shards", "4"]);
 
     // Plain ping.
     let pong = run_client(&["--addr", &addr]);
@@ -102,6 +105,7 @@ fn serve_query_stats_shutdown_round_trip() {
     assert!(first.contains("\"ok\":true"), "{first}");
     assert!(first.contains("\"cached\":false"), "{first}");
     assert!(first.contains("\"skyline\":[\"needle\"]"), "{first}");
+    assert!(first.contains("\"plan\":\"prefilter\""), "{first}");
     let second = run_client(&[
         "--addr",
         &addr,
@@ -195,7 +199,7 @@ fn query_reads_query_file_from_stdin() {
 #[test]
 fn client_bench_reports_throughput_and_cache_hits() {
     let db_path = write_temp("bench-db.gdb", DB_TEXT);
-    let (mut child, addr) = start_server(&db_path);
+    let (mut child, addr) = start_server(&db_path, &[]);
 
     let report = run_client(&[
         "--addr",

@@ -8,8 +8,8 @@
 //! 2. the **query graph** — [`query_fingerprint`], a structural hash over
 //!    label *strings* (not interned ids, which are vocabulary-relative);
 //! 3. the **options** — [`options_fingerprint`], covering the measures,
-//!    the solver configuration, the skyline algorithm, the
-//!    prefilter/index pipeline, and the attached index's identity.
+//!    the solver configuration, the requested plan, and the attached
+//!    index's identity.
 //!
 //! [`QueryKey`] bundles the three. Notably **excluded** is
 //! [`QueryOptions::threads`]: thread count never changes the skyline or
@@ -97,9 +97,9 @@ pub fn query_fingerprint(query: &Graph, vocab: &Vocabulary) -> u64 {
 }
 
 /// A fingerprint of everything in [`QueryOptions`] that can change the
-/// response: measures (order-sensitive), skyline algorithm, solver modes
-/// (with their numeric parameters), the prefilter flag, the requested
-/// [`crate::Plan`], and the attached index's identity
+/// response: measures (order-sensitive), solver modes (with their numeric
+/// parameters), the requested [`crate::Plan`], and the attached index's
+/// identity
 /// ([`crate::QueryIndex::describe`]). `threads` and `shards` are
 /// deliberately excluded — see the module docs.
 ///
@@ -109,7 +109,6 @@ pub fn query_fingerprint(query: &Graph, vocab: &Vocabulary) -> u64 {
 pub fn options_fingerprint(options: &QueryOptions) -> u64 {
     let QueryOptions {
         measures,
-        skyline_algorithm,
         solvers,
         // Thread count never changes the result bytes: the server
         // normalizes every evaluation to wave-parallel batches with
@@ -120,7 +119,6 @@ pub fn options_fingerprint(options: &QueryOptions) -> u64 {
         // pruning counters, invariant in how the candidates were split.
         shards: _,
         plan,
-        prefilter,
         index,
     } = options;
     let mut h = Fnv64::new();
@@ -128,15 +126,6 @@ pub fn options_fingerprint(options: &QueryOptions) -> u64 {
     for m in measures {
         hash_str(&mut h, m.name());
     }
-    hash_str(
-        &mut h,
-        match skyline_algorithm {
-            gss_skyline::Algorithm::Naive => "naive",
-            gss_skyline::Algorithm::Bnl => "bnl",
-            gss_skyline::Algorithm::Sfs => "sfs",
-            gss_skyline::Algorithm::DivideConquer2D => "dc2d",
-        },
-    );
     match solvers.ged {
         GedMode::Exact => hash_str(&mut h, "ged:exact"),
         GedMode::ExactBudget(n) => {
@@ -153,7 +142,6 @@ pub fn options_fingerprint(options: &QueryOptions) -> u64 {
         McsMode::Exact => hash_str(&mut h, "mcs:exact"),
         McsMode::Greedy => hash_str(&mut h, "mcs:greedy"),
     }
-    h.write_u64(u64::from(*prefilter));
     // The requested plan is part of the key: plans never change answers,
     // but they do change the response document (pruning stats, per-graph
     // `exact` flags), and `Auto` resolves deterministically from the
@@ -244,7 +232,7 @@ mod tests {
         );
 
         let prefilter = QueryOptions {
-            prefilter: true,
+            plan: crate::exec::Plan::Prefilter,
             ..base.clone()
         };
         assert_ne!(fp, options_fingerprint(&prefilter));
@@ -283,12 +271,6 @@ mod tests {
             ..base.clone()
         };
         assert_ne!(fp, options_fingerprint(&measures));
-
-        let algo = QueryOptions {
-            skyline_algorithm: gss_skyline::Algorithm::Sfs,
-            ..base.clone()
-        };
-        assert_ne!(fp, options_fingerprint(&algo));
 
         let plan = QueryOptions {
             plan: crate::exec::Plan::Naive,

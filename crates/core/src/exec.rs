@@ -36,9 +36,9 @@
 //!   (see [`skyline`]'s sharded assembly).
 //! * [`Plan::Auto`] (the default) — picks one of the above from what is
 //!   available: an attached index wins, otherwise the prefilter pipeline
-//!   for databases of at least [`AUTO_PREFILTER_MIN`] graphs (or when
-//!   [`QueryOptions::prefilter`] asks for it), otherwise the naive scan
-//!   (for tiny databases the bound bookkeeping buys nothing).
+//!   for databases of at least [`AUTO_PREFILTER_MIN`] graphs, otherwise
+//!   the naive scan (for tiny databases the bound bookkeeping buys
+//!   nothing).
 //!
 //! Every plan returns **byte-identical** answers: the same skyline, the
 //! same witnesses, the same exact GCS vectors, the same skyband
@@ -67,7 +67,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gss_graph::Graph;
-use gss_skyline::dominance;
+use gss_skyline::{dominance, Algorithm};
 
 use crate::database::{GraphDatabase, GraphId};
 use crate::index::QueryIndex;
@@ -162,9 +162,8 @@ impl ResolvedPlan {
 /// Explicit plans win: `Naive` and `Prefilter` ignore any attached index,
 /// and `Indexed` **panics** without one (callers that accept user input
 /// should validate first). `Auto` picks the cheapest available strategy:
-/// the index when attached, the prefilter pipeline when requested via
-/// [`QueryOptions::prefilter`] or when the database has at least
-/// [`AUTO_PREFILTER_MIN`] graphs, and the naive scan otherwise.
+/// the index when attached, the prefilter pipeline when the database has
+/// at least [`AUTO_PREFILTER_MIN`] graphs, and the naive scan otherwise.
 pub fn resolve_plan(db: &GraphDatabase, options: &QueryOptions) -> ResolvedPlan {
     match options.plan {
         Plan::Naive => ResolvedPlan::Naive,
@@ -180,7 +179,7 @@ pub fn resolve_plan(db: &GraphDatabase, options: &QueryOptions) -> ResolvedPlan 
         Plan::Auto => {
             if options.index.is_some() {
                 ResolvedPlan::Indexed
-            } else if options.prefilter || db.len() >= AUTO_PREFILTER_MIN {
+            } else if db.len() >= AUTO_PREFILTER_MIN {
                 ResolvedPlan::Prefilter
             } else {
                 ResolvedPlan::Naive
@@ -843,7 +842,7 @@ pub fn skyline(
                         .clone()
                 })
                 .collect();
-            let sky: Vec<usize> = gss_skyline::skyline(&pool_points, options.skyline_algorithm)
+            let sky: Vec<usize> = gss_skyline::skyline(&pool_points, Algorithm::default())
                 .into_iter()
                 .map(|j| pool[j])
                 .collect();
@@ -934,7 +933,7 @@ pub fn skyline(
         .iter()
         .map(|&i| exact[i].as_ref().expect("verified").values.clone())
         .collect();
-    let skyline: Vec<GraphId> = gss_skyline::skyline(&points, options.skyline_algorithm)
+    let skyline: Vec<GraphId> = gss_skyline::skyline(&points, Algorithm::default())
         .into_iter()
         .map(|k| GraphId(verified[k]))
         .collect();
@@ -1216,11 +1215,6 @@ mod tests {
         let (db, _) = paper_db(); // 7 graphs: below AUTO_PREFILTER_MIN
         let base = QueryOptions::default();
         assert_eq!(resolve_plan(&db, &base), ResolvedPlan::Naive);
-        let pf = QueryOptions {
-            prefilter: true,
-            ..base.clone()
-        };
-        assert_eq!(resolve_plan(&db, &pf), ResolvedPlan::Prefilter);
         let explicit = QueryOptions {
             plan: Plan::Prefilter,
             ..base.clone()
@@ -1228,7 +1222,6 @@ mod tests {
         assert_eq!(resolve_plan(&db, &explicit), ResolvedPlan::Prefilter);
         let forced_naive = QueryOptions {
             plan: Plan::Naive,
-            prefilter: true,
             ..base.clone()
         };
         assert_eq!(resolve_plan(&db, &forced_naive), ResolvedPlan::Naive);

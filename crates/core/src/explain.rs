@@ -41,7 +41,7 @@ pub struct Explanation {
 /// Builds explanations for every database graph from a query result.
 ///
 /// For naive results every vector is exact and the output is exhaustive.
-/// For pruned results ([`crate::QueryOptions::prefilter`]) the dominator
+/// For pruned results (any [`crate::ResolvedPlan`] but `Naive`) the dominator
 /// lists consider verified vectors only; a pruned graph keeps at least its
 /// recorded witness.
 pub fn explain_all(result: &GssResult) -> Vec<Explanation> {
@@ -287,7 +287,7 @@ mod tests {
         let data = figure3_database();
         let db = GraphDatabase::from_parts(data.vocab, data.graphs);
         let opts = QueryOptions {
-            prefilter: true,
+            plan: crate::Plan::Prefilter,
             ..QueryOptions::default()
         };
         let r = graph_similarity_skyline(&db, &data.query, &opts);
@@ -325,7 +325,7 @@ mod tests {
         let db = GraphDatabase::from_parts(data.vocab, data.graphs);
         let queries = vec![data.query.clone(), db.get(GraphId(0)).clone()];
         let opts = QueryOptions {
-            prefilter: true,
+            plan: crate::Plan::Prefilter,
             ..QueryOptions::default()
         };
         let results = graph_similarity_skyline_batch(&db, &queries, &opts);

@@ -12,9 +12,9 @@
 //!    every database graph not similarity-dominated (Definition 12,
 //!    Equation 4), with dominance witnesses for the excluded graphs.
 //! 3. **Filter-and-verify pruning** ([`prefilter`]): cheap admissible
-//!    lower bounds on every measure let [`QueryOptions::prefilter`] skip
-//!    the exact solvers for provably-dominated candidates, with
-//!    bit-identical results.
+//!    lower bounds on every measure let [`Plan::Prefilter`] skip the
+//!    exact solvers for provably-dominated candidates, with bit-identical
+//!    results.
 //! 4. **Diversity refinement** ([`refine`]): extract the most diverse
 //!    `k`-subset of the skyline by the paper's rank-sum procedure.
 //! 5. **Baselines** ([`baseline`]): classical single-measure top-k
@@ -60,9 +60,8 @@ pub use measures::{
 };
 pub use prefilter::{PrefilterContext, PrefilterSummary, PruneStats};
 pub use query::{
-    graph_similarity_skyband, graph_similarity_skyline, graph_similarity_skyline_batch,
-    try_graph_similarity_skyband, try_graph_similarity_skyline, try_graph_similarity_skyline_batch,
-    BatchStats, DominationWitness, GssResult, QueryOptions,
+    graph_similarity_skyband, graph_similarity_skyline, graph_similarity_skyline_batch, BatchStats,
+    DominationWitness, GssResult, QueryOptions,
 };
 pub use refine::{
     pairwise_matrices, refine_skyline, refine_skyline_greedy, RefineOptions, RefinedSkyline,

@@ -37,18 +37,17 @@
 //! always fires (its pruner, or a skyline member dominating the pruner,
 //! dominates the lower bound transitively).
 //!
-//! The legacy [`QueryOptions::prefilter`] / [`QueryOptions::index`] fields
-//! keep working: under `Plan::Auto` they steer resolution exactly as
-//! before. The `try_`-prefixed variants additionally accept a
-//! [`CancelToken`] and abort mid-scan at wave boundaries.
+//! Under `Plan::Auto` an attached [`QueryOptions::index`] selects the
+//! indexed strategy. The cancellable forms live in [`crate::exec`]
+//! ([`exec::skyline`], [`exec::skyline_batch`], [`exec::skyband`]): they
+//! take a [`CancelToken`] and abort mid-scan at wave boundaries.
 
 use std::sync::Arc;
 
 use gss_graph::Graph;
-use gss_skyline::Algorithm;
 
 use crate::database::{GraphDatabase, GraphId};
-use crate::exec::{self, CancelToken, Cancelled, Plan, ResolvedPlan, SkybandResult};
+use crate::exec::{self, CancelToken, Plan, ResolvedPlan, SkybandResult};
 use crate::index::QueryIndex;
 use crate::measures::{GcsVector, MeasureKind, SolverConfig};
 use crate::prefilter::PruneStats;
@@ -59,8 +58,6 @@ pub struct QueryOptions {
     /// The local distance measures forming the GCS vector, in order.
     /// Default: the paper's `(DistEd, DistMcs, DistGu)`.
     pub measures: Vec<MeasureKind>,
-    /// Which skyline algorithm filters the GCS matrix.
-    pub skyline_algorithm: Algorithm,
     /// Exact/approximate solver selection for the primitives.
     pub solvers: SolverConfig,
     /// Worker threads for the per-graph GCS scan (1 = sequential).
@@ -76,12 +73,6 @@ pub struct QueryOptions {
     /// availability; the explicit plans force one strategy. Every plan
     /// returns identical answers.
     pub plan: Plan,
-    /// Under [`Plan::Auto`], requests the filter-and-verify pruned scan:
-    /// candidates whose lower-bound GCS vector is dominated by a verified
-    /// exact vector skip the exact solvers. The skyline, witnesses and
-    /// skyband memberships are identical to the naive scan. An explicit
-    /// [`QueryOptions::plan`] overrides this flag.
-    pub prefilter: bool,
     /// Optional database index (e.g. `gss-index`'s pivot index) consulted
     /// *before* the per-candidate prefilter: whole partitions whose bound
     /// vector is dominated by a verified exact vector are skipped without
@@ -96,12 +87,10 @@ impl Default for QueryOptions {
     fn default() -> Self {
         QueryOptions {
             measures: MeasureKind::paper_query_measures(),
-            skyline_algorithm: Algorithm::default(),
             solvers: SolverConfig::default(),
             threads: 1,
             shards: 1,
             plan: Plan::Auto,
-            prefilter: false,
             index: None,
         }
     }
@@ -198,18 +187,6 @@ pub fn graph_similarity_skyline(
     exec::skyline(db, query, options, &CancelToken::new()).expect("a fresh CancelToken never fires")
 }
 
-/// [`graph_similarity_skyline`] with cooperative cancellation: returns
-/// [`Cancelled`] as soon as a wave checkpoint observes the fired token,
-/// abandoning the rest of the scan.
-pub fn try_graph_similarity_skyline(
-    db: &GraphDatabase,
-    query: &Graph,
-    options: &QueryOptions,
-    cancel: &CancelToken,
-) -> Result<GssResult, Cancelled> {
-    exec::skyline(db, query, options, cancel)
-}
-
 /// Aggregated observability counters for a batch of query results — the
 /// batch-level view of [`PruneStats`]. Totals are summed over every result;
 /// results from naive scans (no [`GssResult::pruning`]) count each
@@ -304,19 +281,6 @@ pub fn graph_similarity_skyline_batch(
         .collect()
 }
 
-/// [`graph_similarity_skyline_batch`] with one [`CancelToken`] per query
-/// (`cancels.len()` must equal `queries.len()`): queries abort
-/// independently, so one expired deadline never takes down its batch
-/// neighbours.
-pub fn try_graph_similarity_skyline_batch(
-    db: &GraphDatabase,
-    queries: &[Graph],
-    options: &QueryOptions,
-    cancels: &[CancelToken],
-) -> Vec<Result<GssResult, Cancelled>> {
-    exec::skyline_batch(db, queries, options, cancels)
-}
-
 /// **Extension** (related work \[20\] of the paper): the *k-skyband* of a
 /// similarity query — every database graph similarity-dominated by fewer
 /// than `k` others. `k = 1` is exactly the [`graph_similarity_skyline`]
@@ -340,17 +304,6 @@ pub fn graph_similarity_skyband(
         .expect("a fresh CancelToken never fires")
 }
 
-/// [`graph_similarity_skyband`] with cooperative cancellation.
-pub fn try_graph_similarity_skyband(
-    db: &GraphDatabase,
-    query: &Graph,
-    k: usize,
-    options: &QueryOptions,
-    cancel: &CancelToken,
-) -> Result<SkybandResult, Cancelled> {
-    exec::skyband(db, query, k, options, cancel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,7 +317,7 @@ mod tests {
 
     fn prefilter_options() -> QueryOptions {
         QueryOptions {
-            prefilter: true,
+            plan: Plan::Prefilter,
             ..QueryOptions::default()
         }
     }
@@ -445,20 +398,16 @@ mod tests {
     #[test]
     fn all_skyline_algorithms_agree() {
         let (db, q) = paper_db();
-        let mut results = Vec::new();
-        for algo in [Algorithm::Naive, Algorithm::Bnl, Algorithm::Sfs] {
-            let r = graph_similarity_skyline(
-                &db,
-                &q,
-                &QueryOptions {
-                    skyline_algorithm: algo,
-                    ..QueryOptions::default()
-                },
-            );
-            results.push(r.skyline);
+        let r = graph_similarity_skyline(&db, &q, &QueryOptions::default());
+        let points: Vec<Vec<f64>> = r.gcs.iter().map(|g| g.values.clone()).collect();
+        let members: Vec<usize> = r.skyline.iter().map(|id| id.index()).collect();
+        for algo in [
+            gss_skyline::Algorithm::Naive,
+            gss_skyline::Algorithm::Bnl,
+            gss_skyline::Algorithm::Sfs,
+        ] {
+            assert_eq!(gss_skyline::skyline(&points, algo), members, "{algo:?}");
         }
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[1], results[2]);
     }
 
     #[test]
@@ -632,7 +581,7 @@ mod tests {
             &q,
             &QueryOptions {
                 threads: 4,
-                prefilter: true,
+                plan: Plan::Prefilter,
                 ..QueryOptions::default()
             },
         );
@@ -675,16 +624,16 @@ mod tests {
             db.get(GraphId(1)).clone(),
             db.get(GraphId(6)).clone(),
         ];
-        for prefilter in [false, true] {
+        for plan in [Plan::Auto, Plan::Prefilter] {
             let opts = QueryOptions {
-                prefilter,
+                plan,
                 threads: 3,
                 ..QueryOptions::default()
             };
             let batch = graph_similarity_skyline_batch(&db, &queries, &opts);
             assert_eq!(batch.len(), queries.len());
             let single_opts = QueryOptions {
-                prefilter,
+                plan,
                 ..QueryOptions::default()
             };
             for (i, query) in queries.iter().enumerate() {
@@ -716,7 +665,7 @@ mod tests {
             &q,
             &QueryOptions {
                 solvers,
-                prefilter: true,
+                plan: Plan::Prefilter,
                 ..QueryOptions::default()
             },
         );

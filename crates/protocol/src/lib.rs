@@ -47,9 +47,8 @@
 //!   (first graph of the document is used). Labels unknown to the
 //!   database are fine; they simply never match.
 //! * `"options"` (optional object) — per-request overrides of the
-//!   server's base options: `"prefilter"` (bool), `"approx"` (bool:
-//!   bipartite GED + greedy MCS), `"algo"` (`"naive"|"bnl"|"sfs"`),
-//!   `"plan"` (`"auto"|"naive"|"prefilter"|"indexed"|"sharded"`;
+//!   server's base options: `"approx"` (bool: bipartite GED + greedy
+//!   MCS) and `"plan"` (`"auto"|"naive"|"prefilter"|"indexed"|"sharded"`;
 //!   `"indexed"` needs a server-side index). Unknown keys are rejected.
 //! * `"deadline_ms"` (optional) — the evaluation deadline. If the request
 //!   is still waiting in the server queue when it expires it is dropped;
@@ -99,7 +98,6 @@
 
 use gss_core::jsonio::{escape, Value};
 use gss_core::Plan;
-use gss_skyline::Algorithm;
 
 /// The longest request line a server accepts, in bytes, newline excluded.
 /// Part of the wire spec rather than a server setting: a client can rely
@@ -179,16 +177,9 @@ pub struct QueryEnvelope {
 /// field defaults to `None` — "keep the server's setting".
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QueryOverrides {
-    /// Request (or veto) the filter-and-verify pruned scan under the
-    /// automatic plan.
-    pub prefilter: Option<bool>,
     /// `true` selects the approximate solver pair (bipartite GED + greedy
     /// MCS); `false` forces the exact solvers.
     pub approx: Option<bool>,
-    /// Skyline algorithm override. The wire vocabulary is
-    /// `naive|bnl|sfs`; [`Algorithm::DivideConquer2D`] has no wire token
-    /// and is emitted as `"dc2d"`, which servers reject.
-    pub algo: Option<Algorithm>,
     /// Evaluation plan override (`auto|naive|prefilter|indexed|sharded`).
     pub plan: Option<Plan>,
 }
@@ -227,15 +218,6 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
-
-fn algo_token(algo: Algorithm) -> &'static str {
-    match algo {
-        Algorithm::Naive => "naive",
-        Algorithm::Bnl => "bnl",
-        Algorithm::Sfs => "sfs",
-        Algorithm::DivideConquer2D => "dc2d",
-    }
-}
 
 impl Request {
     /// Parses one request line. Validates protocol *shape* only — graph
@@ -346,14 +328,8 @@ impl Request {
                         out.push_str("\":");
                         out.push_str(&value);
                     };
-                    if let Some(p) = o.prefilter {
-                        member(&mut extra, "prefilter", p.to_string());
-                    }
                     if let Some(a) = o.approx {
                         member(&mut extra, "approx", a.to_string());
-                    }
-                    if let Some(algo) = o.algo {
-                        member(&mut extra, "algo", format!("\"{}\"", algo_token(algo)));
                     }
                     if let Some(plan) = o.plan {
                         member(&mut extra, "plan", format!("\"{}\"", plan.name()));
@@ -483,25 +459,11 @@ fn parse_query(doc: &Value, id: Option<Value>) -> Result<Request, WireError> {
             .ok_or_else(|| err("\"options\" must be an object".into()))?;
         for (k, v) in members {
             match k.as_str() {
-                "prefilter" => {
-                    overrides.prefilter = Some(
-                        v.as_bool()
-                            .ok_or_else(|| err("options.prefilter must be a boolean".into()))?,
-                    );
-                }
                 "approx" => {
                     overrides.approx = Some(
                         v.as_bool()
                             .ok_or_else(|| err("options.approx must be a boolean".into()))?,
                     );
-                }
-                "algo" => {
-                    overrides.algo = Some(match v.as_str() {
-                        Some("naive") => Algorithm::Naive,
-                        Some("bnl") => Algorithm::Bnl,
-                        Some("sfs") => Algorithm::Sfs,
-                        _ => return Err(err("options.algo must be naive|bnl|sfs".into())),
-                    });
                 }
                 "plan" => {
                     overrides.plan = Some(v.as_str().and_then(Plan::parse).ok_or_else(|| {
@@ -811,9 +773,7 @@ mod tests {
                 id: None,
                 graph: "t g\nv 0 C\n".to_owned(),
                 overrides: QueryOverrides {
-                    prefilter: Some(true),
                     approx: Some(false),
-                    algo: Some(Algorithm::Sfs),
                     plan: Some(Plan::Sharded),
                 },
                 deadline_ms: Some(2500),
@@ -868,15 +828,19 @@ mod tests {
                 "unknown option",
             ),
             (
-                "{\"op\":\"query\",\"graph\":\"t g\",\"options\":{\"algo\":\"quantum\"}}",
-                "naive|bnl|sfs",
+                "{\"op\":\"query\",\"graph\":\"t g\",\"options\":{\"prefilter\":true}}",
+                "unknown option",
+            ),
+            (
+                "{\"op\":\"query\",\"graph\":\"t g\",\"options\":{\"algo\":\"sfs\"}}",
+                "unknown option",
             ),
             (
                 "{\"op\":\"query\",\"graph\":\"t g\",\"options\":{\"plan\":\"quantum\"}}",
                 "auto|naive|prefilter|indexed|sharded",
             ),
             (
-                "{\"op\":\"query\",\"graph\":\"t g\",\"options\":{\"prefilter\":1}}",
+                "{\"op\":\"query\",\"graph\":\"t g\",\"options\":{\"approx\":1}}",
                 "boolean",
             ),
             (

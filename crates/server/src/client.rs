@@ -48,7 +48,6 @@ use std::time::Duration;
 use gss_core::jsonio::Value;
 use gss_core::Plan;
 use gss_protocol::{QueryEnvelope, QueryOverrides, Request, Response};
-use gss_skyline::Algorithm;
 
 /// How a [`Client`] handles transient failures. The default policy
 /// performs no retries (one attempt, exactly the pre-retry behavior);
@@ -110,21 +109,9 @@ pub struct ClientBuilder {
 }
 
 impl ClientBuilder {
-    /// Overrides the server's prefilter setting for this client's queries.
-    pub fn prefilter(mut self, on: bool) -> ClientBuilder {
-        self.overrides.prefilter = Some(on);
-        self
-    }
-
     /// Requests approximate solvers (bipartite GED + greedy MCS).
     pub fn approx(mut self, on: bool) -> ClientBuilder {
         self.overrides.approx = Some(on);
-        self
-    }
-
-    /// Selects the server-side skyline algorithm.
-    pub fn algo(mut self, algo: Algorithm) -> ClientBuilder {
-        self.overrides.algo = Some(algo);
         self
     }
 

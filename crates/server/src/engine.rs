@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 
 use gss_core::jsonio::Value;
 use gss_core::{
-    try_graph_similarity_skyline_batch, BatchStats, CancelToken, GedMode, GraphDatabase, McsMode,
-    Plan, QueryKey, QueryOptions, SolverConfig,
+    exec, BatchStats, CancelToken, GedMode, GraphDatabase, McsMode, Plan, QueryKey, QueryOptions,
+    SolverConfig,
 };
 use gss_graph::Graph;
 use gss_protocol::{QueryEnvelope, Response};
@@ -121,12 +121,6 @@ pub struct Engine {
 impl Engine {
     /// Creates the engine for one database under one server configuration.
     /// `base` supplies the defaults a request's `options` object overrides.
-    ///
-    /// A [`ServerConfig::shards`] greater than one rewrites the base plan
-    /// to [`Plan::Sharded`] over that many candidate partitions — decided
-    /// here, at construction, so every request resolves (and caches)
-    /// against one consistent base; a per-request `plan` override still
-    /// wins.
     pub fn new(db: Arc<GraphDatabase>, base: QueryOptions, config: &ServerConfig) -> Engine {
         Engine::with_store(
             Arc::new(GraphStore::new(db, StoreConfig::default())),
@@ -147,15 +141,6 @@ impl Engine {
         let warmup = Instant::now();
         store.snapshot().database().precompute_stats();
         let cold_start_ms = warmup.elapsed().as_secs_f64() * 1e3;
-        let base = if config.shards > 1 {
-            QueryOptions {
-                plan: Plan::Sharded,
-                shards: config.shards,
-                ..base
-            }
-        } else {
-            base
-        };
         Engine {
             store,
             base,
@@ -278,9 +263,6 @@ impl Engine {
             options.index = Some(index);
         }
         let o = &envelope.overrides;
-        if let Some(prefilter) = o.prefilter {
-            options.prefilter = prefilter;
-        }
         if let Some(approx) = o.approx {
             options.solvers = if approx {
                 SolverConfig {
@@ -290,9 +272,6 @@ impl Engine {
             } else {
                 SolverConfig::default()
             };
-        }
-        if let Some(algo) = o.algo {
-            options.skyline_algorithm = algo;
         }
         if let Some(plan) = o.plan {
             if plan == Plan::Indexed && options.index.is_none() {
@@ -426,7 +405,7 @@ impl Engine {
     }
 
     /// Evaluates admitted queries as micro-batches: jobs sharing an options
-    /// fingerprint go through one [`try_graph_similarity_skyline_batch`]
+    /// fingerprint go through one [`exec::skyline_batch`]
     /// call (wave-parallel across the batch, each query single-threaded —
     /// the normalization that keeps responses thread-count-invariant; a
     /// lone [`Plan::Sharded`] query instead fans its shards out across the
@@ -490,7 +469,7 @@ impl Engine {
             // Every member of the group shares one key.database, hence
             // one pinned snapshot database.
             let db = &jobs[members[0]].db;
-            let results = try_graph_similarity_skyline_batch(db, &graphs, &options, &cancels);
+            let results = exec::skyline_batch(db, &graphs, &options, &cancels);
             let mut totals = BatchStats::default();
             for r in results.iter().flatten() {
                 totals.absorb(r);
@@ -566,7 +545,6 @@ impl Engine {
 mod tests {
     use super::*;
     use gss_datasets::workload::{Workload, WorkloadConfig};
-    use gss_skyline::Algorithm;
 
     fn engine() -> Engine {
         let w = Workload::generate(&WorkloadConfig {
@@ -723,8 +701,10 @@ mod tests {
         }
         let bad_opts = query_line(&e, ",\"options\":{\"bogus\":1}");
         assert!(e.parse_request(&bad_opts).is_err(), "unknown option");
-        let bad_algo = query_line(&e, ",\"options\":{\"algo\":\"quantum\"}");
-        assert!(e.parse_request(&bad_algo).is_err(), "unknown algo");
+        for retired in ["{\"prefilter\":true}", "{\"algo\":\"sfs\"}"] {
+            let line = query_line(&e, &format!(",\"options\":{retired}"));
+            assert!(e.parse_request(&line).is_err(), "retired option {retired}");
+        }
         let bad_deadline = query_line(&e, ",\"deadline_ms\":-5");
         assert!(e.parse_request(&bad_deadline).is_err(), "negative deadline");
     }
@@ -736,20 +716,15 @@ mod tests {
             Request::Query(q) => q,
             _ => unreachable!(),
         };
-        assert!(!plain.options.prefilter);
+        assert_eq!(plain.options.solvers, SolverConfig::default());
         let tuned = match e
-            .parse_request(&query_line(
-                &e,
-                ",\"options\":{\"prefilter\":true,\"approx\":true,\"algo\":\"sfs\"}",
-            ))
+            .parse_request(&query_line(&e, ",\"options\":{\"approx\":true}"))
             .unwrap()
         {
             Request::Query(q) => q,
             _ => unreachable!(),
         };
-        assert!(tuned.options.prefilter);
         assert_eq!(tuned.options.solvers.ged, GedMode::Bipartite);
-        assert_eq!(tuned.options.skyline_algorithm, Algorithm::Sfs);
         assert_ne!(
             plain.key.options, tuned.key.options,
             "different options, different cache slots"
@@ -813,7 +788,7 @@ mod tests {
         };
         let jobs = vec![
             mk(",\"id\":\"a\""),
-            mk(",\"id\":\"b\",\"options\":{\"prefilter\":true}"),
+            mk(",\"id\":\"b\",\"options\":{\"plan\":\"prefilter\"}"),
             mk(",\"id\":\"c\""),
         ];
         let responses = e.evaluate_batch(&jobs);
@@ -847,7 +822,7 @@ mod tests {
             mk(",\"id\":1"),
             mk(",\"id\":2"),
             mk(",\"id\":3"),
-            mk(",\"id\":4,\"options\":{\"prefilter\":true}"),
+            mk(",\"id\":4,\"options\":{\"plan\":\"prefilter\"}"),
         ];
         let responses = e.evaluate_batch(&jobs);
         assert_eq!(responses.len(), 4);
@@ -890,7 +865,7 @@ mod tests {
             "different plans, different cache slots"
         );
         // The sharded plan is requestable per query (it runs as one shard
-        // unless the server was started with --shards).
+        // unless the base options carry a shard count).
         let sharded = match e
             .parse_request(&query_line(&e, ",\"options\":{\"plan\":\"sharded\"}"))
             .unwrap()
@@ -913,35 +888,55 @@ mod tests {
     }
 
     #[test]
-    fn sharded_server_config_rewrites_the_base_plan() {
+    fn base_plan_is_never_rewritten_by_the_shard_count() {
         let w = Workload::generate(&WorkloadConfig {
             database_size: 12,
             ..WorkloadConfig::default()
         });
         let db = Arc::new(GraphDatabase::from_parts(w.vocab, w.graphs));
-        let e = Engine::new(
-            db,
-            QueryOptions::default(),
-            &ServerConfig {
+        let engine_with = |plan| {
+            let base = QueryOptions {
+                plan,
                 shards: 4,
-                ..ServerConfig::default()
-            },
+                ..QueryOptions::default()
+            };
+            Engine::new(Arc::clone(&db), base, &ServerConfig::default())
+        };
+        let evaluate = |e: &Engine| {
+            let job = match e.parse_request(&query_line(e, "")).unwrap() {
+                Request::Query(q) => q,
+                _ => unreachable!(),
+            };
+            let response = e.evaluate_batch(std::slice::from_ref(&job)).remove(0);
+            (job.options.plan, response_value(&response))
+        };
+        let result = |v: &Value, key: &str| v.get("result").unwrap().get(key).cloned();
+
+        // A shard count next to an explicit plan leaves that plan alone.
+        let (plan, prefilter) = evaluate(&engine_with(Plan::Prefilter));
+        assert_eq!(plan, Plan::Prefilter);
+        assert_eq!(
+            result(&prefilter, "plan"),
+            Some(Value::String("prefilter".into()))
         );
-        let job = match e.parse_request(&query_line(&e, "")).unwrap() {
-            Request::Query(q) => q,
-            _ => unreachable!(),
-        };
-        assert_eq!(job.options.plan, Plan::Sharded);
-        assert_eq!(job.options.shards, 4);
-        // A per-request plan override still wins.
-        let naive = match e
-            .parse_request(&query_line(&e, ",\"options\":{\"plan\":\"naive\"}"))
-            .unwrap()
-        {
-            Request::Query(q) => q,
-            _ => unreachable!(),
-        };
-        assert_eq!(naive.options.plan, Plan::Naive);
+
+        // The sharded base evaluates sharded, with the Auto answer bytes.
+        let (plan, sharded) = evaluate(&engine_with(Plan::Sharded));
+        assert_eq!(plan, Plan::Sharded);
+        assert_eq!(
+            result(&sharded, "plan"),
+            Some(Value::String("sharded".into()))
+        );
+        let (_, auto) = evaluate(&engine_with(Plan::Auto));
+        for key in ["measures", "skyline"] {
+            let (s, a) = (result(&sharded, key), result(&auto, key));
+            assert!(s.is_some(), "{key}");
+            assert_eq!(
+                s.map(|v| v.to_compact()),
+                a.map(|v| v.to_compact()),
+                "{key}"
+            );
+        }
     }
 
     #[test]

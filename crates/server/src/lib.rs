@@ -44,11 +44,12 @@
 //!
 //! ## Sharded evaluation
 //!
-//! [`ServerConfig::shards`] > 1 rewrites the server's base options to
-//! [`gss_core::Plan::Sharded`]: the candidate space is statically split
-//! into per-shard filter-and-verify pipelines whose frontiers merge into
-//! one skyline. A *single* admitted query fans its shards out across the
-//! evaluation threads (one huge query keeps the machine busy), while a
+//! Base options (or a request's `"plan"`) naming
+//! [`gss_core::Plan::Sharded`] split the candidate space statically into
+//! [`gss_core::QueryOptions::shards`] filter-and-verify pipelines whose
+//! frontiers merge into one skyline. A *single* admitted query fans its
+//! shards out across the evaluation threads (one huge query keeps the
+//! machine busy), while a
 //! full micro-batch packs queries one-per-thread as before — same
 //! answers, same bytes, either way (the shard count is deliberately
 //! excluded from the cache key).
@@ -73,7 +74,7 @@
 //! stores the serialized document itself) with `"cached":true` in the
 //! envelope. Thread counts never enter the key: evaluation is
 //! normalized to per-query single-threaded scans via
-//! [`gss_core::graph_similarity_skyline_batch`], whose results are
+//! [`gss_core::exec::skyline_batch`], whose results are
 //! identical to sequential evaluation by construction.
 //!
 //! ## Admission control & micro-batching
@@ -83,7 +84,7 @@
 //! with `{"ok":false,"error":"queue full","retry_after_ms":N}` —
 //! backpressure instead of unbounded buffering. The dispatcher pops up
 //! to `batch_max` queued queries at a time and runs them through one
-//! wave-parallel [`gss_core::graph_similarity_skyline_batch`] call
+//! wave-parallel [`gss_core::exec::skyline_batch`] call
 //! (grouped by options fingerprint), so concurrent clients share scan
 //! parallelism instead of fighting over it.
 //!

@@ -62,12 +62,6 @@ pub struct ServerConfig {
     /// Event-loop threads multiplexing connections (1 is enough for
     /// thousands of idle connections; values below 1 run one).
     pub reactor_threads: usize,
-    /// Static candidate shards for evaluation. `> 1` rewrites the base
-    /// options to [`gss_core::Plan::Sharded`] with this shard count so a
-    /// single big query fans its verification across `workers`;
-    /// per-request `"plan"` overrides still win. `0`/`1` leave the base
-    /// plan untouched.
-    pub shards: usize,
     /// Admission queue capacity; a full queue rejects with backpressure.
     pub queue_capacity: usize,
     /// Total result-cache entries (0 disables caching).
@@ -88,7 +82,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: 4,
             reactor_threads: 1,
-            shards: 1,
             queue_capacity: 64,
             cache_capacity: 256,
             batch_max: 8,

@@ -2,7 +2,7 @@
 //!
 //! All functions return the **indices** of skyline members in ascending
 //! order and agree exactly (verified by tests and by the property suite in
-//! the workspace root): they differ only in work performed.
+//! `tests/properties.rs`): they differ only in work performed.
 //!
 //! * [`naive_skyline`] — textbook `O(n²·d)` double loop; the reference.
 //! * [`bnl_skyline`] — block-nested-loops (Börzsönyi et al., ICDE 2001, the
@@ -10,54 +10,29 @@
 //! * [`sfs_skyline`] — sort-filter-skyline: presorts by the coordinate sum
 //!   (a monotone score), after which a point can only be dominated by
 //!   already-accepted points, so one window pass suffices.
-//! * [`dc2_skyline`] — `O(n log n)` sweep for the two-dimensional case.
 
 use crate::dominance::{compare, Dominance};
 
-/// Counters reported by the `*_with_stats` variants.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct SkylineStats {
-    /// Number of pairwise dominance comparisons performed.
-    pub comparisons: u64,
-}
-
 /// Reference `O(n²)` skyline.
 pub fn naive_skyline(points: &[Vec<f64>]) -> Vec<usize> {
-    naive_skyline_with_stats(points).0
-}
-
-/// [`naive_skyline`] plus comparison counts.
-pub fn naive_skyline_with_stats(points: &[Vec<f64>]) -> (Vec<usize>, SkylineStats) {
-    let mut stats = SkylineStats::default();
     let mut out = Vec::new();
     'outer: for (i, p) in points.iter().enumerate() {
         for (j, q) in points.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            stats.comparisons += 1;
-            if compare(q, p) == Dominance::Dominates {
+            if i != j && compare(q, p) == Dominance::Dominates {
                 continue 'outer;
             }
         }
         out.push(i);
     }
-    (out, stats)
+    out
 }
 
 /// Block-nested-loops skyline.
 pub fn bnl_skyline(points: &[Vec<f64>]) -> Vec<usize> {
-    bnl_skyline_with_stats(points).0
-}
-
-/// [`bnl_skyline`] plus comparison counts.
-pub fn bnl_skyline_with_stats(points: &[Vec<f64>]) -> (Vec<usize>, SkylineStats) {
-    let mut stats = SkylineStats::default();
     let mut window: Vec<usize> = Vec::new();
     'outer: for (i, p) in points.iter().enumerate() {
         let mut k = 0;
         while k < window.len() {
-            stats.comparisons += 1;
             match compare(&points[window[k]], p) {
                 Dominance::Dominates => continue 'outer,
                 Dominance::DominatedBy => {
@@ -69,17 +44,11 @@ pub fn bnl_skyline_with_stats(points: &[Vec<f64>]) -> (Vec<usize>, SkylineStats)
         window.push(i);
     }
     window.sort_unstable();
-    (window, stats)
+    window
 }
 
 /// Sort-filter-skyline.
 pub fn sfs_skyline(points: &[Vec<f64>]) -> Vec<usize> {
-    sfs_skyline_with_stats(points).0
-}
-
-/// [`sfs_skyline`] plus comparison counts.
-pub fn sfs_skyline_with_stats(points: &[Vec<f64>]) -> (Vec<usize>, SkylineStats) {
-    let mut stats = SkylineStats::default();
     let mut order: Vec<usize> = (0..points.len()).collect();
     // Monotone presort: if p dominates q then sum(p) < sum(q), so no point
     // is dominated by a later one; window entries are final skyline members.
@@ -91,7 +60,6 @@ pub fn sfs_skyline_with_stats(points: &[Vec<f64>]) -> (Vec<usize>, SkylineStats)
     let mut window: Vec<usize> = Vec::new();
     'outer: for &i in &order {
         for &w in &window {
-            stats.comparisons += 1;
             if compare(&points[w], &points[i]) == Dominance::Dominates {
                 continue 'outer;
             }
@@ -99,46 +67,7 @@ pub fn sfs_skyline_with_stats(points: &[Vec<f64>]) -> (Vec<usize>, SkylineStats)
         window.push(i);
     }
     window.sort_unstable();
-    (window, stats)
-}
-
-/// `O(n log n)` two-dimensional skyline by sweeping x-groups.
-///
-/// # Panics
-/// Panics when any point is not two-dimensional.
-pub fn dc2_skyline(points: &[Vec<f64>]) -> Vec<usize> {
-    for p in points {
-        assert_eq!(p.len(), 2, "dc2_skyline requires 2-dimensional points");
-    }
-    let mut order: Vec<usize> = (0..points.len()).collect();
-    order.sort_by(|&a, &b| {
-        points[a][0]
-            .total_cmp(&points[b][0])
-            .then(points[a][1].total_cmp(&points[b][1]))
-    });
-    let mut out = Vec::new();
-    let mut best_y = f64::INFINITY;
-    let mut i = 0;
-    while i < order.len() {
-        // Group of equal x.
-        let x = points[order[i]][0];
-        let mut j = i;
-        while j < order.len() && points[order[j]][0] == x {
-            j += 1;
-        }
-        let gmin = points[order[i]][1]; // group sorted by y: first is min
-        if gmin < best_y {
-            for &idx in &order[i..j] {
-                if points[idx][1] == gmin {
-                    out.push(idx);
-                }
-            }
-            best_y = gmin;
-        }
-        i = j;
-    }
-    out.sort_unstable();
-    out
+    window
 }
 
 /// Algorithm selector for [`skyline`].
@@ -151,8 +80,6 @@ pub enum Algorithm {
     Bnl,
     /// Sort-filter-skyline.
     Sfs,
-    /// 2-d divide & conquer sweep (falls back to BNL for other d).
-    DivideConquer2D,
 }
 
 /// Computes the skyline of `points` (minimizing every dimension) with the
@@ -162,13 +89,6 @@ pub fn skyline(points: &[Vec<f64>], algorithm: Algorithm) -> Vec<usize> {
         Algorithm::Naive => naive_skyline(points),
         Algorithm::Bnl => bnl_skyline(points),
         Algorithm::Sfs => sfs_skyline(points),
-        Algorithm::DivideConquer2D => {
-            if points.iter().all(|p| p.len() == 2) {
-                dc2_skyline(points)
-            } else {
-                bnl_skyline(points)
-            }
-        }
     }
 }
 
@@ -196,27 +116,16 @@ mod tests {
         assert_eq!(naive_skyline(&hotels()), expected);
         assert_eq!(bnl_skyline(&hotels()), expected);
         assert_eq!(sfs_skyline(&hotels()), expected);
-        assert_eq!(dc2_skyline(&hotels()), expected);
     }
 
     #[test]
     fn empty_and_singleton() {
         let empty: Vec<Vec<f64>> = vec![];
-        for algo in [
-            Algorithm::Naive,
-            Algorithm::Bnl,
-            Algorithm::Sfs,
-            Algorithm::DivideConquer2D,
-        ] {
+        for algo in [Algorithm::Naive, Algorithm::Bnl, Algorithm::Sfs] {
             assert!(skyline(&empty, algo).is_empty());
         }
         let one = vec![vec![3.0, 4.0]];
-        for algo in [
-            Algorithm::Naive,
-            Algorithm::Bnl,
-            Algorithm::Sfs,
-            Algorithm::DivideConquer2D,
-        ] {
+        for algo in [Algorithm::Naive, Algorithm::Bnl, Algorithm::Sfs] {
             assert_eq!(skyline(&one, algo), vec![0]);
         }
     }
@@ -224,12 +133,7 @@ mod tests {
     #[test]
     fn duplicates_all_survive() {
         let pts = vec![vec![1.0, 1.0], vec![1.0, 1.0], vec![2.0, 2.0]];
-        for algo in [
-            Algorithm::Naive,
-            Algorithm::Bnl,
-            Algorithm::Sfs,
-            Algorithm::DivideConquer2D,
-        ] {
+        for algo in [Algorithm::Naive, Algorithm::Bnl, Algorithm::Sfs] {
             assert_eq!(skyline(&pts, algo), vec![0, 1], "{algo:?}");
         }
     }
@@ -245,12 +149,7 @@ mod tests {
     #[test]
     fn all_incomparable() {
         let pts = vec![vec![1.0, 3.0], vec![2.0, 2.0], vec![3.0, 1.0]];
-        for algo in [
-            Algorithm::Naive,
-            Algorithm::Bnl,
-            Algorithm::Sfs,
-            Algorithm::DivideConquer2D,
-        ] {
+        for algo in [Algorithm::Naive, Algorithm::Bnl, Algorithm::Sfs] {
             assert_eq!(skyline(&pts, algo), vec![0, 1, 2], "{algo:?}");
         }
     }
@@ -267,23 +166,7 @@ mod tests {
             let reference = naive_skyline(&pts);
             assert_eq!(bnl_skyline(&pts), reference, "case {case} bnl");
             assert_eq!(sfs_skyline(&pts), reference, "case {case} sfs");
-            if d == 2 {
-                assert_eq!(dc2_skyline(&pts), reference, "case {case} dc2");
-            }
         }
-    }
-
-    #[test]
-    fn sfs_does_no_more_comparisons_than_naive() {
-        let mut rng = Rng::seed_from_u64(0x77);
-        let pts: Vec<Vec<f64>> = (0..200)
-            .map(|_| vec![rng.gen_f64(), rng.gen_f64(), rng.gen_f64()])
-            .collect();
-        let (_, naive) = naive_skyline_with_stats(&pts);
-        let (_, sfs) = sfs_skyline_with_stats(&pts);
-        let (_, bnl) = bnl_skyline_with_stats(&pts);
-        assert!(sfs.comparisons <= naive.comparisons);
-        assert!(bnl.comparisons <= naive.comparisons);
     }
 
     #[test]

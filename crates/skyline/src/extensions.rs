@@ -1,6 +1,5 @@
-//! Skyline-adjacent operators from the related-work space: k-skyband and
-//! top-k dominating queries (references \[18\]–\[21\] of the paper). They
-//! serve as baselines for the evaluation harness.
+//! The k-skyband, a skyline-adjacent operator from the related-work space
+//! (reference \[20\] of the paper).
 
 use crate::dominance::{compare, Dominance};
 
@@ -22,29 +21,6 @@ pub fn k_skyband(points: &[Vec<f64>], k: usize) -> Vec<usize> {
             out.push(i);
         }
     }
-    out
-}
-
-/// Top-k dominating query: the `k` points that dominate the most others
-/// (ties broken by smaller index). Unlike the skyline this always returns
-/// exactly `min(k, n)` points.
-pub fn top_k_dominating(points: &[Vec<f64>], k: usize) -> Vec<usize> {
-    let mut scored: Vec<(usize, usize)> = points
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let score = points
-                .iter()
-                .enumerate()
-                .filter(|&(j, q)| i != j && compare(p, q) == Dominance::Dominates)
-                .count();
-            (i, score)
-        })
-        .collect();
-    scored.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    scored.truncate(k);
-    let mut out: Vec<usize> = scored.into_iter().map(|(i, _)| i).collect();
-    out.sort_unstable();
     out
 }
 
@@ -88,18 +64,5 @@ mod tests {
     #[test]
     fn skyband_zero_is_empty() {
         assert!(k_skyband(&hotels(), 0).is_empty());
-    }
-
-    #[test]
-    fn top_k_dominating_counts() {
-        // Dominance scores: H6 (1.0,195) dominates H3, H5, H7 → 3;
-        // H7 (1.2,210) dominates H3, H5 → 2; H2 → {H1}; H4 → {H3}.
-        // Note the contrast with the skyline: H7 is *not* Pareto-optimal
-        // (H6 dominates it) yet ranks second by dominated count.
-        let pts = hotels();
-        let top2 = top_k_dominating(&pts, 2);
-        assert_eq!(top2, vec![5, 6]); // H6 and H7
-        assert_eq!(top_k_dominating(&pts, 0).len(), 0);
-        assert_eq!(top_k_dominating(&pts, 100).len(), pts.len());
     }
 }

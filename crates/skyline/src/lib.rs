@@ -6,9 +6,9 @@
 //! are all **minimized** (Definitions 1–2 of the paper).
 //!
 //! * [`dominance`] — the Pareto dominance relation;
-//! * [`algorithms`] — naive, block-nested-loops, sort-filter-skyline and a
-//!   2-d sweep, all returning identical results;
-//! * [`extensions`] — k-skyband and top-k dominating baselines.
+//! * [`algorithms`] — naive, block-nested-loops and sort-filter-skyline,
+//!   all returning identical results;
+//! * [`extensions`] — the k-skyband.
 //!
 //! ```
 //! use gss_skyline::{skyline, Algorithm};
@@ -29,8 +29,6 @@ pub mod algorithms;
 pub mod dominance;
 pub mod extensions;
 
-pub use algorithms::{
-    bnl_skyline, dc2_skyline, naive_skyline, sfs_skyline, skyline, Algorithm, SkylineStats,
-};
+pub use algorithms::{bnl_skyline, naive_skyline, sfs_skyline, skyline, Algorithm};
 pub use dominance::{compare, dominates, Dominance};
-pub use extensions::{k_skyband, top_k_dominating};
+pub use extensions::k_skyband;

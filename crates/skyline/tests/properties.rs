@@ -1,8 +1,7 @@
 //! Property-based tests for the skyline operators.
 
 use gss_skyline::{
-    bnl_skyline, compare, dc2_skyline, dominates, k_skyband, naive_skyline, sfs_skyline,
-    top_k_dominating, Dominance,
+    bnl_skyline, compare, dominates, k_skyband, naive_skyline, sfs_skyline, Dominance,
 };
 use proptest::prelude::*;
 
@@ -25,10 +24,6 @@ proptest! {
         prop_assert_eq!(sfs_skyline(&pts), reference);
     }
 
-    #[test]
-    fn dc2_agrees_in_two_dimensions(pts in points(60, 2)) {
-        prop_assert_eq!(dc2_skyline(&pts), naive_skyline(&pts));
-    }
 
     #[test]
     fn skyline_is_sound_and_complete(pts in points(40, 3)) {
@@ -81,21 +76,4 @@ proptest! {
         prop_assert_eq!(k_skyband(&pts, 1), sky);
     }
 
-    #[test]
-    fn top_k_dominating_size_and_scores(pts in points(40, 3), k in 0usize..6) {
-        let top = top_k_dominating(&pts, k);
-        prop_assert_eq!(top.len(), k.min(pts.len()));
-        // Every returned point's dominated-count is >= that of every
-        // non-returned point (allowing ties broken by index).
-        let score = |i: usize| {
-            pts.iter().enumerate().filter(|&(j, q)| j != i && dominates(&pts[i], q)).count()
-        };
-        if let Some(min_in) = top.iter().map(|&i| score(i)).min() {
-            for i in 0..pts.len() {
-                if !top.contains(&i) {
-                    prop_assert!(score(i) <= min_in, "missed a higher-scoring point");
-                }
-            }
-        }
-    }
 }

@@ -1,10 +1,10 @@
 //! The classic relational skyline (the paper's Example 1) plus the related
-//! operators this workspace ships: k-skyband and top-k dominating queries.
+//! operator this workspace ships: the k-skyband.
 //!
 //! Run with: `cargo run --example hotel_skyline`
 
 use gss_datasets::paper::hotels;
-use gss_skyline::{k_skyband, naive_skyline, sfs_skyline, top_k_dominating};
+use gss_skyline::{k_skyband, naive_skyline, sfs_skyline};
 
 fn main() {
     let (names, rows) = hotels();
@@ -25,14 +25,4 @@ fn main() {
     for i in k_skyband(&rows, 2) {
         println!("  {}", names[i]);
     }
-
-    println!("\ntop-2 dominating (hotels that dominate the most others):");
-    for i in top_k_dominating(&rows, 2) {
-        println!("  {}", names[i]);
-    }
-
-    println!(
-        "\nnote: H7 dominates 2 hotels yet is NOT in the skyline (H6 beats it) —\n\
-         dominance count and Pareto-optimality answer different questions."
-    );
 }

@@ -74,10 +74,9 @@ pub use gss_store as store;
 pub mod prelude {
     pub use gss_core::{
         graph_similarity_skyband, graph_similarity_skyline, graph_similarity_skyline_batch,
-        refine_skyline, refine_skyline_greedy, top_k_by_measure, try_graph_similarity_skyline,
-        CancelToken, Cancelled, GcsVector, GedMode, GraphDatabase, GraphId, GssResult, McsMode,
-        MeasureKind, Plan, PruneStats, QueryOptions, RefineOptions, ResolvedPlan, SkybandResult,
-        SolverConfig,
+        refine_skyline, refine_skyline_greedy, top_k_by_measure, CancelToken, Cancelled, GcsVector,
+        GedMode, GraphDatabase, GraphId, GssResult, McsMode, MeasureKind, Plan, PruneStats,
+        QueryOptions, RefineOptions, ResolvedPlan, SkybandResult, SolverConfig,
     };
     pub use gss_ged::{ged, CostModel};
     pub use gss_graph::{Graph, GraphBuilder, Label, Rng, Vocabulary};

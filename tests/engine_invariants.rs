@@ -69,12 +69,12 @@ proptest! {
     ) {
         let (db, q) = build_workload(seed, size, WorkloadKind::Molecule);
         let base = graph_similarity_skyline(&db, &q, &QueryOptions::default());
-        for algo in [Algorithm::Naive, Algorithm::Sfs] {
-            let r = graph_similarity_skyline(
-                &db, &q,
-                &QueryOptions { skyline_algorithm: algo, ..Default::default() },
-            );
-            prop_assert_eq!(&r.skyline, &base.skyline, "{:?}", algo);
+        // Every skyline algorithm agrees with the engine over its GCS matrix.
+        let points: Vec<Vec<f64>> = base.gcs.iter().map(|g| g.values.clone()).collect();
+        let members: Vec<usize> = base.skyline.iter().map(|id| id.index()).collect();
+        for algo in [Algorithm::Naive, Algorithm::Bnl, Algorithm::Sfs] {
+            let sky = similarity_skyline::skyline::skyline(&points, algo);
+            prop_assert_eq!(&sky, &members, "{:?}", algo);
         }
         let threaded = graph_similarity_skyline(
             &db, &q,

@@ -21,9 +21,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use similarity_skyline::core::{
-    try_graph_similarity_skyband, try_graph_similarity_skyline_batch, QueryIndex,
-};
+use similarity_skyline::core::{exec, QueryIndex};
 use similarity_skyline::datasets::workload::{Workload, WorkloadConfig, WorkloadKind};
 use similarity_skyline::prelude::*;
 
@@ -274,12 +272,12 @@ proptest! {
         for plan in ALL_PLANS {
             let opts = plan_options(&index, plan, 1, SolverConfig::default());
             prop_assert_eq!(
-                try_graph_similarity_skyline(&db, &q, &opts, &fired).err(),
+                exec::skyline(&db, &q, &opts, &fired).err(),
                 Some(Cancelled),
                 "{:?}", plan
             );
             prop_assert!(
-                try_graph_similarity_skyband(&db, &q, 2, &opts, &fired).is_err(),
+                exec::skyband(&db, &q, 2, &opts, &fired).is_err(),
                 "{:?} skyband", plan
             );
         }
@@ -287,7 +285,7 @@ proptest! {
         // returns the full answer.
         let live = CancelToken::new();
         let queries = vec![q.clone(), q.clone()];
-        let results = try_graph_similarity_skyline_batch(
+        let results = exec::skyline_batch(
             &db,
             &queries,
             &QueryOptions::default(),

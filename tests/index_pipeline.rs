@@ -145,7 +145,7 @@ proptest! {
             &db, &q, &QueryOptions { solvers, ..QueryOptions::default() },
         );
         let prefilter = graph_similarity_skyline(
-            &db, &q, &QueryOptions { solvers, prefilter: true, ..QueryOptions::default() },
+            &db, &q, &QueryOptions { solvers, plan: Plan::Prefilter, ..QueryOptions::default() },
         );
         let indexed = graph_similarity_skyline(
             &db, &q, &indexed_options(&db, 2, 2, 1, solvers),
@@ -216,7 +216,7 @@ fn smoke_workload_index_verifies_no_more_than_prefilter_and_skips_30_percent() {
     let db = GraphDatabase::from_parts(w.vocab, w.graphs);
     let index = Arc::new(PivotIndex::build(&db, &PivotIndexConfig::default()));
     let prefilter = QueryOptions {
-        prefilter: true,
+        plan: Plan::Prefilter,
         ..QueryOptions::default()
     };
     let pre = graph_similarity_skyline(&db, &w.query, &prefilter);

@@ -136,7 +136,7 @@ proptest! {
         let naive = graph_similarity_skyline(&db, &q, &QueryOptions::default());
         let pruned = graph_similarity_skyline(
             &db, &q,
-            &QueryOptions { prefilter: true, threads, ..QueryOptions::default() },
+            &QueryOptions { plan: Plan::Prefilter, threads, ..QueryOptions::default() },
         );
         prop_assert_eq!(&pruned.skyline, &naive.skyline);
         prop_assert_eq!(&pruned.dominated, &naive.dominated, "witnesses must be identical");
@@ -162,7 +162,7 @@ proptest! {
         );
         let pruned = graph_similarity_skyline(
             &db, &q,
-            &QueryOptions { solvers, prefilter: true, ..QueryOptions::default() },
+            &QueryOptions { solvers, plan: Plan::Prefilter, ..QueryOptions::default() },
         );
         prop_assert_eq!(&pruned.skyline, &naive.skyline);
         prop_assert_eq!(&pruned.dominated, &naive.dominated);
@@ -173,7 +173,7 @@ proptest! {
         seed in any::<u64>(),
         size in 2usize..7,
         queries in 1usize..4,
-        prefilter in any::<bool>(),
+        plan in any::<bool>().prop_map(|p| if p { Plan::Prefilter } else { Plan::Auto }),
     ) {
         let (db, q) = build_workload(seed, size, WorkloadKind::Molecule);
         // Query set: the workload query plus some database members.
@@ -181,10 +181,10 @@ proptest! {
         for i in 0..queries.min(db.len()) {
             qs.push(db.get(GraphId(i)).clone());
         }
-        let opts = QueryOptions { prefilter, threads: 3, ..QueryOptions::default() };
+        let opts = QueryOptions { plan, threads: 3, ..QueryOptions::default() };
         let batch = graph_similarity_skyline_batch(&db, &qs, &opts);
         prop_assert_eq!(batch.len(), qs.len());
-        let single_opts = QueryOptions { prefilter, ..QueryOptions::default() };
+        let single_opts = QueryOptions { plan, ..QueryOptions::default() };
         for (i, query) in qs.iter().enumerate() {
             let single = graph_similarity_skyline(&db, query, &single_opts);
             prop_assert_eq!(&batch[i].skyline, &single.skyline, "query {}", i);
@@ -214,14 +214,14 @@ proptest! {
             );
             let pruned = graph_similarity_skyline(
                 &db, &q,
-                &QueryOptions { solvers, prefilter: true, ..QueryOptions::default() },
+                &QueryOptions { solvers, plan: Plan::Prefilter, ..QueryOptions::default() },
             );
             prop_assert_eq!(&pruned.skyline, &naive.skyline, "{:?}", solvers);
             prop_assert_eq!(&pruned.dominated, &naive.dominated, "{:?}", solvers);
         }
         // With exact solvers the copy short-circuits and tops the skyline.
         let r = graph_similarity_skyline(
-            &db, &q, &QueryOptions { prefilter: true, ..QueryOptions::default() },
+            &db, &q, &QueryOptions { plan: Plan::Prefilter, ..QueryOptions::default() },
         );
         prop_assert!(r.contains(copy));
         prop_assert!(r.pruning.expect("stats").short_circuited >= 1);
@@ -235,7 +235,7 @@ proptest! {
         let (mut db, q) = build_workload(seed, size, WorkloadKind::Molecule);
         let copy = db.push(q.clone());
         let r = graph_similarity_skyline(
-            &db, &q, &QueryOptions { prefilter: true, ..QueryOptions::default() },
+            &db, &q, &QueryOptions { plan: Plan::Prefilter, ..QueryOptions::default() },
         );
         prop_assert!(r.contains(copy), "an exact duplicate is Pareto-optimal");
         let stats = r.pruning.expect("stats");

@@ -107,11 +107,11 @@ fn concurrent_clients_match_the_single_threaded_oracle() {
         (QueryOverrides::default(), QueryOptions::default()),
         (
             QueryOverrides {
-                prefilter: Some(true),
+                plan: Some(Plan::Prefilter),
                 ..QueryOverrides::default()
             },
             QueryOptions {
-                prefilter: true,
+                plan: Plan::Prefilter,
                 ..QueryOptions::default()
             },
         ),
@@ -199,7 +199,7 @@ fn the_wire_transcript_matches_the_typed_envelopes() {
         format!("{{\"id\":\"q0\",\"op\":\"query\",\"graph\":\"{q0}\"}}"),
         // Again: served from the cache, so only `cached` flips.
         format!("{{\"id\":\"q0\",\"op\":\"query\",\"graph\":\"{q0}\"}}"),
-        format!("{{\"op\":\"query\",\"graph\":\"{q1}\",\"options\":{{\"prefilter\":true}}}}"),
+        format!("{{\"op\":\"query\",\"graph\":\"{q1}\",\"options\":{{\"plan\":\"prefilter\"}}}}"),
         format!("{{\"op\":\"query\",\"graph\":\"{q1}\",\"options\":{{\"bogus\":1}}}}"),
         "{\"id\":9,\"op\":\"query\",\"graph\":\"t q\\nv 0\"}".to_owned(),
     ];
@@ -208,9 +208,9 @@ fn the_wire_transcript_matches_the_typed_envelopes() {
         id,
         message: message.to_owned(),
     };
-    let result = |id: Option<&str>, cached, qi: usize, prefilter| {
+    let result = |id: Option<&str>, cached, qi: usize, plan| {
         let options = QueryOptions {
-            prefilter,
+            plan,
             ..QueryOptions::default()
         };
         Response::Result {
@@ -225,9 +225,9 @@ fn the_wire_transcript_matches_the_typed_envelopes() {
         error(None, "bad request: JSON error at byte 0: expected \"null\""),
         error(id(2.0), "unknown op \"frobnicate\""),
         error(None, "query needs a \"graph\" field (t/v/e text)"),
-        result(Some("q0"), false, 0, false),
-        result(Some("q0"), true, 0, false),
-        result(None, false, 1, true),
+        result(Some("q0"), false, 0, Plan::Auto),
+        result(Some("q0"), true, 0, Plan::Auto),
+        result(None, false, 1, Plan::Prefilter),
         error(None, "unknown option \"bogus\""),
         error(id(9.0), bad_graph),
     ];
@@ -321,7 +321,7 @@ fn a_thousand_idle_connections_on_two_reactors_leave_the_active_ones_answering()
     let w = Workload::generate(&WorkloadConfig::bench_smoke());
     let db = Arc::new(GraphDatabase::from_parts(w.vocab, w.graphs));
     let options = QueryOptions {
-        prefilter: true,
+        plan: Plan::Prefilter,
         ..QueryOptions::default()
     };
     // The planted query plus every tenth database graph: a mix of
@@ -574,7 +574,7 @@ fn stats_and_drain_protocol() {
     let uncached = client.request(&query_request(
         &graph_text(&db, &queries[1]),
         &QueryOverrides {
-            prefilter: Some(true),
+            plan: Some(Plan::Prefilter),
             ..QueryOverrides::default()
         },
     ));
@@ -589,7 +589,7 @@ fn stats_and_drain_protocol() {
 
 #[test]
 fn deadline_aborts_a_long_query_mid_evaluation() {
-    use similarity_skyline::core::{try_graph_similarity_skyline, CancelToken, Plan};
+    use similarity_skyline::core::{exec, CancelToken, Plan};
     use std::time::{Duration, Instant};
 
     const DEADLINE_MS: u64 = 200;
@@ -614,7 +614,7 @@ fn deadline_aborts_a_long_query_mid_evaluation() {
         });
         let db = GraphDatabase::from_parts(w.vocab, w.graphs);
         let token = CancelToken::with_deadline(Instant::now() + Duration::from_millis(DEADLINE_MS));
-        let aborted = try_graph_similarity_skyline(&db, &w.query, &naive, &token).is_err();
+        let aborted = exec::skyline(&db, &w.query, &naive, &token).is_err();
         if aborted || size >= 122_880 {
             assert!(
                 aborted,
@@ -719,7 +719,7 @@ proptest! {
         seed in any::<u64>(),
         size in 6usize..16,
         pick in any::<usize>(),
-        prefilter in any::<bool>(),
+        plan in any::<bool>().prop_map(|p| if p { Plan::Prefilter } else { Plan::Auto }),
         approx in any::<bool>(),
     ) {
         let (db, queries) = workload_db(size, seed);
@@ -734,12 +734,12 @@ proptest! {
         )
         .expect("bind loopback");
         let mut builder = Client::builder();
-        if prefilter { builder = builder.prefilter(true); }
+        if plan == Plan::Prefilter { builder = builder.plan(plan); }
         if approx { builder = builder.approx(true); }
         let mut client = builder.connect(handle.addr()).expect("connect");
 
         let query = &queries[pick % queries.len()];
-        let mut options = QueryOptions { prefilter, ..QueryOptions::default() };
+        let mut options = QueryOptions { plan, ..QueryOptions::default() };
         if approx {
             options.solvers = SolverConfig { ged: GedMode::Bipartite, mcs: McsMode::Greedy };
         }
