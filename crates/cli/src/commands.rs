@@ -8,8 +8,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use gss_core::{
-    graph_similarity_skyband, graph_similarity_skyline, refine_skyline, top_k_by_measure, GedMode,
-    GraphDatabase, GraphId, McsMode, MeasureKind, Plan, PruneStats, QueryOptions, RefineOptions,
+    graph_similarity_skyband, graph_similarity_skyline, refine_skyline, top_k_by_measure,
+    GraphDatabase, GraphId, MeasureKind, Plan, PruneStats, QueryOptions, RefineOptions,
     SolverConfig,
 };
 use gss_datasets::workload::{Workload, WorkloadConfig, WorkloadKind};
@@ -32,6 +32,7 @@ USAGE:
                [--threads N] [--format text|json]
   gss measure  --db FILE --a NAME --b NAME
   gss topk     --db FILE --query-name NAME --measure ed|ned|mcs|gu [--k K]
+               [--approx] [--threads N]
   gss skyband  --db FILE --query-name NAME [--k K] [--approx] [--threads N]
                [--index IDX]
                [--plan auto|naive|prefilter|indexed|sharded] [--shards N]
@@ -149,13 +150,19 @@ pub(crate) fn split_query(
 
 pub(crate) fn solver_config(args: &Args) -> SolverConfig {
     if args.flag("approx") {
-        SolverConfig {
-            ged: GedMode::Bipartite,
-            mcs: McsMode::Greedy,
-        }
+        SolverConfig::Approx
     } else {
-        SolverConfig::default()
+        SolverConfig::Exact
     }
+}
+
+/// The `--refine K` options: the query's own solvers and thread count.
+fn refine_options(args: &Args) -> Result<RefineOptions, ArgError> {
+    Ok(RefineOptions {
+        solvers: solver_config(args),
+        threads: args.get_parsed_or("threads", 1usize)?,
+        ..RefineOptions::default()
+    })
 }
 
 /// Parses `--plan` (default `auto`) and `--shards` (default 1) for
@@ -380,7 +387,7 @@ pub fn query(args: &Args) -> Result<String, ArgError> {
         let k: usize = k
             .parse()
             .map_err(|_| ArgError(format!("--refine needs a number, got {k:?}")))?;
-        match refine_skyline(&db, &result.skyline, k, &RefineOptions::default()) {
+        match refine_skyline(&db, &result.skyline, k, &refine_options(args)?) {
             Ok(refined) => {
                 let _ = writeln!(out, "\nmost diverse {k}-subset:");
                 for id in &refined.selected {
@@ -856,6 +863,19 @@ e 0 1 -
         ]))
         .unwrap();
         assert!(out.contains("similarity skyline"));
+    }
+
+    #[test]
+    fn refine_follows_the_query_solvers_and_threads() {
+        let options = refine_options(&args(&["--approx", "--threads", "3"])).unwrap();
+        let default = RefineOptions::default();
+        assert_eq!(options.solvers, SolverConfig::Approx);
+        assert_eq!(options.threads, 3);
+        assert_eq!(options.measures, default.measures);
+        assert_eq!(options.max_candidates, default.max_candidates);
+        let exact = refine_options(&args(&[])).unwrap();
+        assert_eq!(exact.solvers, SolverConfig::Exact);
+        assert_eq!(exact.threads, 1);
     }
 
     #[test]

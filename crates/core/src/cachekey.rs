@@ -29,7 +29,7 @@ use gss_graph::{Graph, Vocabulary};
 
 use crate::database::codec::Fnv64;
 use crate::database::GraphDatabase;
-use crate::measures::{GedMode, McsMode};
+use crate::measures::SolverConfig;
 use crate::query::QueryOptions;
 
 /// The composite cache key of one query evaluation.
@@ -97,9 +97,8 @@ pub fn query_fingerprint(query: &Graph, vocab: &Vocabulary) -> u64 {
 }
 
 /// A fingerprint of everything in [`QueryOptions`] that can change the
-/// response: measures (order-sensitive), solver modes (with their numeric
-/// parameters), the requested [`crate::Plan`], and the attached index's
-/// identity
+/// response: measures (order-sensitive), the [`SolverConfig`], the
+/// requested [`crate::Plan`], and the attached index's identity
 /// ([`crate::QueryIndex::describe`]). `threads` and `shards` are
 /// deliberately excluded — see the module docs.
 ///
@@ -126,22 +125,12 @@ pub fn options_fingerprint(options: &QueryOptions) -> u64 {
     for m in measures {
         hash_str(&mut h, m.name());
     }
-    match solvers.ged {
-        GedMode::Exact => hash_str(&mut h, "ged:exact"),
-        GedMode::ExactBudget(n) => {
-            hash_str(&mut h, "ged:budget");
-            h.write_u64(n);
-        }
-        GedMode::Bipartite => hash_str(&mut h, "ged:bipartite"),
-        GedMode::Beam(w) => {
-            hash_str(&mut h, "ged:beam");
-            h.write_u64(w as u64);
-        }
-    }
-    match solvers.mcs {
-        McsMode::Exact => hash_str(&mut h, "mcs:exact"),
-        McsMode::Greedy => hash_str(&mut h, "mcs:greedy"),
-    }
+    let (ged, mcs) = match solvers {
+        SolverConfig::Exact => ("ged:exact", "mcs:exact"),
+        SolverConfig::Approx => ("ged:bipartite", "mcs:greedy"),
+    };
+    hash_str(&mut h, ged);
+    hash_str(&mut h, mcs);
     // The requested plan is part of the key: plans never change answers,
     // but they do change the response document (pruning stats, per-graph
     // `exact` flags), and `Auto` resolves deterministically from the
@@ -161,7 +150,7 @@ pub fn options_fingerprint(options: &QueryOptions) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measures::{MeasureKind, SolverConfig};
+    use crate::measures::MeasureKind;
     use gss_graph::GraphBuilder;
 
     fn build(vocab: &mut Vocabulary, name: &str, edge_label: &str) -> Graph {
@@ -238,33 +227,10 @@ mod tests {
         assert_ne!(fp, options_fingerprint(&prefilter));
 
         let approx = QueryOptions {
-            solvers: SolverConfig {
-                ged: GedMode::Bipartite,
-                mcs: McsMode::Greedy,
-            },
+            solvers: SolverConfig::Approx,
             ..base.clone()
         };
         assert_ne!(fp, options_fingerprint(&approx));
-
-        let beam16 = QueryOptions {
-            solvers: SolverConfig {
-                ged: GedMode::Beam(16),
-                ..SolverConfig::default()
-            },
-            ..base.clone()
-        };
-        let beam32 = QueryOptions {
-            solvers: SolverConfig {
-                ged: GedMode::Beam(32),
-                ..SolverConfig::default()
-            },
-            ..base.clone()
-        };
-        assert_ne!(
-            options_fingerprint(&beam16),
-            options_fingerprint(&beam32),
-            "solver parameters are part of the key"
-        );
 
         let measures = QueryOptions {
             measures: vec![MeasureKind::EditDistance],

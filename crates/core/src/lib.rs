@@ -55,9 +55,7 @@ pub use database::{GraphDatabase, GraphId};
 pub use exec::{resolve_plan, CancelToken, Cancelled, Plan, ResolvedPlan, SkybandResult};
 pub use explain::{batch_stats_to_json, explain_all, to_json, to_json_batch, Explanation};
 pub use index::{IndexPartition, IndexPlan, QueryIndex};
-pub use measures::{
-    compute_primitives, GcsVector, GedMode, McsMode, MeasureKind, PairPrimitives, SolverConfig,
-};
+pub use measures::{compute_primitives, GcsVector, MeasureKind, PairPrimitives, SolverConfig};
 pub use prefilter::{PrefilterContext, PrefilterSummary, PruneStats};
 pub use query::{
     graph_similarity_skyband, graph_similarity_skyline, graph_similarity_skyline_batch, BatchStats,

@@ -10,7 +10,7 @@
 
 use std::cell::RefCell;
 
-use gss_ged::{beam::beam_ged, bipartite::bipartite_ged_with, exact_ged, CostModel, GedOptions};
+use gss_ged::{bipartite::bipartite_ged_with, exact_ged, CostModel, GedOptions};
 use gss_graph::Graph;
 use gss_mcs::{greedy::greedy_mcs, mcs_edge_size};
 
@@ -26,38 +26,18 @@ thread_local! {
     static GED_WORKSPACE: RefCell<gss_ged::Workspace> = RefCell::new(gss_ged::Workspace::new());
 }
 
-/// Which GED solver the evaluator runs.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum GedMode {
-    /// Exact branch and bound (warm-started by the bipartite bound).
-    #[default]
-    Exact,
-    /// Exact search with a node budget; falls back to the best mapping found
-    /// (an upper bound) when the budget runs out.
-    ExactBudget(u64),
-    /// Riesen–Bunke bipartite upper bound only.
-    Bipartite,
-    /// Beam search with the given width.
-    Beam(usize),
-}
-
-/// Which MCS solver the evaluator runs.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum McsMode {
-    /// Exact branch and bound.
-    #[default]
-    Exact,
-    /// Multi-start greedy (lower bound on `|mcs|`).
-    Greedy,
-}
-
-/// Solver configuration for a query.
+/// Solver configuration for a query: which GED and MCS solvers
+/// [`compute_primitives`] runs.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct SolverConfig {
-    /// GED solver choice.
-    pub ged: GedMode,
-    /// MCS solver choice.
-    pub mcs: McsMode,
+pub enum SolverConfig {
+    /// The paper's exact measures: exact branch-and-bound GED (warm-started
+    /// by the bipartite bound, no node budget) and exact connected MCS.
+    #[default]
+    Exact,
+    /// Riesen–Bunke bipartite GED (an upper bound) and multi-start greedy
+    /// MCS (a lower bound on `|mcs|`), so the GED- and MCS-derived
+    /// distances can only over-estimate.
+    Approx,
 }
 
 /// The shared primitives of a pair.
@@ -167,8 +147,8 @@ pub fn compute_primitives(g1: &Graph, g2: &Graph, config: &SolverConfig) -> Pair
     let bipartite = |g1: &Graph, g2: &Graph| {
         GED_WORKSPACE.with(|ws| bipartite_ged_with(g1, g2, &cost, &mut ws.borrow_mut()))
     };
-    let ged = match config.ged {
-        GedMode::Exact => {
+    let ged = match config {
+        SolverConfig::Exact => {
             let warm = bipartite(g1, g2);
             exact_ged(
                 g1,
@@ -181,25 +161,11 @@ pub fn compute_primitives(g1: &Graph, g2: &Graph, config: &SolverConfig) -> Pair
             )
             .cost
         }
-        GedMode::ExactBudget(limit) => {
-            let warm = bipartite(g1, g2);
-            exact_ged(
-                g1,
-                g2,
-                &GedOptions {
-                    cost,
-                    warm_start: Some(warm.mapping),
-                    node_limit: Some(limit),
-                },
-            )
-            .cost
-        }
-        GedMode::Bipartite => bipartite(g1, g2).cost,
-        GedMode::Beam(width) => beam_ged(g1, g2, &cost, width).cost,
+        SolverConfig::Approx => bipartite(g1, g2).cost,
     };
-    let mcs_edges = match config.mcs {
-        McsMode::Exact => mcs_edge_size(g1, g2),
-        McsMode::Greedy => greedy_mcs(g1, g2, usize::MAX).edges(),
+    let mcs_edges = match config {
+        SolverConfig::Exact => mcs_edge_size(g1, g2),
+        SolverConfig::Approx => greedy_mcs(g1, g2, usize::MAX).edges(),
     };
     let (label_mismatch, label_total) = label_histogram_stats(g1, g2);
     PairPrimitives {
@@ -312,14 +278,7 @@ mod tests {
     fn approximate_solvers_bound_exact() {
         let (a, b) = pair();
         let exact = compute_primitives(&a, &b, &SolverConfig::default());
-        let approx = compute_primitives(
-            &a,
-            &b,
-            &SolverConfig {
-                ged: GedMode::Bipartite,
-                mcs: McsMode::Greedy,
-            },
-        );
+        let approx = compute_primitives(&a, &b, &SolverConfig::Approx);
         assert!(
             approx.ged >= exact.ged - 1e-9,
             "bipartite is an upper bound"
@@ -328,24 +287,6 @@ mod tests {
             approx.mcs_edges <= exact.mcs_edges,
             "greedy is a lower bound"
         );
-        let beam = compute_primitives(
-            &a,
-            &b,
-            &SolverConfig {
-                ged: GedMode::Beam(8),
-                ..Default::default()
-            },
-        );
-        assert!(beam.ged >= exact.ged - 1e-9);
-        let budget = compute_primitives(
-            &a,
-            &b,
-            &SolverConfig {
-                ged: GedMode::ExactBudget(2),
-                ..Default::default()
-            },
-        );
-        assert!(budget.ged >= exact.ged - 1e-9);
     }
 
     #[test]

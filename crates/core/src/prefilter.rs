@@ -33,8 +33,8 @@
 //! *counting*): for every measure `m`, `lower_bound_m(g, q) ≤ value_m(g, q)`
 //! where `value_m` is whatever the configured solver reports — the bounds
 //! hold for the *exact* solvers and remain valid for the approximate ones
-//! (bipartite and beam GED only over-estimate, greedy MCS only
-//! under-estimates `|mcs|`).
+//! (under [`SolverConfig::Approx`], bipartite GED only over-estimates and
+//! greedy MCS only under-estimates `|mcs|`).
 
 use gss_graph::stats::{
     degree_sequence, degree_sequence_l1_presorted, edge_class_multiset, edge_label_multiset,
@@ -42,7 +42,7 @@ use gss_graph::stats::{
 };
 use gss_graph::{algo, wl, Graph, Label};
 
-use crate::measures::{GcsVector, GedMode, McsMode, MeasureKind, SolverConfig};
+use crate::measures::{GcsVector, MeasureKind, SolverConfig};
 
 /// Number of 1-WL refinement rounds used for the equality short-circuit —
 /// kept equal to the rounds baked into the cached per-graph summaries
@@ -153,14 +153,14 @@ impl PrefilterContext {
     ///
     /// The isomorphism short-circuit claims the exact GCS vector is
     /// all-zeros, which is only what the configured solvers would report
-    /// when both are **exact**: the bipartite/beam GED upper bounds and the
+    /// under [`SolverConfig::Exact`]: the bipartite GED upper bound and the
     /// greedy MCS legitimately return nonzero distances for isomorphic
     /// pairs, and the pipeline's contract is byte-identical results to
-    /// whatever the solvers produce. With approximate (or budgeted) solvers
-    /// the short-circuit is therefore disabled; lower-bound pruning remains
+    /// whatever the solvers produce. Under [`SolverConfig::Approx`] the
+    /// short-circuit is therefore disabled; lower-bound pruning remains
     /// active and sound.
     pub fn for_query(q: &Graph, solvers: &SolverConfig, prefilter: bool) -> Self {
-        let check = prefilter && solvers.ged == GedMode::Exact && solvers.mcs == McsMode::Exact;
+        let check = prefilter && *solvers == SolverConfig::Exact;
         let vertex_labels = vertex_label_multiset(q);
         let edge_labels = edge_label_multiset(q);
         let label_total = vertex_labels.total() + edge_labels.total();
@@ -442,40 +442,11 @@ mod tests {
 
     #[test]
     fn approximate_solvers_disable_the_short_circuit() {
-        use crate::measures::{GedMode, McsMode};
         let (a, _) = pair();
-        for solvers in [
-            SolverConfig {
-                ged: GedMode::Bipartite,
-                ..SolverConfig::default()
-            },
-            SolverConfig {
-                mcs: McsMode::Greedy,
-                ..SolverConfig::default()
-            },
-            SolverConfig {
-                ged: GedMode::Beam(4),
-                mcs: McsMode::Greedy,
-            },
-            SolverConfig {
-                ged: GedMode::ExactBudget(10),
-                ..SolverConfig::default()
-            },
-        ] {
-            let ctx = PrefilterContext::for_query(&a, &solvers, true);
-            let summary = summarize(&a, &a, &MeasureKind::paper_query_measures(), &ctx);
-            assert!(!summary.isomorphic, "{solvers:?} must not short-circuit");
-        }
-        // Lower bounds are still produced.
-        let ctx = PrefilterContext::for_query(
-            &a,
-            &SolverConfig {
-                ged: GedMode::Bipartite,
-                mcs: McsMode::Greedy,
-            },
-            true,
-        );
+        let ctx = PrefilterContext::for_query(&a, &SolverConfig::Approx, true);
         let summary = summarize(&a, &a, &MeasureKind::paper_query_measures(), &ctx);
+        assert!(!summary.isomorphic, "Approx must not short-circuit");
+        // Lower bounds are still produced.
         assert_eq!(summary.lower.values, vec![0.0, 0.0, 0.0]);
     }
 
@@ -517,13 +488,7 @@ mod tests {
         let mut db = GraphDatabase::new();
         let ida = db.push(a.clone());
         let _ = db.push(b.clone());
-        for solvers in [
-            SolverConfig::default(),
-            SolverConfig {
-                ged: GedMode::Bipartite,
-                mcs: McsMode::Greedy,
-            },
-        ] {
+        for solvers in [SolverConfig::Exact, SolverConfig::Approx] {
             let ctx = PrefilterContext::for_query(&b, &solvers, true);
             for id in [ida, GraphId(1)] {
                 let g = db.get(id).clone();

@@ -646,12 +646,8 @@ mod tests {
 
     #[test]
     fn prefilter_works_with_approximate_solvers() {
-        use crate::measures::{GedMode, McsMode};
         let (db, q) = paper_db();
-        let solvers = SolverConfig {
-            ged: GedMode::Bipartite,
-            mcs: McsMode::Greedy,
-        };
+        let solvers = SolverConfig::Approx;
         let naive = graph_similarity_skyline(
             &db,
             &q,

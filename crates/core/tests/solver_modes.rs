@@ -1,9 +1,7 @@
-//! Engine behaviour under every solver configuration, on the paper dataset
+//! Engine behaviour under both solver configurations, on the paper dataset
 //! (where ground truth is known exactly).
 
-use gss_core::{
-    graph_similarity_skyline, GedMode, GraphDatabase, McsMode, QueryOptions, SolverConfig,
-};
+use gss_core::{graph_similarity_skyline, GraphDatabase, QueryOptions, SolverConfig};
 use gss_datasets::paper::{expected, figure3_database};
 
 fn paper() -> (GraphDatabase, gss_graph::Graph) {
@@ -14,53 +12,25 @@ fn paper() -> (GraphDatabase, gss_graph::Graph) {
     )
 }
 
-#[test]
-fn huge_budget_equals_exact() {
-    let (db, q) = paper();
-    let exact = graph_similarity_skyline(&db, &q, &QueryOptions::default());
-    let budgeted = graph_similarity_skyline(
-        &db,
-        &q,
-        &QueryOptions {
-            solvers: SolverConfig {
-                ged: GedMode::ExactBudget(u64::MAX / 2),
-                mcs: McsMode::Exact,
-            },
-            ..Default::default()
-        },
-    );
-    assert_eq!(exact.skyline, budgeted.skyline);
-    assert_eq!(exact.gcs, budgeted.gcs);
+fn approx_options() -> QueryOptions {
+    QueryOptions {
+        solvers: SolverConfig::Approx,
+        ..Default::default()
+    }
 }
 
 #[test]
 fn approximate_ged_never_underestimates_on_paper_data() {
     let (db, q) = paper();
     let exact = graph_similarity_skyline(&db, &q, &QueryOptions::default());
-    for mode in [
-        GedMode::Bipartite,
-        GedMode::Beam(1),
-        GedMode::Beam(16),
-        GedMode::ExactBudget(2),
-    ] {
-        let approx = graph_similarity_skyline(
-            &db,
-            &q,
-            &QueryOptions {
-                solvers: SolverConfig {
-                    ged: mode,
-                    mcs: McsMode::Exact,
-                },
-                ..Default::default()
-            },
+    let approx = graph_similarity_skyline(&db, &q, &approx_options());
+    // Bipartite GED ≥ exact GED.
+    for i in 0..db.len() {
+        assert!(
+            approx.gcs[i].values[0] >= exact.gcs[i].values[0] - 1e-9,
+            "Approx underestimated DistEd for g{}",
+            i + 1
         );
-        for i in 0..db.len() {
-            assert!(
-                approx.gcs[i].values[0] >= exact.gcs[i].values[0] - 1e-9,
-                "{mode:?} underestimated DistEd for g{}",
-                i + 1
-            );
-        }
     }
 }
 
@@ -68,17 +38,7 @@ fn approximate_ged_never_underestimates_on_paper_data() {
 fn greedy_mcs_never_overestimates_on_paper_data() {
     let (db, q) = paper();
     let exact = graph_similarity_skyline(&db, &q, &QueryOptions::default());
-    let approx = graph_similarity_skyline(
-        &db,
-        &q,
-        &QueryOptions {
-            solvers: SolverConfig {
-                ged: GedMode::Exact,
-                mcs: McsMode::Greedy,
-            },
-            ..Default::default()
-        },
-    );
+    let approx = graph_similarity_skyline(&db, &q, &approx_options());
     // Greedy |mcs| ≤ exact ⟹ DistMcs/DistGu ≥ exact.
     for i in 0..db.len() {
         assert!(approx.gcs[i].values[1] >= exact.gcs[i].values[1] - 1e-12);
@@ -87,43 +47,13 @@ fn greedy_mcs_never_overestimates_on_paper_data() {
 }
 
 #[test]
-fn exhaustive_beam_reproduces_the_paper_skyline() {
-    // With width ≥ the total number of complete mappings
-    // (Σ_k C(6,k)·C(10,k)·k! < 20 000 for the largest pair here), beam
-    // search degenerates to exhaustive search, so the skyline must be exact.
-    let (db, q) = paper();
-    let approx = graph_similarity_skyline(
-        &db,
-        &q,
-        &QueryOptions {
-            solvers: SolverConfig {
-                ged: GedMode::Beam(20_000),
-                mcs: McsMode::Exact,
-            },
-            ..Default::default()
-        },
-    );
-    let got: Vec<usize> = approx.skyline.iter().map(|g| g.index()).collect();
-    assert_eq!(got, expected::SKYLINE.to_vec());
-}
-
-#[test]
 fn greedy_mcs_still_reproduces_the_paper_skyline() {
-    // The paper's graphs are easy instances for greedy MCS (their common
-    // subgraphs grow monotonically), so even the approximate configuration
-    // reproduces the headline result — worth pinning as a regression check.
+    // The paper's graphs are easy instances for bipartite GED and greedy
+    // MCS (their common subgraphs grow monotonically), so even the
+    // approximate configuration reproduces the headline result — worth
+    // pinning as a regression check.
     let (db, q) = paper();
-    let approx = graph_similarity_skyline(
-        &db,
-        &q,
-        &QueryOptions {
-            solvers: SolverConfig {
-                ged: GedMode::Exact,
-                mcs: McsMode::Greedy,
-            },
-            ..Default::default()
-        },
-    );
+    let approx = graph_similarity_skyline(&db, &q, &approx_options());
     let got: Vec<usize> = approx.skyline.iter().map(|g| g.index()).collect();
     assert_eq!(got, expected::SKYLINE.to_vec());
 }

@@ -16,8 +16,8 @@
 //! load from disk without re-parsing.
 
 use gss_core::{
-    graph_similarity_skyband, graph_similarity_skyline, GedMode, GraphDatabase, McsMode, Plan,
-    QueryOptions, SolverConfig,
+    graph_similarity_skyband, graph_similarity_skyline, GraphDatabase, Plan, QueryOptions,
+    SolverConfig,
 };
 use gss_datasets::workload::{Workload, WorkloadConfig};
 use gss_graph::{Graph, Rng, VertexId, Vocabulary};
@@ -105,7 +105,7 @@ proptest! {
                         threads,
                         shards,
                         solvers: if approx {
-                            SolverConfig { ged: GedMode::Bipartite, mcs: McsMode::Greedy }
+                            SolverConfig::Approx
                         } else {
                             SolverConfig::default()
                         },

@@ -13,7 +13,6 @@
 //!   label-alignment lower bounds and an optional node budget (anytime).
 //! * [`bipartite::bipartite_ged`] — Riesen–Bunke linear-assignment upper
 //!   bound in `O((n1+n2)³)`, built on an in-crate [`hungarian`] solver.
-//! * [`beam::beam_ged`] — beam search over the same decision tree.
 //!
 //! Plus [`path`] utilities that turn any mapping into an explicit, costed
 //! edit script (used to reproduce the paper's Example 2 op-by-op) and
@@ -42,7 +41,6 @@
 
 #![warn(missing_docs)]
 
-pub mod beam;
 pub mod bipartite;
 pub mod cost;
 pub mod exact;

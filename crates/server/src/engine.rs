@@ -14,8 +14,7 @@ use std::time::{Duration, Instant};
 
 use gss_core::jsonio::Value;
 use gss_core::{
-    exec, BatchStats, CancelToken, GedMode, GraphDatabase, McsMode, Plan, QueryKey, QueryOptions,
-    SolverConfig,
+    exec, BatchStats, CancelToken, GraphDatabase, Plan, QueryKey, QueryOptions, SolverConfig,
 };
 use gss_graph::Graph;
 use gss_protocol::{QueryEnvelope, Response};
@@ -265,12 +264,9 @@ impl Engine {
         let o = &envelope.overrides;
         if let Some(approx) = o.approx {
             options.solvers = if approx {
-                SolverConfig {
-                    ged: GedMode::Bipartite,
-                    mcs: McsMode::Greedy,
-                }
+                SolverConfig::Approx
             } else {
-                SolverConfig::default()
+                SolverConfig::Exact
             };
         }
         if let Some(plan) = o.plan {
@@ -724,7 +720,7 @@ mod tests {
             Request::Query(q) => q,
             _ => unreachable!(),
         };
-        assert_eq!(tuned.options.solvers.ged, GedMode::Bipartite);
+        assert_eq!(tuned.options.solvers, SolverConfig::Approx);
         assert_ne!(
             plain.key.options, tuned.key.options,
             "different options, different cache slots"

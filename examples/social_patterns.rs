@@ -66,10 +66,7 @@ fn main() {
         &db,
         &query,
         &QueryOptions {
-            solvers: SolverConfig {
-                ged: GedMode::Bipartite,
-                mcs: McsMode::Greedy,
-            },
+            solvers: SolverConfig::Approx,
             ..QueryOptions::default()
         },
     );

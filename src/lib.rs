@@ -19,7 +19,7 @@
 //! | [`graph`] (gss-graph) | labeled graphs, vocabulary, formats, RNG |
 //! | [`iso`] (gss-iso) | VF2 (sub)graph isomorphism |
 //! | [`mcs`] (gss-mcs) | exact/greedy connected maximum common subgraph |
-//! | [`ged`] (gss-ged) | exact/bipartite/beam graph edit distance |
+//! | [`ged`] (gss-ged) | exact/bipartite graph edit distance |
 //! | [`skyline`] (gss-skyline) | generic Pareto skyline operators |
 //! | [`diversity`] (gss-diversity) | rank-sum diversity refinement |
 //! | [`core`] (gss-core) | measures, GCS, the GSS query engine |
@@ -75,8 +75,8 @@ pub mod prelude {
     pub use gss_core::{
         graph_similarity_skyband, graph_similarity_skyline, graph_similarity_skyline_batch,
         refine_skyline, refine_skyline_greedy, top_k_by_measure, CancelToken, Cancelled, GcsVector,
-        GedMode, GraphDatabase, GraphId, GssResult, McsMode, MeasureKind, Plan, PruneStats,
-        QueryOptions, RefineOptions, ResolvedPlan, SkybandResult, SolverConfig,
+        GraphDatabase, GraphId, GssResult, MeasureKind, Plan, PruneStats, QueryOptions,
+        RefineOptions, ResolvedPlan, SkybandResult, SolverConfig,
     };
     pub use gss_ged::{ged, CostModel};
     pub use gss_graph::{Graph, GraphBuilder, Label, Rng, Vocabulary};

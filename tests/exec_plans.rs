@@ -86,7 +86,7 @@ proptest! {
         let (db, q) = build_workload(seed, size, kind);
         let index = Arc::new(PivotIndex::build(&db, &PivotIndexConfig { pivots, rings }));
         let solvers = if approx {
-            SolverConfig { ged: GedMode::Bipartite, mcs: McsMode::Greedy }
+            SolverConfig::Approx
         } else {
             SolverConfig::default()
         };
@@ -137,7 +137,7 @@ proptest! {
         let (db, q) = build_workload(seed, size, WorkloadKind::Molecule);
         let index = Arc::new(PivotIndex::build(&db, &PivotIndexConfig { pivots: 2, rings: 2 }));
         let solvers = if approx {
-            SolverConfig { ged: GedMode::Bipartite, mcs: McsMode::Greedy }
+            SolverConfig::Approx
         } else {
             SolverConfig::default()
         };
@@ -172,7 +172,7 @@ proptest! {
         let kind = if molecule { WorkloadKind::Molecule } else { WorkloadKind::Uniform };
         let (db, q) = build_workload(seed, size, kind);
         let solvers = if approx {
-            SolverConfig { ged: GedMode::Bipartite, mcs: McsMode::Greedy }
+            SolverConfig::Approx
         } else {
             SolverConfig::default()
         };

@@ -133,14 +133,9 @@ proptest! {
     fn indexed_scan_equals_prefilter_and_naive_with_approx_solvers(
         seed in any::<u64>(),
         size in 2usize..8,
-        beam in any::<bool>(),
     ) {
         let (db, q) = build_workload(seed, size, WorkloadKind::Molecule);
-        let solvers = if beam {
-            SolverConfig { ged: GedMode::Beam(4), mcs: McsMode::Greedy }
-        } else {
-            SolverConfig { ged: GedMode::Bipartite, mcs: McsMode::Greedy }
-        };
+        let solvers = SolverConfig::Approx;
         let naive = graph_similarity_skyline(
             &db, &q, &QueryOptions { solvers, ..QueryOptions::default() },
         );
@@ -168,7 +163,7 @@ proptest! {
         prop_assert_eq!(&loaded, &built, "deserialized index equals the in-memory one");
 
         let solvers = if approx {
-            SolverConfig { ged: GedMode::Bipartite, mcs: McsMode::Greedy }
+            SolverConfig::Approx
         } else {
             SolverConfig::default()
         };

@@ -156,7 +156,7 @@ proptest! {
         size in 2usize..8,
     ) {
         let (db, q) = build_workload(seed, size, WorkloadKind::Molecule);
-        let solvers = SolverConfig { ged: GedMode::Bipartite, mcs: McsMode::Greedy };
+        let solvers = SolverConfig::Approx;
         let naive = graph_similarity_skyline(
             &db, &q, &QueryOptions { solvers, ..QueryOptions::default() },
         );
@@ -206,8 +206,7 @@ proptest! {
         let copy = db.push(permuted_copy(&q, "twin"));
         for solvers in [
             SolverConfig::default(),
-            SolverConfig { ged: GedMode::Bipartite, mcs: McsMode::Greedy },
-            SolverConfig { ged: GedMode::Beam(4), mcs: McsMode::Greedy },
+            SolverConfig::Approx,
         ] {
             let naive = graph_similarity_skyline(
                 &db, &q, &QueryOptions { solvers, ..QueryOptions::default() },

@@ -741,7 +741,7 @@ proptest! {
         let query = &queries[pick % queries.len()];
         let mut options = QueryOptions { plan, ..QueryOptions::default() };
         if approx {
-            options.solvers = SolverConfig { ged: GedMode::Bipartite, mcs: McsMode::Greedy };
+            options.solvers = SolverConfig::Approx;
         }
 
         let text = graph_text(&db, query);
