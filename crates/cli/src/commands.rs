@@ -350,7 +350,7 @@ pub fn query(args: &Args) -> Result<String, ArgError> {
         let _ = writeln!(
             out,
             "{:<20} {:>8.2} {:>8.3} {:>8.3}  {}",
-            db.get(id).name(),
+            db.name_of(id),
             gcs.values[0],
             gcs.values[1],
             gcs.values[2],
@@ -369,14 +369,14 @@ pub fn query(args: &Args) -> Result<String, ArgError> {
         result.skyline.len()
     );
     for id in &result.skyline {
-        let _ = writeln!(out, "  {}", db.get(*id).name());
+        let _ = writeln!(out, "  {}", db.name_of(*id));
     }
     for w in &result.dominated {
         let _ = writeln!(
             out,
             "  [{} dominated by {}]",
-            db.get(w.graph).name(),
-            db.get(w.dominator).name()
+            db.name_of(w.graph),
+            db.name_of(w.dominator)
         );
     }
     if let Some(stats) = &result.pruning {
@@ -391,7 +391,7 @@ pub fn query(args: &Args) -> Result<String, ArgError> {
             Ok(refined) => {
                 let _ = writeln!(out, "\nmost diverse {k}-subset:");
                 for id in &refined.selected {
-                    let _ = writeln!(out, "  {}", db.get(*id).name());
+                    let _ = writeln!(out, "  {}", db.name_of(*id));
                 }
                 if refined.evaluation.tied.len() > 1 {
                     let _ = writeln!(
@@ -509,7 +509,7 @@ pub fn skyband(args: &Args) -> Result<String, ArgError> {
     let _ = writeln!(out, "{}", plan_line(plan, band.plan));
     let _ = writeln!(out, "{k}-skyband ({} members):", band.members.len());
     for id in &band.members {
-        let _ = writeln!(out, "  {}", db.get(*id).name());
+        let _ = writeln!(out, "  {}", db.name_of(*id));
     }
     if let Some(stats) = &band.pruning {
         write_prune_stats(&mut out, stats);
@@ -529,7 +529,7 @@ pub fn topk(args: &Args) -> Result<String, ArgError> {
     let mut out = String::new();
     let _ = writeln!(out, "top-{k} by {}:", measure.name());
     for s in scored {
-        let _ = writeln!(out, "  {:<20} {:.4}", db.get(s.id).name(), s.distance);
+        let _ = writeln!(out, "  {:<20} {:.4}", db.name_of(s.id), s.distance);
     }
     Ok(out)
 }

@@ -113,9 +113,11 @@ pub fn options_fingerprint(options: &QueryOptions) -> u64 {
         // normalizes every evaluation to wave-parallel batches with
         // per-query threads = 1, and the wave schedule is deterministic.
         threads: _,
-        // The shard count never changes the result bytes: the sharded
-        // assembly reports exactly the skyline ∪ straggler set with derived
-        // pruning counters, invariant in how the candidates were split.
+        // The shard count never changes the result bytes: the stragglers
+        // (excluded graphs whose lower bound no skyline member dominates)
+        // are fixed by the skyline and the bounds, and a sharded result
+        // reports exact vectors for exactly the skyline ∪ stragglers, with
+        // counters derived from that set, however the candidates were split.
         shards: _,
         plan,
         index,

@@ -2,38 +2,41 @@
 //!
 //! Every GSS entry point — [`crate::graph_similarity_skyline`], the batch
 //! API and [`crate::graph_similarity_skyband`] — runs through the one
-//! executor in this module. A query evaluation is four explicit stages:
+//! pipeline in this module. A query evaluation is four stages:
 //!
 //! ```text
-//!  candidate source ──► bound stage ──► dominance verifier ──► assembly
-//!  (full scan, or       (PrefilterSummary  (waves of exact      (skyline +
-//!   QueryIndex           lower bounds       solver calls;        witnesses,
-//!   partitions,          per candidate)     frontier prunes      or k-skyband
-//!   dominated ones                          dominated bounds;    membership)
-//!   skipped wholesale)                      CancelToken
-//!                                           checkpoints)
+//!  candidate source ──► summarize ──► Verifier ──► assembly
+//!  (every candidate,    (one Prefilter-  (the one exact-    (skyline +
+//!   index partitions     Summary per      vector loop:       witnesses,
+//!   most promising       candidate,       waves of solver    or k-skyband
+//!   first, or shards)    lower bounds)    calls; frontier    membership)
+//!                                         prunes covered
+//!                                         bounds)
 //! ```
+//!
+//! Skyline and skyband queries share one dispatch; they differ only in
+//! the verifier's frontier (the non-dominated verified set, or `k`
+//! distinct verified dominators) and in the assembly.
 //!
 //! # Plans
 //!
-//! Which candidate source and bound stage run is decided by a [`Plan`]:
+//! A [`Plan`] picks the candidate source; everything downstream is shared:
 //!
-//! * [`Plan::Naive`] — every candidate goes straight to the solvers; no
-//!   bounds, no pruning (the reference strategy).
-//! * [`Plan::Prefilter`] — the filter-and-verify pipeline: per-candidate
-//!   lower bounds, most-promising-first verification, dominance pruning.
-//! * [`Plan::Indexed`] — a [`QueryIndex`] partitions the database first;
-//!   partitions whose bound vector is dominated are skipped wholesale and
-//!   the survivors run through the prefilter stage. Requires
+//! * [`Plan::Naive`] — every candidate, under a frontier that never
+//!   prunes: every candidate meets the solvers (the reference strategy).
+//! * [`Plan::Prefilter`] — every candidate, most promising first, with
+//!   dominance pruning on per-candidate lower bounds.
+//! * [`Plan::Indexed`] — a [`crate::QueryIndex`] partitions the database
+//!   first; partitions whose bound vector is dominated are skipped
+//!   wholesale and the survivors run through the prefilter stage. Requires
 //!   [`QueryOptions::index`].
 //! * [`Plan::Sharded`] — the candidate space is split into
 //!   [`QueryOptions::shards`] contiguous ranges; each shard runs its own
-//!   *sequential* filter-and-verify pipeline (shards, not candidates, are
-//!   what [`QueryOptions::threads`] parallelizes), and the per-shard
-//!   dominance frontiers are merged into one skyline. This is the fan-out
-//!   strategy for one huge query spread across a worker pool; the
-//!   reported document is invariant in the shard count by construction
-//!   (see [`skyline`]'s sharded assembly).
+//!   *sequential* verifier (shards, not candidates, are what
+//!   [`QueryOptions::threads`] parallelizes), and their vectors merge into
+//!   one skyline. This is the fan-out strategy for one huge query spread
+//!   across a worker pool; the reported document is invariant in the shard
+//!   count by construction (see [`skyline`]).
 //! * [`Plan::Auto`] (the default) — picks one of the above from what is
 //!   available: an attached index wins, otherwise the prefilter pipeline
 //!   for databases of at least [`AUTO_PREFILTER_MIN`] graphs, otherwise
@@ -42,9 +45,13 @@
 //!
 //! Every plan returns **byte-identical** answers: the same skyline, the
 //! same witnesses, the same exact GCS vectors, the same skyband
-//! membership, across solver configurations and thread counts. Plans only
-//! change how much work is spent getting there, which the
-//! [`PruneStats`]/[`GssResult::pruning`] counters expose.
+//! membership, across solver configurations and thread counts. One witness
+//! rule serves them all: an excluded graph's witness is the first skyline
+//! member dominating its lower bound, else its exact vector — and the
+//! *stragglers* that need the latter are verified during assembly,
+//! whichever plan left them unverified. Plans only change how much work is
+//! spent getting there, which the [`PruneStats`]/[`GssResult::pruning`]
+//! counters expose.
 //!
 //! # Cooperative cancellation
 //!
@@ -70,9 +77,8 @@ use gss_graph::Graph;
 use gss_skyline::{dominance, Algorithm};
 
 use crate::database::{GraphDatabase, GraphId};
-use crate::index::QueryIndex;
 use crate::measures::GcsVector;
-use crate::parallel::{parallel_map_indexed, parallel_map_waves};
+use crate::parallel::parallel_map_indexed;
 use crate::prefilter::{self, PrefilterContext, PrefilterSummary, PruneStats};
 use crate::query::{DominationWitness, GssResult, QueryOptions};
 
@@ -315,15 +321,16 @@ impl SkybandResult {
     }
 }
 
-/// Candidates per worker thread in one wave of the naive scan — large
-/// enough to amortize wave bookkeeping, small enough that a cancellation
-/// checkpoint runs every few solver calls.
-const NAIVE_WAVE_PER_THREAD: usize = 8;
-
-/// How the dominance frontier prunes: against the non-dominated verified
-/// set (skyline queries) or by counting `k` distinct verified dominators
-/// (skyband queries).
+/// How the dominance frontier prunes: never (naive scans), against the
+/// non-dominated verified set (skyline queries), or by counting `k`
+/// distinct verified dominators (skyband queries).
+#[derive(Clone)]
 enum Frontier {
+    /// Covers no bound, so every candidate fed to [`Verifier::run`] is
+    /// verified. The naive scan runs under it, and so does the sharded
+    /// plan's merged verifier, whose only work is stragglers (whose bounds
+    /// no skyline member covers, by definition).
+    Off,
     /// The non-dominated subset of verified vectors. Dominance is
     /// transitive, so testing a bound against this subset is as strong as
     /// testing against every verified vector.
@@ -341,11 +348,10 @@ enum Frontier {
     },
 }
 
-/// Shared state of the filter-and-verify pipeline: the verified vectors so
-/// far, the pruning frontier over them, and the running counters. Both the
-/// prefilter-only source and the indexed source drive one `Verifier`;
-/// candidates and partitions can be fed in any order without changing the
-/// final answer (only the stats depend on order).
+/// The verify stage shared by every plan: the verified vectors so far, the
+/// pruning frontier over them, and the running counters. Candidates and
+/// partitions can be fed in any order without changing the final answer
+/// (only the stats depend on order).
 struct Verifier<'a> {
     db: &'a GraphDatabase,
     query: &'a Graph,
@@ -389,6 +395,7 @@ impl<'a> Verifier<'a> {
     /// means `k` distinct verified vectors do.
     fn frontier_dominates(&self, bound: &[f64]) -> bool {
         match &self.frontier {
+            Frontier::Off => false,
             Frontier::Skyline(frontier) => frontier
                 .iter()
                 .any(|&f| dominance::dominates(self.values(f), bound)),
@@ -413,6 +420,7 @@ impl<'a> Verifier<'a> {
         let point =
             |f: usize| -> &[f64] { &exact[f].as_ref().expect("frontier is verified").values };
         match &mut self.frontier {
+            Frontier::Off => {}
             Frontier::Band { verified, .. } => verified.push(i),
             Frontier::Skyline(frontier) => {
                 let v = point(i);
@@ -425,38 +433,37 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    /// Resolves `i` through the distance-zero short-circuit when its
-    /// summary proved isomorphism: exact all-zero vector, no solver runs.
-    fn try_short_circuit(&mut self, i: usize, summary: &PrefilterSummary) {
-        if summary.isomorphic && self.exact[i].is_none() {
-            self.exact[i] = summary.known_exact(&self.options.measures);
-            self.stats.short_circuited += 1;
-            self.frontier_insert(i);
-        }
-    }
-
     /// Runs the per-candidate filter-and-verify loop over `candidates`
-    /// (already-resolved entries are skipped).
+    /// (already-resolved entries are skipped). This is the only place an
+    /// exact GCS vector is computed.
     ///
-    /// Verification order is most promising first (smallest lower-bound
-    /// sum, ties by id): near-answers verify early and build a strong
-    /// pruning frontier for the long tail. Exact solving proceeds in waves
-    /// of up to `threads` candidates so it still parallelizes; each wave
-    /// refreshes the frontier before the next pruning decision, and each
-    /// wave boundary is a cancellation checkpoint.
+    /// A candidate whose summary proved isomorphism resolves through the
+    /// distance-zero short-circuit first: exact all-zero vector, no solver.
+    /// The rest verify most promising first (smallest lower-bound sum, ties
+    /// by id): near-answers verify early and build a strong pruning
+    /// frontier for the long tail. Exact solving proceeds in waves of up to
+    /// `threads` candidates so it still parallelizes; each wave refreshes
+    /// the frontier before the next pruning decision, and each wave
+    /// boundary is a cancellation checkpoint.
     /// `threads == 1` is the classic sequential filter-and-verify loop.
     fn run(
         &mut self,
         candidates: &[usize],
         summaries: &[Option<PrefilterSummary>],
     ) -> Result<(), Cancelled> {
-        let lower = |i: usize| {
-            &summaries[i]
+        let summary = |i: usize| {
+            summaries[i]
                 .as_ref()
                 .expect("candidates fed to run() are summarized")
-                .lower
-                .values
         };
+        for &i in candidates {
+            if summary(i).isomorphic && self.exact[i].is_none() {
+                self.exact[i] = summary(i).known_exact(&self.options.measures);
+                self.stats.short_circuited += 1;
+                self.frontier_insert(i);
+            }
+        }
+        let lower = |i: usize| &summary(i).lower.values;
         let mut order: Vec<usize> = candidates
             .iter()
             .copied()
@@ -506,200 +513,193 @@ impl<'a> Verifier<'a> {
     }
 }
 
-/// Bound stage over the whole database: one [`PrefilterSummary`] per
-/// candidate (cheap, linear-time each), fed from the cached per-graph
-/// [`gss_graph::stats::GraphStats`].
-fn summarize_all(
-    db: &GraphDatabase,
-    query: &Graph,
-    options: &QueryOptions,
-    ctx: &PrefilterContext,
-) -> Vec<Option<PrefilterSummary>> {
-    parallel_map_indexed(db.len(), options.threads, |i| {
-        let id = GraphId(i);
-        // The graph thunk keeps arena-backed candidates unmaterialized
-        // unless the WL short-circuit actually needs the full graph.
-        Some(prefilter::summarize_deferred(
-            || db.get(id),
-            db.stats(id),
-            query,
-            &options.measures,
-            ctx,
-        ))
-    })
+/// What a plan's candidate source leaves for assembly: the verifier (exact
+/// vectors and counters), the per-candidate bounds, and — for the indexed
+/// plan — the partition each candidate was skipped in wholesale.
+struct Scan<'a> {
+    plan: ResolvedPlan,
+    ctx: PrefilterContext,
+    v: Verifier<'a>,
+    /// `None` until the candidate is summarized; members of skipped index
+    /// partitions stay `None` through the scan.
+    summaries: Vec<Option<PrefilterSummary>>,
+    skipped_in: Vec<Option<usize>>,
 }
 
-/// The naive verify stage: exact vectors for every candidate, computed in
-/// cancellable waves (results are order-independent, so the wave structure
-/// never changes them).
-fn naive_verify(
-    db: &GraphDatabase,
-    query: &Graph,
-    options: &QueryOptions,
-    cancel: &CancelToken,
-) -> Result<Vec<GcsVector>, Cancelled> {
-    let threads = options.threads.max(1);
-    parallel_map_waves(
-        db.len(),
-        threads,
-        threads * NAIVE_WAVE_PER_THREAD,
-        || cancel.checkpoint(),
-        |i| {
-            GcsVector::compute(
-                db.get(GraphId(i)),
-                query,
-                &options.measures,
-                &options.solvers,
-            )
-        },
-    )
-}
-
-/// The candidate source stage of an indexed scan: partitions from the
-/// index plan, most promising first; a partition whose bound vector is
-/// covered by the frontier is skipped **wholesale** — its members get
-/// neither a prefilter summary nor a solver call (`summaries` stays `None`
-/// for them). Members of surviving partitions are summarized and run
-/// through the ordinary per-candidate filter-and-verify stage. Returns
-/// `partition_of`: the plan partition index of every *skipped* candidate
-/// (usize::MAX elsewhere), which the skyline assembly uses for straggler
-/// accounting.
-fn run_partitions(
-    v: &mut Verifier<'_>,
-    index: &dyn QueryIndex,
-    ctx: &PrefilterContext,
-    summaries: &mut [Option<PrefilterSummary>],
-) -> Result<Vec<usize>, Cancelled> {
-    let n = v.db.len();
-    let plan = index.plan(v.db, v.query, &v.options.measures);
-    crate::index::validate_plan(&plan, n);
-    for p in &plan.partitions {
-        assert_eq!(
-            p.bound.values.len(),
-            v.options.measures.len(),
-            "index partition bound must match the measure count"
-        );
-    }
-    v.stats.index_partitions = plan.partitions.len();
-    v.stats.pivot_probes = plan.pivot_probes;
-
-    let mut partition_of: Vec<usize> = vec![usize::MAX; n];
-    for pi in plan.most_promising_order() {
-        v.cancel.checkpoint()?;
-        let part = &plan.partitions[pi];
-        if part.members.is_empty() {
-            continue;
-        }
-        if v.frontier_dominates(&part.bound.values) {
-            v.stats.index_skipped += part.members.len();
-            v.stats.index_partitions_skipped += 1;
-            for id in &part.members {
-                partition_of[id.index()] = pi;
-            }
-            continue;
-        }
-        let members: Vec<usize> = part.members.iter().map(|g| g.index()).collect();
-        let batch: Vec<PrefilterSummary> =
-            parallel_map_indexed(members.len(), v.options.threads, |k| {
-                let id = GraphId(members[k]);
-                prefilter::summarize_deferred(
-                    || v.db.get(id),
-                    v.db.stats(id),
-                    v.query,
-                    &v.options.measures,
-                    ctx,
-                )
-            });
-        for (k, s) in batch.into_iter().enumerate() {
-            summaries[members[k]] = Some(s);
-        }
-        for &i in &members {
-            v.try_short_circuit(i, summaries[i].as_ref().expect("just summarized"));
-        }
-        v.run(&members, summaries)?;
-    }
-    Ok(partition_of)
-}
-
-/// The verify phase of the prefilter plan: exact vectors for every
-/// candidate that survives lower-bound domination, `None` for the pruned.
-fn prefilter_verify(
-    v: &mut Verifier<'_>,
-    summaries: &[Option<PrefilterSummary>],
-) -> Result<(), Cancelled> {
-    let n = v.db.len();
-    for (i, summary) in summaries.iter().enumerate() {
-        v.try_short_circuit(i, summary.as_ref().expect("all summarized"));
+/// Runs the resolved plan's candidate source under `frontier`
+/// ([`Frontier::Skyline`] or [`Frontier::Band`]) through one
+/// [`Verifier`] — the single dispatch behind [`skyline`] and [`skyband`].
+///
+/// * Naive and Prefilter summarize every candidate and verify them all,
+///   the naive scan under [`Frontier::Off`].
+/// * Indexed feeds the verifier partition by partition (see
+///   [`Scan::partitions`]).
+/// * Sharded runs one sequential verifier per shard (see [`Scan::shards`])
+///   and merges their vectors into a verifier under [`Frontier::Off`].
+fn execute<'a>(
+    db: &'a GraphDatabase,
+    query: &'a Graph,
+    options: &'a QueryOptions,
+    cancel: &'a CancelToken,
+    frontier: Frontier,
+) -> Result<Scan<'a>, Cancelled> {
+    assert!(
+        !options.measures.is_empty(),
+        "at least one measure is required"
+    );
+    let n = db.len();
+    let plan = resolve_plan(db, options);
+    cancel.checkpoint()?;
+    let scan_frontier = match plan {
+        ResolvedPlan::Prefilter | ResolvedPlan::Indexed => frontier.clone(),
+        ResolvedPlan::Naive | ResolvedPlan::Sharded => Frontier::Off,
+    };
+    let mut scan = Scan {
+        plan,
+        // The query-side invariants are hoisted once per scan; the
+        // isomorphism short-circuit stays off for naive scans and
+        // approximate solvers.
+        ctx: PrefilterContext::for_query(query, &options.solvers, plan != ResolvedPlan::Naive),
+        v: Verifier::new(db, query, options, cancel, scan_frontier),
+        summaries: vec![None; n],
+        skipped_in: vec![None; n],
+    };
+    if plan == ResolvedPlan::Indexed {
+        scan.partitions()?;
+        return Ok(scan);
     }
     let all: Vec<usize> = (0..n).collect();
-    v.run(&all, summaries)
+    scan.summarize(&all);
+    cancel.checkpoint()?;
+    if plan == ResolvedPlan::Sharded {
+        scan.shards(&frontier)?;
+    } else {
+        scan.v.run(&all, &scan.summaries)?;
+    }
+    Ok(scan)
+}
+
+impl Scan<'_> {
+    /// The bound stage: one [`PrefilterSummary`] per id in `ids` (cheap,
+    /// linear-time each), fed from the cached per-graph
+    /// [`gss_graph::stats::GraphStats`]. The graph thunk keeps arena-backed
+    /// candidates unmaterialized unless the WL short-circuit actually needs
+    /// the full graph.
+    fn summarize(&mut self, ids: &[usize]) {
+        let (db, query, options, ctx) = (self.v.db, self.v.query, self.v.options, &self.ctx);
+        let batch = parallel_map_indexed(ids.len(), options.threads, |k| {
+            let id = GraphId(ids[k]);
+            prefilter::summarize_deferred(
+                || db.get(id),
+                db.stats(id),
+                query,
+                &options.measures,
+                ctx,
+            )
+        });
+        for (&i, s) in ids.iter().zip(batch) {
+            self.summaries[i] = Some(s);
+        }
+    }
+
+    /// The indexed candidate source: partitions from the index plan, most
+    /// promising first; a partition whose bound vector the frontier covers
+    /// is skipped **wholesale** — its members get neither a summary nor a
+    /// solver call, and `skipped_in` records the partition. Members of
+    /// surviving partitions are summarized and verified.
+    fn partitions(&mut self) -> Result<(), Cancelled> {
+        let (db, query, options) = (self.v.db, self.v.query, self.v.options);
+        let index = options
+            .index
+            .as_ref()
+            .expect("resolved Indexed implies an index");
+        let plan = index.plan(db, query, &options.measures);
+        crate::index::validate_plan(&plan, db.len());
+        for p in &plan.partitions {
+            assert_eq!(
+                p.bound.values.len(),
+                options.measures.len(),
+                "index partition bound must match the measure count"
+            );
+        }
+        self.v.stats.index_partitions = plan.partitions.len();
+        self.v.stats.pivot_probes = plan.pivot_probes;
+        for pi in plan.most_promising_order() {
+            self.v.cancel.checkpoint()?;
+            let part = &plan.partitions[pi];
+            if part.members.is_empty() {
+                continue;
+            }
+            if self.v.frontier_dominates(&part.bound.values) {
+                self.v.stats.index_skipped += part.members.len();
+                self.v.stats.index_partitions_skipped += 1;
+                for id in &part.members {
+                    self.skipped_in[id.index()] = Some(pi);
+                }
+                continue;
+            }
+            let members: Vec<usize> = part.members.iter().map(|g| g.index()).collect();
+            self.summarize(&members);
+            self.v.run(&members, &self.summaries)?;
+        }
+        Ok(())
+    }
+
+    /// The sharded candidate source: each of [`QueryOptions::shards`]
+    /// contiguous ranges runs its own *sequential* [`Verifier`] under
+    /// `frontier` — shards, not candidates, are the unit
+    /// [`QueryOptions::threads`] parallelizes — and every exact vector a
+    /// shard computed is merged into this scan's verifier.
+    ///
+    /// Within a shard, a local skyline member's lower bound is never
+    /// covered (a dominator of its bound would dominate its exact vector),
+    /// so every global skyline member is verified, and every other merged
+    /// vector is dominated by one: the skyline of the merged vectors is the
+    /// skyline of the database. A local skyband exclusion needs `k` local
+    /// verified dominators, which are true dominators, so no band member is
+    /// excluded either, and the band count over the merged set is exact.
+    fn shards(&mut self, frontier: &Frontier) -> Result<(), Cancelled> {
+        let (db, query, options, cancel) = (self.v.db, self.v.query, self.v.options, self.v.cancel);
+        let n = db.len();
+        let shards = options.shards.max(1).min(n.max(1));
+        let per_shard = QueryOptions {
+            threads: 1,
+            ..options.clone()
+        };
+        let summaries = &self.summaries;
+        let results = parallel_map_indexed(shards, options.threads, |s| {
+            let mut v = Verifier::new(db, query, &per_shard, cancel, frontier.clone());
+            let members: Vec<usize> = shard_range(n, shards, s).collect();
+            v.run(&members, summaries)?;
+            Ok(members
+                .into_iter()
+                .filter_map(|i| v.exact[i].take().map(|g| (i, g)))
+                .collect::<Vec<_>>())
+        });
+        for computed in results {
+            for (i, g) in computed? {
+                self.v.exact[i] = Some(g);
+            }
+        }
+        Ok(())
+    }
+
+    /// The pruning counters the plan reports: the verifier's own for the
+    /// pruned plans, `None` for the naive scan and for the sharded one
+    /// (whose per-shard totals vary with the shard count; [`skyline`]
+    /// derives invariant ones from its reported set).
+    fn counters(&self) -> Option<PruneStats> {
+        match self.plan {
+            ResolvedPlan::Prefilter | ResolvedPlan::Indexed => Some(self.v.stats),
+            ResolvedPlan::Naive | ResolvedPlan::Sharded => None,
+        }
+    }
 }
 
 /// The contiguous candidate range of shard `s` under an `S`-way static
 /// split (ranges cover `0..n` exactly, sizes differ by at most one).
 fn shard_range(n: usize, shards: usize, s: usize) -> std::ops::Range<usize> {
     (s * n / shards)..((s + 1) * n / shards)
-}
-
-/// The verify phase of the sharded plan: each shard runs its own
-/// *sequential* [`Verifier`] over its candidate range — shards, not
-/// candidates, are the unit [`QueryOptions::threads`] parallelizes — and
-/// returns its final frontier plus every exact vector it computed.
-/// `band_k` selects the skyband frontier; `None` is a skyline scan.
-///
-/// Within a shard, the final skyline frontier equals the shard's *true
-/// local skyline*: a local skyline member's lower bound is never covered
-/// (a dominator of its bound would dominate its exact vector), so it is
-/// always verified and survives the frontier; and any frontier survivor
-/// dominated by a pruned candidate's exact vector would transitively be
-/// dominated by that candidate's verified dominator, contradicting
-/// survival. The per-shard frontiers are therefore deterministic — the
-/// shard *and* thread counts only decide how much extra verification
-/// happened along the way.
-///
-/// Each shard yields its frontier (candidate indices) and every exact
-/// vector it computed along the way.
-type ShardOutput = (Vec<usize>, Vec<(usize, GcsVector)>);
-
-fn sharded_verify(
-    db: &GraphDatabase,
-    query: &Graph,
-    options: &QueryOptions,
-    cancel: &CancelToken,
-    summaries: &[Option<PrefilterSummary>],
-    band_k: Option<usize>,
-) -> Result<Vec<ShardOutput>, Cancelled> {
-    let n = db.len();
-    let shards = options.shards.max(1).min(n.max(1));
-    let per_shard = QueryOptions {
-        threads: 1,
-        ..options.clone()
-    };
-    let results = parallel_map_indexed(shards, options.threads, |s| {
-        let frontier = match band_k {
-            None => Frontier::Skyline(Vec::new()),
-            Some(k) => Frontier::Band {
-                k,
-                verified: Vec::new(),
-            },
-        };
-        let mut v = Verifier::new(db, query, &per_shard, cancel, frontier);
-        let members: Vec<usize> = shard_range(n, shards, s).collect();
-        for &i in &members {
-            v.try_short_circuit(i, summaries[i].as_ref().expect("all summarized"));
-        }
-        v.run(&members, summaries)?;
-        let computed: Vec<(usize, GcsVector)> = members
-            .iter()
-            .filter_map(|&i| v.exact[i].take().map(|g| (i, g)))
-            .collect();
-        let frontier = match v.frontier {
-            Frontier::Skyline(f) => f,
-            Frontier::Band { verified, .. } => verified,
-        };
-        Ok((frontier, computed))
-    });
-    results.into_iter().collect()
 }
 
 /// Computes `GSS(D, q)` through the staged executor under the resolved
@@ -712,267 +712,148 @@ pub fn skyline(
     options: &QueryOptions,
     cancel: &CancelToken,
 ) -> Result<GssResult, Cancelled> {
-    assert!(
-        !options.measures.is_empty(),
-        "at least one measure is required"
-    );
+    let mut scan = execute(db, query, options, cancel, Frontier::Skyline(Vec::new()))?;
     let n = db.len();
-    let plan = resolve_plan(db, options);
-    cancel.checkpoint()?;
 
-    // Bound-stage context: the query-side invariants are hoisted once per
-    // scan; the isomorphism short-circuit stays off for naive scans and
-    // approximate solvers.
-    let ctx = PrefilterContext::for_query(query, &options.solvers, plan != ResolvedPlan::Naive);
-
-    let (exact, summaries, pruning) = match plan {
-        ResolvedPlan::Naive => {
-            // Summaries still materialize (the witness rule consumes
-            // per-candidate lower bounds), but nothing is pruned.
-            let summaries = summarize_all(db, query, options, &ctx);
-            cancel.checkpoint()?;
-            let gcs = naive_verify(db, query, options, cancel)?;
-            (gcs.into_iter().map(Some).collect(), summaries, None)
-        }
-        ResolvedPlan::Prefilter => {
-            let summaries = summarize_all(db, query, options, &ctx);
-            cancel.checkpoint()?;
-            let mut v = Verifier::new(db, query, options, cancel, Frontier::Skyline(Vec::new()));
-            prefilter_verify(&mut v, &summaries)?;
-            (v.exact, summaries, Some(v.stats))
-        }
-        ResolvedPlan::Indexed => {
-            let index = options
-                .index
-                .as_ref()
-                .expect("resolved Indexed implies an index")
-                .clone();
-            let mut summaries: Vec<Option<PrefilterSummary>> = vec![None; n];
-            let mut v = Verifier::new(db, query, options, cancel, Frontier::Skyline(Vec::new()));
-            let partition_of = run_partitions(&mut v, index.as_ref(), &ctx, &mut summaries)?;
-
-            // Materialize summaries for the members of skipped partitions:
-            // the witness rule and the reported GCS matrix consume
-            // per-candidate lower bounds for every excluded graph. This is
-            // the reporting half of the bargain — linear-time per
-            // candidate, no solver involved — and runs only after the scan
-            // decided what to verify.
-            let skipped: Vec<usize> = (0..n).filter(|&i| summaries[i].is_none()).collect();
-            let batch: Vec<PrefilterSummary> =
-                parallel_map_indexed(skipped.len(), options.threads, |k| {
-                    let id = GraphId(skipped[k]);
-                    prefilter::summarize_with_stats(
-                        db.get(id),
-                        db.stats(id),
-                        query,
-                        &options.measures,
-                        &ctx,
-                    )
-                });
-            for (k, s) in batch.into_iter().enumerate() {
-                summaries[skipped[k]] = Some(s);
-            }
-
-            // Witness parity: the canonical witness rule resolves an
-            // excluded graph through the first skyline member dominating
-            // its *own* lower bound, falling back to its exact vector. A
-            // skipped candidate's own bound can be looser than its
-            // partition's (the pivot triangle bound sees structure the
-            // label-alignment bounds cannot), so the frontier may dominate
-            // the partition while missing the candidate's bound — verify
-            // those rare stragglers so they resolve exactly as the naive
-            // scan would. Their exact vectors are provably dominated (the
-            // skip was justified by an admissible partition bound), so the
-            // skyline cannot change; and a prefilter-only scan verifies
-            // the same candidates (a candidate whose bound no verified
-            // vector dominates is never pruned), so this never costs more
-            // solver calls than the prefilter plan.
-            let stragglers: Vec<usize> = skipped
-                .iter()
-                .copied()
-                .filter(|&i| {
-                    !v.frontier_dominates(
-                        &summaries[i]
-                            .as_ref()
-                            .expect("skipped candidates were just summarized")
-                            .lower
-                            .values,
-                    )
-                })
-                .collect();
-            v.stats.index_skipped -= stragglers.len();
-            // A partition that produced a straggler was not skipped
-            // *wholesale* after all — keep the partition counter
-            // consistent with the candidate counter in explain output and
-            // the benchmark artifact.
-            let mut demoted: Vec<usize> = stragglers.iter().map(|&i| partition_of[i]).collect();
-            demoted.sort_unstable();
-            demoted.dedup();
-            v.stats.index_partitions_skipped -= demoted.len();
-            v.run(&stragglers, &summaries)?;
-
-            (v.exact, summaries, Some(v.stats))
-        }
-        ResolvedPlan::Sharded => {
-            let summaries = summarize_all(db, query, options, &ctx);
-            cancel.checkpoint()?;
-            let shard_results = sharded_verify(db, query, options, cancel, &summaries, None)?;
-
-            // Divide-and-conquer merge: the skyline of the union of the
-            // per-shard skylines is the skyline of the whole database —
-            // every global member is locally non-dominated (so pooled),
-            // and every pooled non-member is dominated by a global member
-            // that is itself in the pool.
-            let mut computed: Vec<Option<GcsVector>> = vec![None; n];
-            let mut pool: Vec<usize> = Vec::new();
-            for (frontier, exacts) in shard_results {
-                pool.extend(frontier);
-                for (i, g) in exacts {
-                    computed[i] = Some(g);
-                }
-            }
-            pool.sort_unstable();
-            let pool_points: Vec<Vec<f64>> = pool
-                .iter()
-                .map(|&i| {
-                    computed[i]
-                        .as_ref()
-                        .expect("pooled frontiers are verified")
-                        .values
-                        .clone()
-                })
-                .collect();
-            let sky: Vec<usize> = gss_skyline::skyline(&pool_points, Algorithm::default())
-                .into_iter()
-                .map(|j| pool[j])
-                .collect();
-
-            // Reporting invariance: the document must not depend on the
-            // shard count, so exact vectors are reported for exactly the
-            // skyline plus the *stragglers* — excluded candidates whose
-            // own lower bound no skyline member's exact vector dominates
-            // (the same set every unsharded plan resolves through the
-            // second witness rule). Extra vectors individual shards
-            // happened to verify are deliberately dropped; vectors the
-            // shards did not compute are filled here. Stragglers are
-            // provably dominated, so the skyline cannot change.
-            let mut in_sky = vec![false; n];
-            for &i in &sky {
-                in_sky[i] = true;
-            }
-            let sky_dominates_lower = |i: usize| {
-                let lower = &summaries[i].as_ref().expect("all summarized").lower.values;
-                sky.iter().any(|&m| {
-                    dominance::dominates(
-                        &computed[m].as_ref().expect("skyline is verified").values,
-                        lower,
-                    )
-                })
-            };
-            let stragglers: Vec<usize> = (0..n)
-                .filter(|&i| !in_sky[i] && !sky_dominates_lower(i))
-                .collect();
-            let missing: Vec<usize> = stragglers
-                .iter()
-                .copied()
-                .filter(|&i| computed[i].is_none())
-                .collect();
-            let threads = options.threads.max(1);
-            let fresh = parallel_map_waves(
-                missing.len(),
-                threads,
-                threads * NAIVE_WAVE_PER_THREAD,
-                || cancel.checkpoint(),
-                |j| {
-                    GcsVector::compute(
-                        db.get(GraphId(missing[j])),
-                        query,
-                        &options.measures,
-                        &options.solvers,
-                    )
-                },
-            )?;
-            for (j, g) in fresh.into_iter().enumerate() {
-                computed[missing[j]] = Some(g);
-            }
-
-            let mut exact: Vec<Option<GcsVector>> = vec![None; n];
-            for &i in sky.iter().chain(stragglers.iter()) {
-                exact[i] = computed[i].take();
-            }
-
-            // The pruning counters are *derived* from the reported set —
-            // not from the per-shard scans, whose incidental verification
-            // totals vary with the shard count — so the stats block is
-            // invariant too. A candidate outside the reported set was
-            // excluded by lower bounds alone, which is exactly what
-            // `pruned` means in the other pruned plans.
-            let reported = sky.len() + stragglers.len();
-            let short_circuited = sky
-                .iter()
-                .chain(stragglers.iter())
-                .filter(|&&i| summaries[i].as_ref().expect("all summarized").isomorphic)
-                .count();
-            let stats = PruneStats {
-                candidates: n,
-                verified: reported - short_circuited,
-                pruned: n - reported,
-                short_circuited,
-                ..PruneStats::default()
-            };
-            (exact, summaries, Some(stats))
-        }
+    // Members of skipped index partitions get their bounds only now, after
+    // the scan decided what to verify: the witness rule and the reported
+    // GCS rows consume a lower bound for every excluded graph. Every other
+    // plan summarized everything already.
+    let unsummarized: Vec<usize> = (0..n).filter(|&i| scan.summaries[i].is_none()).collect();
+    scan.summarize(&unsummarized);
+    let summaries = std::mem::take(&mut scan.summaries);
+    let summary = |i: usize| {
+        summaries[i]
+            .as_ref()
+            .expect("every candidate is summarized")
     };
 
-    // Assembly: skyline over the verified GCS matrix. Pruned candidates
-    // are provably dominated, and removing dominated points never changes
-    // a skyline, so running the algorithm on the verified subset yields
-    // exactly `GSS(D, q)`.
-    let verified: Vec<usize> = (0..n).filter(|&i| exact[i].is_some()).collect();
-    let points: Vec<Vec<f64>> = verified
-        .iter()
-        .map(|&i| exact[i].as_ref().expect("verified").values.clone())
-        .collect();
-    let skyline: Vec<GraphId> = gss_skyline::skyline(&points, Algorithm::default())
-        .into_iter()
-        .map(|k| GraphId(verified[k]))
-        .collect();
+    // Assembly: skyline over the verified GCS matrix. Unverified
+    // candidates are provably dominated, and removing dominated points
+    // never changes a skyline, so this is exactly `GSS(D, q)`.
+    let skyline = assemble(&scan.v.exact, |points| {
+        gss_skyline::skyline(points, Algorithm::default())
+    });
+    let mut in_sky = vec![false; n];
+    for s in &skyline {
+        in_sky[s.index()] = true;
+    }
 
-    // Witnesses for the excluded graphs — the identical rule in every
-    // plan consumes per-candidate lower bounds. Every plan returns
-    // fully-materialized summaries (the indexed source fills in skipped
-    // partitions itself, after the verify loop), so this is a plain
-    // unwrap.
-    let summaries: Vec<PrefilterSummary> = summaries
-        .into_iter()
-        .map(|s| s.expect("every candidate source materializes all summaries"))
-        .collect();
-    let dominated = compute_witnesses(n, &skyline, &exact, &summaries);
-
-    // Exact vectors where verified, lower bounds elsewhere.
-    let mut evaluated = Vec::with_capacity(n);
-    let mut gcs = Vec::with_capacity(n);
-    for (i, e) in exact.into_iter().enumerate() {
-        match e {
-            Some(v) => {
-                evaluated.push(true);
-                gcs.push(v);
+    // Witness rule, first half: an excluded graph's witness is the first
+    // skyline member dominating its *own* lower bound. A graph with no
+    // such member is a straggler and resolves through its exact vector,
+    // so one is computed wherever missing. For Naive and Prefilter none is
+    // (an unverified candidate there was pruned by a verified vector, which
+    // is a skyline member or dominated by one). An indexed candidate's
+    // bound can be looser than its partition's (the pivot triangle bound
+    // sees structure the label-alignment bounds cannot), and a sharded
+    // candidate was pruned by a local vector only. Stragglers are provably
+    // dominated (an admissible bound was), so the skyline cannot change,
+    // and the prefilter plan verifies them too (a bound no verified vector
+    // dominates is never pruned), so no plan costs more solver calls.
+    let lower_witness: Vec<Option<GraphId>> = (0..n)
+        .map(|i| {
+            if in_sky[i] {
+                None
+            } else {
+                first_dominator(&scan.v.exact, &skyline, &summary(i).lower.values)
             }
-            None => {
-                evaluated.push(false);
-                gcs.push(summaries[i].lower.clone());
+        })
+        .collect();
+    let stragglers: Vec<usize> = (0..n)
+        .filter(|&i| !in_sky[i] && lower_witness[i].is_none())
+        .collect();
+    scan.v.run(&stragglers, &summaries)?;
+
+    // A partition that produced a straggler was not skipped wholesale
+    // after all: keep the partition counter consistent with the candidate
+    // counter.
+    let mut demoted: Vec<usize> = stragglers
+        .iter()
+        .filter_map(|&i| scan.skipped_in[i])
+        .collect();
+    scan.v.stats.index_skipped -= demoted.len();
+    demoted.sort_unstable();
+    demoted.dedup();
+    scan.v.stats.index_partitions_skipped -= demoted.len();
+
+    let mut pruning = scan.counters();
+    if scan.plan == ResolvedPlan::Sharded {
+        // The document must not depend on the shard count, so exact vectors
+        // are reported for exactly the skyline plus the stragglers (extra
+        // vectors individual shards happened to verify are dropped), and
+        // the counters are derived from that set: a candidate outside it
+        // was excluded by lower bounds alone, which is what `pruned` means
+        // in the other pruned plans.
+        for (e, w) in scan.v.exact.iter_mut().zip(&lower_witness) {
+            if w.is_some() {
+                *e = None;
             }
         }
+        let reported = skyline.len() + stragglers.len();
+        let short_circuited = skyline
+            .iter()
+            .map(|s| s.index())
+            .chain(stragglers.iter().copied())
+            .filter(|&i| summary(i).isomorphic)
+            .count();
+        pruning = Some(PruneStats {
+            candidates: n,
+            verified: reported - short_circuited,
+            pruned: n - reported,
+            short_circuited,
+            ..PruneStats::default()
+        });
     }
+    let exact = scan.v.exact;
+
+    // Witness rule, second half: stragglers through their exact vectors.
+    let dominated: Vec<DominationWitness> = (0..n)
+        .filter(|&i| !in_sky[i])
+        .map(|i| DominationWitness {
+            graph: GraphId(i),
+            dominator: lower_witness[i]
+                .or_else(|| {
+                    let v = &exact[i].as_ref().expect("stragglers are verified").values;
+                    first_dominator(&exact, &skyline, v)
+                })
+                .expect("every excluded point has a skyline dominator"),
+        })
+        .collect();
+
+    // Exact vectors where verified, lower bounds elsewhere.
+    let evaluated: Vec<bool> = exact.iter().map(Option::is_some).collect();
+    let gcs: Vec<GcsVector> = exact
+        .into_iter()
+        .enumerate()
+        .map(|(i, e)| e.unwrap_or_else(|| summary(i).lower.clone()))
+        .collect();
 
     Ok(GssResult {
         measures: options.measures.clone(),
-        plan,
+        plan: scan.plan,
         gcs,
         evaluated,
         skyline,
         dominated,
         pruning,
+    })
+}
+
+/// The first skyline member (ascending) whose exact vector dominates
+/// `point`. Lower bounds never exceed exact values, so a member dominating
+/// a graph's lower bound dominates the graph.
+fn first_dominator(
+    exact: &[Option<GcsVector>],
+    skyline: &[GraphId],
+    point: &[f64],
+) -> Option<GraphId> {
+    skyline.iter().copied().find(|s| {
+        let member = &exact[s.index()]
+            .as_ref()
+            .expect("skyline members are verified")
+            .values;
+        dominance::dominates(member, point)
     })
 }
 
@@ -1015,7 +896,9 @@ pub fn skyline_batch(
 /// verified exact vectors is excluded without solving — those `k` vectors
 /// dominate its exact vector too, and by transitivity anything *it* would
 /// have dominated already has `k` verified dominators, so membership of
-/// every other graph is decided identically to the naive scan.
+/// every other graph is decided identically to the naive scan. Skipped
+/// index partitions need no backfill: a skipped partition's bound already
+/// proves `k` dominators for every member.
 pub fn skyband(
     db: &GraphDatabase,
     query: &Graph,
@@ -1023,166 +906,50 @@ pub fn skyband(
     options: &QueryOptions,
     cancel: &CancelToken,
 ) -> Result<SkybandResult, Cancelled> {
-    assert!(
-        !options.measures.is_empty(),
-        "at least one measure is required"
-    );
-    let n = db.len();
-    let plan = resolve_plan(db, options);
-    cancel.checkpoint()?;
-    let ctx = PrefilterContext::for_query(query, &options.solvers, plan != ResolvedPlan::Naive);
-
-    let (exact, pruning): (Vec<Option<GcsVector>>, Option<PruneStats>) = match plan {
-        ResolvedPlan::Naive => {
-            let gcs = naive_verify(db, query, options, cancel)?;
-            (gcs.into_iter().map(Some).collect(), None)
-        }
-        ResolvedPlan::Prefilter => {
-            let summaries = summarize_all(db, query, options, &ctx);
-            cancel.checkpoint()?;
-            let mut v = Verifier::new(
-                db,
-                query,
-                options,
-                cancel,
-                Frontier::Band {
-                    k,
-                    verified: Vec::new(),
-                },
-            );
-            prefilter_verify(&mut v, &summaries)?;
-            (v.exact, Some(v.stats))
-        }
-        ResolvedPlan::Indexed => {
-            let index = options
-                .index
-                .as_ref()
-                .expect("resolved Indexed implies an index")
-                .clone();
-            let mut summaries: Vec<Option<PrefilterSummary>> = vec![None; n];
-            let mut v = Verifier::new(
-                db,
-                query,
-                options,
-                cancel,
-                Frontier::Band {
-                    k,
-                    verified: Vec::new(),
-                },
-            );
-            // No straggler pass and no summary backfill: the skyband
-            // reports membership only, and a skipped partition's bound
-            // already proves `k` dominators for every member (the bound is
-            // ≤ each member's exact vector per dimension).
-            run_partitions(&mut v, index.as_ref(), &ctx, &mut summaries)?;
-            (v.exact, Some(v.stats))
-        }
-        ResolvedPlan::Sharded => {
-            let summaries = summarize_all(db, query, options, &ctx);
-            cancel.checkpoint()?;
-            // Each shard runs the band frontier over its own range; a
-            // local exclusion needs `k` *local* verified dominators, which
-            // are true dominators, so no band member is ever excluded. For
-            // the merged count the argument mirrors the band frontier's:
-            // an unverified dominator of a candidate implies `k` verified
-            // dominators by transitivity, so members (fewer than `k` true
-            // dominators) have every dominator verified and the count over
-            // the merged verified set is exact. Stats are not reported —
-            // the per-shard verification totals vary with the shard count,
-            // and unlike the skyline there is no invariant reported set to
-            // derive them from.
-            let shard_results = sharded_verify(db, query, options, cancel, &summaries, Some(k))?;
-            let mut exact: Vec<Option<GcsVector>> = vec![None; n];
-            for (_, exacts) in shard_results {
-                for (i, g) in exacts {
-                    exact[i] = Some(g);
-                }
-            }
-            (exact, None)
-        }
+    let frontier = Frontier::Band {
+        k,
+        verified: Vec::new(),
     };
-
+    let scan = execute(db, query, options, cancel, frontier)?;
     Ok(SkybandResult {
         k,
-        members: band_members(&exact, k),
-        plan,
-        pruning,
+        members: band_members(&scan.v.exact, k),
+        plan: scan.plan,
+        pruning: scan.counters(),
     })
 }
 
 /// Skyband assembly: membership by final dominator count over the
-/// verified vectors, delegated to [`gss_skyline::k_skyband`] on the
-/// compacted verified subset (mirroring how the skyline assembly
-/// delegates to [`gss_skyline::skyline`]). Pruned candidates are excluded
-/// (they have ≥ `k` dominators by construction), and for a verified
-/// candidate the verified-only count equals the true count — any
-/// unverified dominator would imply ≥ `k` verified dominators by
-/// transitivity.
+/// verified vectors. Pruned candidates are excluded (they have ≥ `k`
+/// dominators by construction), and for a verified candidate the
+/// verified-only count equals the true count — any unverified dominator
+/// would imply ≥ `k` verified dominators by transitivity.
 fn band_members(exact: &[Option<GcsVector>], k: usize) -> Vec<GraphId> {
+    assemble(exact, |points| gss_skyline::k_skyband(points, k))
+}
+
+/// Runs `select` (a skyline or skyband algorithm returning point indices)
+/// on the compacted verified subset of `exact` and maps its picks back to
+/// graph ids.
+fn assemble(
+    exact: &[Option<GcsVector>],
+    select: impl FnOnce(&[Vec<f64>]) -> Vec<usize>,
+) -> Vec<GraphId> {
     let verified: Vec<usize> = (0..exact.len()).filter(|&i| exact[i].is_some()).collect();
     let points: Vec<Vec<f64>> = verified
         .iter()
         .map(|&i| exact[i].as_ref().expect("verified").values.clone())
         .collect();
-    gss_skyline::k_skyband(&points, k)
+    select(&points)
         .into_iter()
         .map(|j| GraphId(verified[j]))
         .collect()
 }
 
-/// One witness per excluded graph: the first skyline member (ascending)
-/// whose exact vector dominates the graph's lower-bound vector, else the
-/// first dominating its exact vector. Lower bounds never exceed exact
-/// values, so a lower-bound dominator is always a true dominator; the
-/// two-step rule exists so pruned graphs (whose exact vector is unknown)
-/// and verified graphs resolve through the same deterministic procedure.
-fn compute_witnesses(
-    n: usize,
-    skyline: &[GraphId],
-    exact: &[Option<GcsVector>],
-    summaries: &[PrefilterSummary],
-) -> Vec<DominationWitness> {
-    let sky_point = |s: &GraphId| {
-        &exact[s.index()]
-            .as_ref()
-            .expect("skyline members are verified")
-            .values
-    };
-    let mut dominated = Vec::new();
-    for i in 0..n {
-        let id = GraphId(i);
-        if skyline.binary_search(&id).is_ok() {
-            continue;
-        }
-        let lower = &summaries[i].lower.values;
-        let dominator = skyline
-            .iter()
-            .find(|s| dominance::dominates(sky_point(s), lower))
-            .or_else(|| {
-                let ev = &exact[i]
-                    .as_ref()
-                    .expect(
-                        "an excluded graph is either pruned (lower-bound dominated) or verified",
-                    )
-                    .values;
-                skyline
-                    .iter()
-                    .find(|s| dominance::dominates(sky_point(s), ev))
-            })
-            .copied()
-            .expect("every excluded point has a skyline dominator");
-        dominated.push(DominationWitness {
-            graph: id,
-            dominator,
-        });
-    }
-    dominated
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::{IndexPartition, IndexPlan};
+    use crate::index::{IndexPartition, IndexPlan, QueryIndex};
     use crate::measures::MeasureKind;
     use crate::query::graph_similarity_skyline;
     use gss_datasets::paper::figure3_database;
@@ -1303,13 +1070,9 @@ mod tests {
         });
         let db = GraphDatabase::from_parts(w.vocab, w.graphs);
         let q = w.query;
-        // Each plan with its wave width at threads = 1.
-        for (plan, wave) in [
-            (Plan::Naive, NAIVE_WAVE_PER_THREAD),
-            (Plan::Prefilter, 1),
-            (Plan::Indexed, 1),
-            (Plan::Sharded, 1),
-        ] {
+        // Every plan verifies through one loop whose waves hold `threads`
+        // candidates, so at threads = 1 each solver call gets a checkpoint.
+        for plan in [Plan::Naive, Plan::Prefilter, Plan::Indexed, Plan::Sharded] {
             let opts = QueryOptions {
                 plan,
                 shards: 3,
@@ -1330,7 +1093,7 @@ mod tests {
                 let verified = run(what, &counting).expect("an unfired token never cancels");
                 let polls = counting.inner.polls.load(AtomicOrdering::Relaxed);
                 assert!(
-                    polls * wave >= verified,
+                    polls >= verified,
                     "{plan:?} {what}: {polls} checkpoints for {verified} verified"
                 );
                 for k in 0..polls {

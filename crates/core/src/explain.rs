@@ -131,7 +131,7 @@ pub fn to_json(db: &GraphDatabase, result: &GssResult) -> String {
     let _ = write!(out, "],\n  \"plan\": \"{}\"", result.plan.name());
     out.push_str(",\n  \"graphs\": [\n");
     for (i, ex) in explanations.iter().enumerate() {
-        let name = json_escape(db.get(ex.graph).name());
+        let name = json_escape(db.name_of(ex.graph));
         let values: Vec<String> = result.gcs[i]
             .values
             .iter()
@@ -140,7 +140,7 @@ pub fn to_json(db: &GraphDatabase, result: &GssResult) -> String {
         let dominators: Vec<String> = ex
             .dominators
             .iter()
-            .map(|d| format!("\"{}\"", json_escape(db.get(*d).name())))
+            .map(|d| format!("\"{}\"", json_escape(db.name_of(*d))))
             .collect();
         let dims: Vec<String> = ex.best_dimensions.iter().map(usize::to_string).collect();
         let _ = write!(
@@ -169,7 +169,7 @@ pub fn to_json(db: &GraphDatabase, result: &GssResult) -> String {
         if i > 0 {
             out.push_str(", ");
         }
-        let _ = write!(out, "\"{}\"", json_escape(db.get(*id).name()));
+        let _ = write!(out, "\"{}\"", json_escape(db.name_of(*id)));
     }
     out.push(']');
     if let Some(stats) = &result.pruning {
@@ -198,8 +198,8 @@ pub fn to_json(db: &GraphDatabase, result: &GssResult) -> String {
 }
 
 /// Serializes aggregated batch counters as a one-line JSON object — the
-/// `"batch"` payload of [`to_json_batch`] and of the `gss-server` `stats`
-/// verb. `verified` counts exact solver calls.
+/// `"batch"` payload of the `gss-server` `stats` verb. `verified` counts
+/// exact solver calls.
 pub fn batch_stats_to_json(stats: &BatchStats) -> String {
     format!(
         "{{\"queries\": {}, \"candidates\": {}, \"evaluated\": {}, \"verified\": {}, \
@@ -213,23 +213,6 @@ pub fn batch_stats_to_json(stats: &BatchStats) -> String {
         stats.index_skipped,
         stats.pruning_rate()
     )
-}
-
-/// Serializes a whole batch of results (from
-/// [`crate::graph_similarity_skyline_batch`]): the aggregated
-/// [`BatchStats`] followed by the per-query explain documents, in query
-/// order.
-pub fn to_json_batch(db: &GraphDatabase, results: &[GssResult]) -> String {
-    let stats = BatchStats::aggregate(results);
-    let mut out = String::from("{\n  \"batch\": ");
-    out.push_str(&batch_stats_to_json(&stats));
-    out.push_str(",\n  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(to_json(db, r).trim_end());
-        out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
@@ -328,30 +311,41 @@ mod tests {
             plan: crate::Plan::Prefilter,
             ..QueryOptions::default()
         };
-        let results = graph_similarity_skyline_batch(&db, &queries, &opts);
-        let stats = BatchStats::aggregate(&results);
+        let mut stats = BatchStats::default();
+        for r in &graph_similarity_skyline_batch(&db, &queries, &opts) {
+            stats.absorb(r);
+        }
         assert_eq!(stats.queries, 2);
         assert_eq!(stats.candidates, 2 * db.len());
         assert_eq!(
             stats.verified + stats.pruned + stats.short_circuited + stats.index_skipped,
             stats.candidates
         );
-        let json = to_json_batch(&db, &results);
-        assert!(json.contains("\"batch\": {\"queries\": 2"), "{json}");
-        assert_eq!(json.matches("\"skyline\":").count(), 2);
-        // The whole document parses with the workspace JSON parser.
+        let json = batch_stats_to_json(&stats);
+        assert!(json.starts_with("{\"queries\": 2, "), "{json}");
+        // The line parses with the workspace JSON parser.
         let v = crate::jsonio::Value::parse(&json).expect("valid JSON");
         assert_eq!(
-            v.get("batch")
-                .and_then(|b| b.get("queries"))
-                .and_then(crate::jsonio::Value::as_f64),
-            Some(2.0)
+            v.get("candidates").and_then(crate::jsonio::Value::as_f64),
+            Some((2 * db.len()) as f64)
         );
-        assert_eq!(
-            v.get("results")
-                .and_then(crate::jsonio::Value::as_array)
-                .map(<[_]>::len),
-            Some(2)
-        );
+    }
+
+    #[test]
+    fn to_json_names_graphs_without_materializing_them() {
+        use gss_datasets::workload::{Workload, WorkloadConfig};
+        let w = Workload::generate(&WorkloadConfig::bench_smoke());
+        let mut db = GraphDatabase::from_parts(w.vocab, w.graphs);
+        db.compact();
+        let opts = QueryOptions {
+            plan: crate::Plan::Prefilter,
+            ..QueryOptions::default()
+        };
+        let r = graph_similarity_skyline(&db, &w.query, &opts);
+        let before = db.memory_stats().materialized;
+        assert!(before < db.len(), "the pruned scan left arena rows unread");
+        let json = to_json(&db, &r);
+        assert_eq!(json.matches("\"name\":").count(), db.len());
+        assert_eq!(db.memory_stats().materialized, before);
     }
 }

@@ -48,36 +48,6 @@ where
         .collect()
 }
 
-/// Like [`parallel_map_indexed`], but processes `0..n` in contiguous waves
-/// of up to `wave` items, invoking `checkpoint` before each wave and
-/// aborting with its error as soon as it fails. The staged executor
-/// ([`crate::exec`]) uses this for cooperative cancellation of otherwise
-/// embarrassingly-parallel scans: results are per-index pure, so the wave
-/// structure never changes them — only how soon a cancellation is noticed.
-pub fn parallel_map_waves<R, F, C, E>(
-    n: usize,
-    threads: usize,
-    wave: usize,
-    mut checkpoint: C,
-    f: F,
-) -> Result<Vec<R>, E>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-    C: FnMut() -> Result<(), E>,
-{
-    let wave = wave.max(1);
-    let mut out: Vec<R> = Vec::with_capacity(n);
-    let mut start = 0usize;
-    while start < n {
-        checkpoint()?;
-        let take = wave.min(n - start);
-        out.extend(parallel_map_indexed(take, threads, |k| f(start + k)));
-        start += take;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,42 +73,6 @@ mod tests {
     #[test]
     fn single_item() {
         assert_eq!(parallel_map_indexed(1, 8, |i| i + 1), vec![1]);
-    }
-
-    #[test]
-    fn waves_match_the_plain_map_and_stop_on_checkpoint_failure() {
-        for (threads, wave) in [(1usize, 1usize), (1, 5), (3, 2), (4, 100)] {
-            let out = parallel_map_waves(17, threads, wave, || Ok::<(), ()>(()), |i| i * 3)
-                .expect("no cancellation");
-            assert_eq!(
-                out,
-                (0..17).map(|i| i * 3).collect::<Vec<_>>(),
-                "threads={threads} wave={wave}"
-            );
-        }
-        // The checkpoint runs before each wave; failing on the third wave
-        // (waves of 2 over 10 items) stops after exactly 4 items.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let waves = AtomicUsize::new(0);
-        let produced = AtomicUsize::new(0);
-        let r: Result<Vec<usize>, &str> = parallel_map_waves(
-            10,
-            1,
-            2,
-            || {
-                if waves.fetch_add(1, Ordering::SeqCst) == 2 {
-                    Err("stop")
-                } else {
-                    Ok(())
-                }
-            },
-            |i| {
-                produced.fetch_add(1, Ordering::SeqCst);
-                i
-            },
-        );
-        assert_eq!(r, Err("stop"));
-        assert_eq!(produced.load(Ordering::SeqCst), 4);
     }
 
     #[test]

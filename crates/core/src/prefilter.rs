@@ -189,7 +189,7 @@ impl PrefilterContext {
 /// invariants (label multisets, degree sequence, WL fingerprint) come from
 /// the context so only the candidate side is derived per call.
 ///
-/// Standalone convenience form of [`summarize_with_stats`]: derives the
+/// Standalone convenience form of [`summarize_deferred`]: derives the
 /// candidate-side [`GraphStats`] on the fly. Scans over a
 /// [`crate::GraphDatabase`] use the cached per-graph summaries instead, so
 /// the candidate side is computed once per graph ever, not once per scan.
@@ -199,35 +199,21 @@ pub fn summarize(
     measures: &[MeasureKind],
     ctx: &PrefilterContext,
 ) -> PrefilterSummary {
-    summarize_with_stats(g, &GraphStats::compute(g), q, measures, ctx)
+    summarize_deferred(|| g, &GraphStats::compute(g), q, measures, ctx)
 }
 
-/// [`summarize`] with the candidate's precomputed [`GraphStats`]: the only
-/// per-call work left is combining the two precomputed sides (multiset
-/// intersections) and, for WL-equal pairs, the VF2 isomorphism check.
+/// [`summarize`] with the candidate's precomputed [`GraphStats`] and the
+/// candidate graph behind a thunk: the only per-call work left is
+/// combining the two precomputed sides (multiset intersections) and, for
+/// WL-equal pairs, the VF2 isomorphism check.
 ///
-/// `stats` must describe `g` (the database stats cache guarantees this for
-/// stored graphs).
-pub fn summarize_with_stats(
-    g: &Graph,
-    stats: &GraphStats,
-    q: &Graph,
-    measures: &[MeasureKind],
-    ctx: &PrefilterContext,
-) -> PrefilterSummary {
-    summarize_deferred(|| g, stats, q, measures, ctx)
-}
-
-/// [`summarize_with_stats`] with the candidate graph behind a thunk.
-///
-/// Everything the summary needs comes from `stats` and `ctx` — the only
-/// consumer of the candidate *graph* is the VF2 isomorphism check behind
-/// the WL-fingerprint short-circuit, which fires for a vanishing
-/// fraction of candidates. Deferring the graph lets arena-backed
-/// databases (`GraphDatabase::get` materializes lazily) prefilter whole
-/// scans from contiguous stat columns without reconstructing a single
-/// pruned candidate. `summarize_with_stats` delegates here, so both
-/// entry points produce byte-identical summaries by construction.
+/// `stats` must describe the graph the thunk returns (the database stats
+/// cache guarantees this for stored graphs). The VF2 check behind the
+/// WL-fingerprint short-circuit is the only consumer of the candidate
+/// *graph*, and it fires for a vanishing fraction of candidates. Deferring
+/// the graph lets arena-backed databases (`GraphDatabase::get`
+/// materializes lazily) prefilter whole scans from contiguous stat columns
+/// without reconstructing a single pruned candidate.
 pub fn summarize_deferred<'g>(
     graph: impl FnOnce() -> &'g Graph,
     stats: &GraphStats,
@@ -480,7 +466,7 @@ mod tests {
 
     #[test]
     fn cached_stats_path_matches_ad_hoc_summaries() {
-        // `summarize_with_stats` fed from the database cache must produce
+        // `summarize_deferred` fed from the database cache must produce
         // exactly what the standalone `summarize` computes, for exact and
         // approximate solver configs alike.
         use crate::database::{GraphDatabase, GraphId};
@@ -492,8 +478,8 @@ mod tests {
             let ctx = PrefilterContext::for_query(&b, &solvers, true);
             for id in [ida, GraphId(1)] {
                 let g = db.get(id).clone();
-                let cached = summarize_with_stats(
-                    &g,
+                let cached = summarize_deferred(
+                    || &g,
                     db.stats(id),
                     &b,
                     &MeasureKind::paper_query_measures(),

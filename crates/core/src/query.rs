@@ -212,15 +212,6 @@ pub struct BatchStats {
 }
 
 impl BatchStats {
-    /// Sums the counters of every result in the batch.
-    pub fn aggregate(results: &[GssResult]) -> BatchStats {
-        let mut total = BatchStats::default();
-        for r in results {
-            total.absorb(r);
-        }
-        total
-    }
-
     /// Adds one result's counters to the running totals.
     pub fn absorb(&mut self, result: &GssResult) {
         self.queries += 1;
@@ -268,7 +259,7 @@ impl BatchStats {
 ///
 /// Results are in query order and identical to calling
 /// [`graph_similarity_skyline`] per query with `threads = 1`. Aggregate the
-/// per-query [`GssResult::pruning`] counters with [`BatchStats::aggregate`].
+/// per-query [`GssResult::pruning`] counters with [`BatchStats::absorb`].
 pub fn graph_similarity_skyline_batch(
     db: &GraphDatabase,
     queries: &[Graph],

@@ -21,7 +21,8 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use similarity_skyline::core::{exec, QueryIndex};
+use similarity_skyline::core::database::codec::Fnv64;
+use similarity_skyline::core::{exec, to_json, QueryIndex};
 use similarity_skyline::datasets::workload::{Workload, WorkloadConfig, WorkloadKind};
 use similarity_skyline::prelude::*;
 
@@ -339,5 +340,80 @@ fn smoke_workload_auto_is_solver_optimal_and_the_skyband_prunes() {
         excluded > 0,
         "the pruned skyband excluded {excluded} of {} candidates without solving",
         stats.candidates
+    );
+}
+
+/// FNV-64 of a serialized answer.
+fn digest(text: &str) -> u64 {
+    let mut h = Fnv64::new();
+    h.write(text.as_bytes());
+    h.finish()
+}
+
+/// Every plan's whole explain document, and its 2-skyband members plus
+/// pruning counters, pinned by digest on the committed smoke workload with
+/// the default pivot index. The parity tests above compare plans with each
+/// other, so a counter or a reported non-member row that moved under every
+/// plan at once would pass them; it fails here.
+#[test]
+fn smoke_workload_documents_are_pinned_for_every_plan() {
+    let w = Workload::generate(&WorkloadConfig::bench_smoke());
+    let (db, q) = (GraphDatabase::from_parts(w.vocab, w.graphs), w.query);
+    let index = Arc::new(PivotIndex::build(&db, &PivotIndexConfig::default()));
+    let expected: [(Plan, usize, u64, u64); 10] = [
+        (Plan::Auto, 1, 0xe054b6317908fe77, 0x0892d6034fa2f504),
+        (Plan::Auto, 3, 0xe054b6317908fe77, 0x0892d6034fa2f504),
+        (Plan::Naive, 1, 0x58f3b3c2d6a5d1c5, 0x8526dde8976e005e),
+        (Plan::Naive, 3, 0x58f3b3c2d6a5d1c5, 0x8526dde8976e005e),
+        (Plan::Prefilter, 1, 0x6fe52aec67ec9702, 0x2abfe8086f750c93),
+        (Plan::Prefilter, 3, 0x6fe52aec67ec9702, 0x2abfe8086f750c93),
+        (Plan::Indexed, 1, 0xe054b6317908fe77, 0x0892d6034fa2f504),
+        (Plan::Indexed, 3, 0xe054b6317908fe77, 0x0892d6034fa2f504),
+        (Plan::Sharded, 1, 0xcbbb547a05f9bd7c, 0x8526dde8976e005e),
+        (Plan::Sharded, 3, 0xcbbb547a05f9bd7c, 0x8526dde8976e005e),
+    ];
+    let got: Vec<(Plan, usize, u64, u64)> = expected
+        .iter()
+        .map(|&(plan, threads, _, _)| {
+            let opts = QueryOptions {
+                shards: 3,
+                ..plan_options(&index, plan, threads, SolverConfig::default())
+            };
+            let doc = to_json(&db, &graph_similarity_skyline(&db, &q, &opts));
+            let band = graph_similarity_skyband(&db, &q, 2, &opts);
+            let band = format!("{:?} {:?}", band.members, band.pruning);
+            (plan, threads, digest(&doc), digest(&band))
+        })
+        .collect();
+    assert_eq!(got, expected, "document digests moved: {got:#x?}");
+}
+
+/// An arena-backed database builds a candidate's graph only when a solver
+/// or the isomorphism check needs it. On a fresh load of the smoke
+/// workload's image, an indexed query (whose skipped partitions still get
+/// lower bounds for the report) materializes no more graphs than a
+/// prefilter query, apart from the pivots its index probes against the
+/// query.
+#[test]
+fn indexed_scan_materializes_no_more_graphs_than_the_prefilter_scan() {
+    let w = Workload::generate(&WorkloadConfig::bench_smoke());
+    let image = GraphDatabase::from_parts(w.vocab, w.graphs).save_bytes();
+    let load = || GraphDatabase::load_bytes(&image).expect("image round-trips");
+    // Building the index materializes every graph, so it gets its own load.
+    let index = Arc::new(PivotIndex::build(&load(), &PivotIndexConfig::default()));
+    let run = |plan: Plan| {
+        let db = load();
+        let options = plan_options(&index, plan, 1, SolverConfig::default());
+        let r = graph_similarity_skyline(&db, &w.query, &options);
+        let stats = r.pruning.expect("a pruned plan reports counters");
+        (db.memory_stats().materialized, stats)
+    };
+    let (prefilter, _) = run(Plan::Prefilter);
+    let (indexed, stats) = run(Plan::Indexed);
+    assert!(stats.index_skipped > 0, "the index skipped nothing");
+    assert!(
+        indexed <= prefilter + stats.pivot_probes,
+        "indexed materialized {indexed} graphs, prefilter {prefilter}, pivots {}",
+        stats.pivot_probes
     );
 }
