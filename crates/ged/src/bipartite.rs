@@ -183,7 +183,7 @@ pub fn bipartite_ged_with(
 mod tests {
     use super::*;
     use crate::exact::{exact_ged, GedOptions};
-    use gss_graph::{Graph, GraphBuilder, Rng, Vocabulary};
+    use gss_graph::{random_graph, GraphBuilder, Rng, Vocabulary};
 
     #[test]
     fn identical_graphs_zero() {
@@ -208,35 +208,14 @@ mod tests {
         assert!(r.exact);
     }
 
-    fn random_graph(rng: &mut Rng, n: usize, m: usize) -> Graph {
-        use gss_graph::Label;
-        let mut g = Graph::new("r");
-        for _ in 0..n {
-            g.add_vertex(Label(rng.gen_index(3) as u32));
-        }
-        let mut added = 0;
-        let mut attempts = 0;
-        while added < m && attempts < 100 {
-            attempts += 1;
-            let u = VertexId::new(rng.gen_index(n));
-            let w = VertexId::new(rng.gen_index(n));
-            if u != w && !g.has_edge(u, w) {
-                g.add_edge(u, w, Label(10 + rng.gen_index(2) as u32))
-                    .unwrap();
-                added += 1;
-            }
-        }
-        g
-    }
-
     #[test]
     fn upper_bounds_exact_on_random_graphs() {
         let mut rng = Rng::seed_from_u64(0xb1b);
         for case in 0..60 {
             let (n1, m1) = (1 + rng.gen_index(5), rng.gen_index(6));
             let (n2, m2) = (1 + rng.gen_index(5), rng.gen_index(6));
-            let g1 = random_graph(&mut rng, n1, m1);
-            let g2 = random_graph(&mut rng, n2, m2);
+            let g1 = random_graph(&mut rng, n1, m1, 3, 2);
+            let g2 = random_graph(&mut rng, n2, m2, 3, 2);
             let ub = bipartite_ged(&g1, &g2, &CostModel::uniform()).cost;
             let exact = exact_ged(&g1, &g2, &GedOptions::default()).cost;
             assert!(
@@ -255,8 +234,8 @@ mod tests {
         for case in 0..60 {
             let (n1, m1) = (1 + rng.gen_index(6), rng.gen_index(7));
             let (n2, m2) = (1 + rng.gen_index(6), rng.gen_index(7));
-            let g1 = random_graph(&mut rng, n1, m1);
-            let g2 = random_graph(&mut rng, n2, m2);
+            let g1 = random_graph(&mut rng, n1, m1, 3, 2);
+            let g2 = random_graph(&mut rng, n2, m2, 3, 2);
             for cost in [CostModel::uniform(), CostModel::structure_weighted(2.5)] {
                 let shared = bipartite_ged_with(&g1, &g2, &cost, &mut ws);
                 let fresh = bipartite_ged(&g1, &g2, &cost);

@@ -718,7 +718,7 @@ pub fn uniform_ged(g1: &Graph, g2: &Graph) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gss_graph::{Graph, GraphBuilder, Label, Rng, Vocabulary};
+    use gss_graph::{random_graph, Graph, GraphBuilder, Rng, Vocabulary};
 
     fn build(
         v: &mut Vocabulary,
@@ -887,31 +887,12 @@ mod tests {
 
     #[test]
     fn symmetry_on_random_graphs() {
-        fn random_graph(rng: &mut Rng, n: usize, m: usize) -> Graph {
-            let mut g = Graph::new("r");
-            for _ in 0..n {
-                g.add_vertex(Label(rng.gen_index(3) as u32));
-            }
-            let mut added = 0;
-            let mut attempts = 0;
-            while added < m && attempts < 100 {
-                attempts += 1;
-                let u = gss_graph::VertexId::new(rng.gen_index(n));
-                let w = gss_graph::VertexId::new(rng.gen_index(n));
-                if u != w && !g.has_edge(u, w) {
-                    g.add_edge(u, w, Label(10 + rng.gen_index(2) as u32))
-                        .unwrap();
-                    added += 1;
-                }
-            }
-            g
-        }
         let mut rng = Rng::seed_from_u64(0x6ed);
         for case in 0..40 {
             let (n1, m1) = (1 + rng.gen_index(4), rng.gen_index(5));
             let (n2, m2) = (1 + rng.gen_index(4), rng.gen_index(5));
-            let g1 = random_graph(&mut rng, n1, m1);
-            let g2 = random_graph(&mut rng, n2, m2);
+            let g1 = random_graph(&mut rng, n1, m1, 3, 2);
+            let g2 = random_graph(&mut rng, n2, m2, 3, 2);
             let d12 = uniform_ged(&g1, &g2);
             let d21 = uniform_ged(&g2, &g1);
             assert_eq!(d12, d21, "case {case}: GED must be symmetric");

@@ -109,7 +109,7 @@ pub fn combined_lower_bound(g1: &Graph, g2: &Graph) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gss_graph::{Graph, GraphBuilder, Label, Rng, VertexId, Vocabulary};
+    use gss_graph::{random_graph, GraphBuilder, Rng, Vocabulary};
 
     #[test]
     fn ged_matches_uniform_ged() {
@@ -130,31 +130,12 @@ mod tests {
 
     #[test]
     fn lower_bound_is_admissible_on_random_graphs() {
-        fn random_graph(rng: &mut Rng, n: usize, m: usize) -> Graph {
-            let mut g = Graph::new("r");
-            for _ in 0..n {
-                g.add_vertex(Label(rng.gen_index(3) as u32));
-            }
-            let mut added = 0;
-            let mut attempts = 0;
-            while added < m && attempts < 100 {
-                attempts += 1;
-                let u = VertexId::new(rng.gen_index(n));
-                let w = VertexId::new(rng.gen_index(n));
-                if u != w && !g.has_edge(u, w) {
-                    g.add_edge(u, w, Label(5 + rng.gen_index(2) as u32))
-                        .unwrap();
-                    added += 1;
-                }
-            }
-            g
-        }
         let mut rng = Rng::seed_from_u64(0x1b);
         for _ in 0..50 {
             let (n1, m1) = (1 + rng.gen_index(4), rng.gen_index(5));
             let (n2, m2) = (1 + rng.gen_index(4), rng.gen_index(5));
-            let g1 = random_graph(&mut rng, n1, m1);
-            let g2 = random_graph(&mut rng, n2, m2);
+            let g1 = random_graph(&mut rng, n1, m1, 3, 2);
+            let g2 = random_graph(&mut rng, n2, m2, 3, 2);
             let exact = ged(&g1, &g2);
             assert!(lower_bound(&g1, &g2) <= exact + 1e-9);
             assert!(degree_lower_bound(&g1, &g2) <= exact + 1e-9);
@@ -189,32 +170,14 @@ mod tests {
     #[test]
     fn triangle_inequality_on_random_triples() {
         // Uniform GED is a metric; spot-check the triangle inequality.
-        fn random_graph(rng: &mut Rng, n: usize, m: usize) -> Graph {
-            let mut g = Graph::new("r");
-            for _ in 0..n {
-                g.add_vertex(Label(rng.gen_index(2) as u32));
-            }
-            let mut added = 0;
-            let mut attempts = 0;
-            while added < m && attempts < 60 {
-                attempts += 1;
-                let u = VertexId::new(rng.gen_index(n));
-                let w = VertexId::new(rng.gen_index(n));
-                if u != w && !g.has_edge(u, w) {
-                    g.add_edge(u, w, Label(5)).unwrap();
-                    added += 1;
-                }
-            }
-            g
-        }
         let mut rng = Rng::seed_from_u64(0x3a);
         for _ in 0..25 {
             let (na, ma) = (1 + rng.gen_index(3), rng.gen_index(4));
             let (nb, mb) = (1 + rng.gen_index(3), rng.gen_index(4));
             let (nc, mc) = (1 + rng.gen_index(3), rng.gen_index(4));
-            let a = random_graph(&mut rng, na, ma);
-            let b = random_graph(&mut rng, nb, mb);
-            let c = random_graph(&mut rng, nc, mc);
+            let a = random_graph(&mut rng, na, ma, 2, 1);
+            let b = random_graph(&mut rng, nb, mb, 2, 1);
+            let c = random_graph(&mut rng, nc, mc, 2, 1);
             let ab = ged(&a, &b);
             let bc = ged(&b, &c);
             let ac = ged(&a, &c);

@@ -11,7 +11,7 @@
 use gss_ged::bipartite::bipartite_ged;
 use gss_ged::reference::reference_exact_ged;
 use gss_ged::{exact_ged, CostModel, GedOptions, GedResult};
-use gss_graph::{Graph, Label, Rng, VertexId};
+use gss_graph::{random_graph, Graph, Rng};
 
 /// `[kernel, reference]` under one signature: if either one's signature
 /// drifts, this array stops compiling.
@@ -20,26 +20,6 @@ const SOLVERS: [fn(&Graph, &Graph, &GedOptions) -> GedResult; 2] = [exact_ged, r
 /// Runs both solvers on one input: `[kernel result, reference result]`.
 fn both(g1: &Graph, g2: &Graph, options: &GedOptions) -> [GedResult; 2] {
     SOLVERS.map(|solve| solve(g1, g2, options))
-}
-
-fn random_graph(rng: &mut Rng, n: usize, m: usize, labels: usize) -> Graph {
-    let mut g = Graph::new("r");
-    for _ in 0..n {
-        g.add_vertex(Label(rng.gen_index(labels) as u32));
-    }
-    let mut added = 0;
-    let mut attempts = 0;
-    while added < m && attempts < 120 {
-        attempts += 1;
-        let u = VertexId::new(rng.gen_index(n));
-        let w = VertexId::new(rng.gen_index(n));
-        if u != w && !g.has_edge(u, w) {
-            g.add_edge(u, w, Label(10 + rng.gen_index(3) as u32))
-                .unwrap();
-            added += 1;
-        }
-    }
-    g
 }
 
 fn cost_models() -> Vec<CostModel> {
@@ -83,9 +63,9 @@ fn exact_solver_is_bit_identical_to_reference_across_cost_models() {
     for case in 0..60 {
         let (n1, m1) = (1 + rng.gen_index(5), rng.gen_index(6));
         let (n2, m2) = (1 + rng.gen_index(5), rng.gen_index(6));
-        let labels = 1 + rng.gen_index(3);
-        let g1 = random_graph(&mut rng, n1, m1, labels);
-        let g2 = random_graph(&mut rng, n2, m2, labels);
+        let labels = 1 + rng.gen_index(3) as u32;
+        let g1 = random_graph(&mut rng, n1, m1, labels, 3);
+        let g2 = random_graph(&mut rng, n2, m2, labels, 3);
         for (k, cost) in cost_models().into_iter().enumerate() {
             let options = GedOptions {
                 cost,
@@ -106,8 +86,8 @@ fn parity_holds_with_warm_starts_and_node_budgets() {
     for case in 0..30 {
         let (n1, m1) = (2 + rng.gen_index(4), 2 + rng.gen_index(5));
         let (n2, m2) = (2 + rng.gen_index(4), 2 + rng.gen_index(5));
-        let g1 = random_graph(&mut rng, n1, m1, 2);
-        let g2 = random_graph(&mut rng, n2, m2, 2);
+        let g1 = random_graph(&mut rng, n1, m1, 2, 3);
+        let g2 = random_graph(&mut rng, n2, m2, 2, 3);
         let warm = bipartite_ged(&g1, &g2, &CostModel::uniform());
         let warm_opts = GedOptions {
             warm_start: Some(warm.mapping.clone()),
@@ -138,8 +118,8 @@ fn parity_holds_with_warm_starts_and_node_budgets() {
 #[test]
 fn pinned_expanded_count_on_fixed_pair() {
     let mut rng = Rng::seed_from_u64(0x415);
-    let g1 = random_graph(&mut rng, 6, 8, 2);
-    let g2 = random_graph(&mut rng, 6, 7, 2);
+    let g1 = random_graph(&mut rng, 6, 8, 2, 3);
+    let g2 = random_graph(&mut rng, 6, 7, 2, 3);
     let [fast, slow] = both(&g1, &g2, &GedOptions::default());
     assert!(fast.exact);
     assert_eq!(fast.cost, slow.cost);

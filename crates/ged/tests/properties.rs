@@ -1,29 +1,8 @@
 //! Property-based tests for the GED solvers.
 
 use gss_ged::{bipartite::bipartite_ged, edit_path_for_mapping, exact_ged, CostModel, GedOptions};
-use gss_graph::{Graph, Label, Rng, VertexId};
+use gss_graph::{random_graph, Rng};
 use proptest::prelude::*;
-
-fn random_graph(seed: u64, n: usize, m: usize) -> Graph {
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut g = Graph::new("prop");
-    for _ in 0..n {
-        g.add_vertex(Label(rng.gen_index(3) as u32));
-    }
-    let mut added = 0;
-    let mut guard = 0;
-    while added < m && guard < 20 * m + 40 {
-        guard += 1;
-        let u = VertexId::new(rng.gen_index(n));
-        let v = VertexId::new(rng.gen_index(n));
-        if u != v && !g.has_edge(u, v) {
-            g.add_edge(u, v, Label(7 + rng.gen_index(2) as u32))
-                .unwrap();
-            added += 1;
-        }
-    }
-    g
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
@@ -34,8 +13,8 @@ proptest! {
         n1 in 1usize..5, n2 in 1usize..5,
         factor in 2u32..5,
     ) {
-        let g1 = random_graph(s1, n1, n1 + 1, );
-        let g2 = random_graph(s2, n2, n2 + 1);
+        let g1 = random_graph(&mut Rng::seed_from_u64(s1), n1, n1 + 1, 3, 2);
+        let g2 = random_graph(&mut Rng::seed_from_u64(s2), n2, n2 + 1, 3, 2);
         let base = exact_ged(&g1, &g2, &GedOptions::default()).cost;
         let f = f64::from(factor);
         let scaled_model = CostModel {
@@ -54,8 +33,8 @@ proptest! {
         s1 in any::<u64>(), s2 in any::<u64>(),
         n1 in 1usize..5, n2 in 1usize..5,
     ) {
-        let g1 = random_graph(s1, n1, n1 + 1);
-        let g2 = random_graph(s2, n2, n2 + 1);
+        let g1 = random_graph(&mut Rng::seed_from_u64(s1), n1, n1 + 1, 3, 2);
+        let g2 = random_graph(&mut Rng::seed_from_u64(s2), n2, n2 + 1, 3, 2);
         let r = exact_ged(&g1, &g2, &GedOptions::default());
         let ops = edit_path_for_mapping(&g1, &g2, &r.mapping);
         prop_assert_eq!(ops.len() as f64, r.cost, "uniform cost = op count");
@@ -65,8 +44,8 @@ proptest! {
     fn solver_sandwich_under_weighted_costs(
         s1 in any::<u64>(), s2 in any::<u64>(), n in 1usize..5,
     ) {
-        let g1 = random_graph(s1, n, n + 1);
-        let g2 = random_graph(s2, n + 1, n + 2);
+        let g1 = random_graph(&mut Rng::seed_from_u64(s1), n, n + 1, 3, 2);
+        let g2 = random_graph(&mut Rng::seed_from_u64(s2), n + 1, n + 2, 3, 2);
         let cost = CostModel::structure_weighted(3.0);
         let exact = exact_ged(&g1, &g2, &GedOptions { cost, ..Default::default() }).cost;
         let bip = bipartite_ged(&g1, &g2, &cost).cost;
@@ -77,8 +56,8 @@ proptest! {
     fn symmetry_under_symmetric_models(
         s1 in any::<u64>(), s2 in any::<u64>(), n in 1usize..5, w in 1u32..4,
     ) {
-        let g1 = random_graph(s1, n, n);
-        let g2 = random_graph(s2, n + 1, n + 1);
+        let g1 = random_graph(&mut Rng::seed_from_u64(s1), n, n, 3, 2);
+        let g2 = random_graph(&mut Rng::seed_from_u64(s2), n + 1, n + 1, 3, 2);
         let cost = CostModel::structure_weighted(f64::from(w));
         let d12 = exact_ged(&g1, &g2, &GedOptions { cost, ..Default::default() }).cost;
         let d21 = exact_ged(&g2, &g1, &GedOptions { cost, ..Default::default() }).cost;
@@ -89,8 +68,8 @@ proptest! {
     fn warm_start_never_changes_the_answer(
         s1 in any::<u64>(), s2 in any::<u64>(), n in 1usize..5,
     ) {
-        let g1 = random_graph(s1, n, n + 1);
-        let g2 = random_graph(s2, n, n + 2);
+        let g1 = random_graph(&mut Rng::seed_from_u64(s1), n, n + 1, 3, 2);
+        let g2 = random_graph(&mut Rng::seed_from_u64(s2), n, n + 2, 3, 2);
         let cold = exact_ged(&g1, &g2, &GedOptions::default());
         let warm_map = bipartite_ged(&g1, &g2, &CostModel::uniform()).mapping;
         let warm = exact_ged(

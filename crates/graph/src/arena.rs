@@ -940,23 +940,21 @@ mod tests {
         (v, vec![g1, g2, g3])
     }
 
-    fn random_graph(rng: &mut Rng, name: &str, vocab: &mut Vocabulary) -> Graph {
-        let labels = ["C", "N", "O", "H"];
-        let bonds = ["-", "="];
+    /// A seeded molecule-like graph over [`molecule_vocab`]'s labels.
+    fn molecule(rng: &mut Rng, name: &str) -> Graph {
         let n = 1 + rng.gen_index(8);
-        let mut g = Graph::new(name);
-        for _ in 0..n {
-            g.add_vertex(vocab.intern(labels[rng.gen_index(labels.len())]));
-        }
-        for _ in 0..2 * n {
-            let u = VertexId::new(rng.gen_index(n));
-            let v = VertexId::new(rng.gen_index(n));
-            if u != v && !g.has_edge(u, v) {
-                g.add_edge(u, v, vocab.intern(bonds[rng.gen_index(bonds.len())]))
-                    .unwrap();
-            }
-        }
+        let mut g = crate::random_graph(rng, n, n + n / 2, 4, 2);
+        g.set_name(name);
         g
+    }
+
+    /// The four atom and two bond labels [`molecule`] draws, in id order.
+    fn molecule_vocab() -> Vocabulary {
+        let mut vocab = Vocabulary::new();
+        for label in ["C", "N", "O", "H", "-", "="] {
+            vocab.intern(label);
+        }
+        vocab
     }
 
     #[test]
@@ -1035,11 +1033,11 @@ mod tests {
 
     #[test]
     fn materialize_reproduces_structure_and_adjacency_order() {
-        let mut vocab = Vocabulary::new();
+        let vocab = molecule_vocab();
         let mut rng = Rng::seed_from_u64(0xA7EA);
         for case in 0..30 {
             let graphs: Vec<Graph> = (0..4)
-                .map(|i| random_graph(&mut rng, &format!("g{case}x{i}"), &mut vocab))
+                .map(|i| molecule(&mut rng, &format!("g{case}x{i}")))
                 .collect();
             let arena = GraphArena::from_graphs(&graphs, &vocab);
             for (i, g) in graphs.iter().enumerate() {
@@ -1151,10 +1149,9 @@ mod tests {
 
     #[test]
     fn stats_columns_decode_exactly() {
-        let mut vocab = Vocabulary::new();
         let mut rng = Rng::seed_from_u64(0x57A7);
         let graphs: Vec<Graph> = (0..25)
-            .map(|i| random_graph(&mut rng, &format!("g{i}"), &mut vocab))
+            .map(|i| molecule(&mut rng, &format!("g{i}")))
             .collect();
         let stats: Vec<GraphStats> = graphs.iter().map(GraphStats::compute).collect();
         let cols = StatsColumns::from_stats(&stats);
@@ -1209,10 +1206,10 @@ mod tests {
 
     #[test]
     fn compaction_beats_pointer_rich_memory() {
-        let mut vocab = Vocabulary::new();
+        let vocab = molecule_vocab();
         let mut rng = Rng::seed_from_u64(0xBEEF);
         let graphs: Vec<Graph> = (0..50)
-            .map(|i| random_graph(&mut rng, &format!("mol{i:03}"), &mut vocab))
+            .map(|i| molecule(&mut rng, &format!("mol{i:03}")))
             .collect();
         let arena = GraphArena::from_graphs(&graphs, &vocab);
         let pointer_rich: usize = graphs

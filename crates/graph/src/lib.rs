@@ -29,7 +29,8 @@
 //!   classic `t/v/e` transactional graph format) plus Graphviz DOT export;
 //! * [`rng`] — a small, fully deterministic PRNG (SplitMix64-seeded
 //!   Xoshiro256++) so every synthetic workload in the workspace is
-//!   bit-reproducible without external dependencies.
+//!   bit-reproducible without external dependencies, and [`random_graph`],
+//!   the seeded G(n, m) generator every crate's tests draw from.
 //!
 //! ## Invariants
 //!
@@ -81,7 +82,7 @@ pub use error::GraphError;
 pub use fnv::Fnv64;
 pub use graph::{Edge, EdgeId, EdgeLookup, Graph, Vertex, VertexId};
 pub use label::{Label, Vocabulary};
-pub use rng::Rng;
+pub use rng::{random_graph, Rng};
 pub use stats::GraphStats;
 pub use wl::wl_fingerprint;
 

@@ -8,6 +8,8 @@
 //! (Blackman & Vigna). It is *not* cryptographically secure and must never be
 //! used for security purposes.
 
+use crate::{Graph, Label, VertexId};
+
 /// Deterministic Xoshiro256++ PRNG.
 #[derive(Clone, Debug)]
 pub struct Rng {
@@ -130,6 +132,33 @@ impl Rng {
     pub fn fork(&mut self) -> Rng {
         Rng::seed_from_u64(self.next_u64())
     }
+}
+
+/// A seeded G(n, m) random graph: `n` vertices labelled from
+/// `Label(0..vlabels)`, then `min(m, n(n−1)/2)` distinct vertex pairs drawn
+/// uniformly, each joined by an edge labelled from
+/// `Label(vlabels..vlabels + elabels)`. It never adds a loop or a
+/// multi-edge, and equal generator states give equal graphs. This is the
+/// one random-graph generator of the workspace's tests.
+///
+/// # Panics
+/// Panics when a label is drawn from an empty range (`vlabels == 0` with
+/// `n > 0`, or `elabels == 0` with an edge to draw).
+pub fn random_graph(rng: &mut Rng, n: usize, m: usize, vlabels: u32, elabels: u32) -> Graph {
+    let mut g = Graph::new("random");
+    for _ in 0..n {
+        g.add_vertex(Label(rng.gen_index(vlabels as usize) as u32));
+    }
+    let pairs: Vec<(usize, usize)> = (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+        .collect();
+    for p in rng.sample_indices(pairs.len(), m) {
+        let (u, v) = pairs[p];
+        let label = Label(vlabels + rng.gen_index(elabels as usize) as u32);
+        g.add_edge(VertexId::new(u), VertexId::new(v), label)
+            .expect("distinct pairs of distinct vertices");
+    }
+    g
 }
 
 #[cfg(test)]

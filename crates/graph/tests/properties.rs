@@ -4,37 +4,33 @@ use gss_graph::algo::{
     bfs_distances, bfs_order, connected_components, degree_sequence, dfs_order, is_connected,
     largest_connected_edge_component,
 };
-use gss_graph::{Graph, Label, Rng, VertexId};
+use gss_graph::{random_graph, Label, Rng, VertexId};
 use proptest::prelude::*;
-
-/// Deterministic random graph (possibly disconnected) from a seed.
-fn random_graph(seed: u64, n: usize, m: usize) -> Graph {
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut g = Graph::new("prop");
-    for _ in 0..n {
-        g.add_vertex(Label(rng.gen_index(4) as u32));
-    }
-    let mut added = 0;
-    let mut guard = 0;
-    while added < m && guard < 20 * m + 50 {
-        guard += 1;
-        let u = VertexId::new(rng.gen_index(n));
-        let v = VertexId::new(rng.gen_index(n));
-        if u != v && !g.has_edge(u, v) {
-            g.add_edge(u, v, Label(10 + rng.gen_index(2) as u32))
-                .unwrap();
-            added += 1;
-        }
-    }
-    g
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     #[test]
+    fn random_graph_is_a_seeded_simple_g_n_m(seed in any::<u64>(), n in 0usize..9, m in 0usize..40) {
+        let g = random_graph(&mut Rng::seed_from_u64(seed), n, m, 3, 2);
+        let again = random_graph(&mut Rng::seed_from_u64(seed), n, m, 3, 2);
+        prop_assert_eq!(format!("{g:?}"), format!("{again:?}"), "deterministic per seed");
+        prop_assert_eq!(g.order(), n);
+        // Distinct pairs always exist up to the complete graph, so the
+        // edge target is always reached.
+        prop_assert_eq!(g.size(), m.min(n * n.saturating_sub(1) / 2));
+        prop_assert!(g.vertices().all(|v| g.vertex_label(v) < Label(3)));
+        prop_assert!(g.edges().all(|e| (Label(3)..Label(5)).contains(&g.edge_label(e))));
+        let mut pairs: Vec<_> = g.edges().map(|e| g.edge(e).key()).collect();
+        prop_assert!(pairs.iter().all(|(u, v)| u != v), "no loop");
+        pairs.sort();
+        pairs.dedup();
+        prop_assert_eq!(pairs.len(), g.size(), "no multi-edge");
+    }
+
+    #[test]
     fn handshake_lemma(seed in any::<u64>(), n in 1usize..15, m in 0usize..20) {
-        let g = random_graph(seed, n, m);
+        let g = random_graph(&mut Rng::seed_from_u64(seed), n, m, 4, 2);
         prop_assert_eq!(g.degree_sum(), 2 * g.size());
         let ds = degree_sequence(&g);
         prop_assert_eq!(ds.iter().sum::<usize>(), 2 * g.size());
@@ -46,7 +42,7 @@ proptest! {
 
     #[test]
     fn components_partition_vertices(seed in any::<u64>(), n in 1usize..15, m in 0usize..20) {
-        let g = random_graph(seed, n, m);
+        let g = random_graph(&mut Rng::seed_from_u64(seed), n, m, 4, 2);
         let comps = connected_components(&g);
         let total: usize = comps.iter().map(Vec::len).sum();
         prop_assert_eq!(total, g.order());
@@ -66,7 +62,7 @@ proptest! {
 
     #[test]
     fn traversals_cover_exactly_the_component(seed in any::<u64>(), n in 1usize..12, m in 0usize..16) {
-        let g = random_graph(seed, n, m);
+        let g = random_graph(&mut Rng::seed_from_u64(seed), n, m, 4, 2);
         let comps = connected_components(&g);
         let start = VertexId::new(0);
         let comp0 = comps.iter().find(|c| c.contains(&start)).expect("vertex 0 exists");
@@ -80,7 +76,7 @@ proptest! {
 
     #[test]
     fn bfs_distance_is_a_shortest_path_metric(seed in any::<u64>(), n in 2usize..10, m in 1usize..14) {
-        let g = random_graph(seed, n, m);
+        let g = random_graph(&mut Rng::seed_from_u64(seed), n, m, 4, 2);
         let d0 = bfs_distances(&g, VertexId::new(0));
         prop_assert_eq!(d0[0], Some(0));
         // Distances never jump by more than 1 across an edge.
@@ -98,7 +94,7 @@ proptest! {
 
     #[test]
     fn full_edge_set_component_matches_components(seed in any::<u64>(), n in 1usize..12, m in 0usize..16) {
-        let g = random_graph(seed, n, m);
+        let g = random_graph(&mut Rng::seed_from_u64(seed), n, m, 4, 2);
         let all: Vec<_> = g.edges().collect();
         let largest = largest_connected_edge_component(&g, &all);
         // Compare against component-wise edge counts.
@@ -117,7 +113,7 @@ proptest! {
 
     #[test]
     fn without_edges_then_subgraph_roundtrip(seed in any::<u64>(), n in 2usize..10, m in 1usize..12) {
-        let g = random_graph(seed, n, m);
+        let g = random_graph(&mut Rng::seed_from_u64(seed), n, m, 4, 2);
         if g.size() == 0 {
             return Ok(());
         }

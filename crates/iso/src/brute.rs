@@ -97,30 +97,7 @@ fn check_complete(
 mod tests {
     use super::*;
     use crate::vf2::{find_embedding, MatchMode};
-    use gss_graph::{Graph, GraphBuilder, Rng, Vocabulary};
-
-    /// Deterministic random labeled graph for cross-checking.
-    fn random_graph(rng: &mut Rng, n: usize, m: usize, vlabels: u32, elabels: u32) -> Graph {
-        use gss_graph::Label;
-        let mut g = Graph::new("r");
-        for _ in 0..n {
-            g.add_vertex(Label(rng.gen_index(vlabels as usize) as u32));
-        }
-        let mut attempts = 0;
-        let mut added = 0;
-        while added < m && attempts < 10 * m + 20 {
-            attempts += 1;
-            let u = VertexId::new(rng.gen_index(n));
-            let v = VertexId::new(rng.gen_index(n));
-            if u == v || g.has_edge(u, v) {
-                continue;
-            }
-            let l = Label(vlabels + rng.gen_index(elabels as usize) as u32);
-            g.add_edge(u, v, l).unwrap();
-            added += 1;
-        }
-        g
-    }
+    use gss_graph::{random_graph, GraphBuilder, Rng, Vocabulary};
 
     #[test]
     fn vf2_agrees_with_brute_force_on_random_graphs() {

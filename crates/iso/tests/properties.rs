@@ -1,30 +1,9 @@
 //! Property-based tests for the VF2 matcher.
 
-use gss_graph::{Graph, Label, Rng, VertexId};
+use gss_graph::{random_graph, Graph, Rng, VertexId};
 use gss_iso::brute::exists_brute;
 use gss_iso::{enumerate_embeddings, find_embedding, MatchMode};
 use proptest::prelude::*;
-
-fn random_graph(seed: u64, n: usize, m: usize, vlabels: u32, elabels: u32) -> Graph {
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut g = Graph::new("prop");
-    for _ in 0..n {
-        g.add_vertex(Label(rng.gen_index(vlabels as usize) as u32));
-    }
-    let mut added = 0;
-    let mut guard = 0;
-    while added < m && guard < 20 * m + 50 {
-        guard += 1;
-        let u = VertexId::new(rng.gen_index(n));
-        let v = VertexId::new(rng.gen_index(n));
-        if u != v && !g.has_edge(u, v) {
-            g.add_edge(u, v, Label(100 + rng.gen_index(elabels as usize) as u32))
-                .unwrap();
-            added += 1;
-        }
-    }
-    g
-}
 
 /// Checks that an embedding really is a valid map under `mode`.
 fn validate(pattern: &Graph, target: &Graph, map: &[VertexId], mode: MatchMode) -> bool {
@@ -75,8 +54,8 @@ proptest! {
         s1 in any::<u64>(), s2 in any::<u64>(),
         np in 1usize..5, extra in 0usize..3,
     ) {
-        let pattern = random_graph(s1, np, np + 1, 2, 2);
-        let target = random_graph(s2, np + extra, np + extra + 2, 2, 2);
+        let pattern = random_graph(&mut Rng::seed_from_u64(s1), np, np + 1, 2, 2);
+        let target = random_graph(&mut Rng::seed_from_u64(s2), np + extra, np + extra + 2, 2, 2);
         for mode in [MatchMode::SubgraphNonInduced, MatchMode::SubgraphInduced, MatchMode::Isomorphism] {
             let fast = find_embedding(&pattern, &target, mode).is_some();
             let slow = exists_brute(&pattern, &target, mode);
@@ -88,8 +67,8 @@ proptest! {
     fn returned_embeddings_are_valid_and_distinct(
         s1 in any::<u64>(), s2 in any::<u64>(), np in 1usize..4,
     ) {
-        let pattern = random_graph(s1, np, np, 2, 1);
-        let target = random_graph(s2, np + 2, np + 4, 2, 1);
+        let pattern = random_graph(&mut Rng::seed_from_u64(s1), np, np, 2, 1);
+        let target = random_graph(&mut Rng::seed_from_u64(s2), np + 2, np + 4, 2, 1);
         for mode in [MatchMode::SubgraphNonInduced, MatchMode::SubgraphInduced] {
             let all = enumerate_embeddings(&pattern, &target, mode, 64);
             for emb in &all {
@@ -106,7 +85,7 @@ proptest! {
 
     #[test]
     fn self_isomorphism_always_exists(seed in any::<u64>(), n in 1usize..6) {
-        let g = random_graph(seed, n, n + 1, 3, 2);
+        let g = random_graph(&mut Rng::seed_from_u64(seed), n, n + 1, 3, 2);
         let emb = find_embedding(&g, &g, MatchMode::Isomorphism);
         prop_assert!(emb.is_some(), "every graph is isomorphic to itself");
         prop_assert!(validate(&g, &g, &emb.unwrap().map, MatchMode::Isomorphism));
@@ -116,7 +95,7 @@ proptest! {
     fn subgraph_relation_is_reflexive_and_composes(
         seed in any::<u64>(), n in 2usize..6,
     ) {
-        let g = random_graph(seed, n, n + 2, 2, 1);
+        let g = random_graph(&mut Rng::seed_from_u64(seed), n, n + 2, 2, 1);
         prop_assert!(gss_iso::is_subgraph_isomorphic(&g, &g));
         // Removing an edge keeps the subgraph relation.
         if g.size() > 0 {

@@ -155,7 +155,7 @@ pub fn greedy_mcs(g1: &Graph, g2: &Graph, max_seeds: usize) -> Mcs {
 mod tests {
     use super::*;
     use crate::exact::mcs_edge_size;
-    use gss_graph::{Graph, GraphBuilder, Label, Rng, Vocabulary};
+    use gss_graph::{random_graph, GraphBuilder, Rng, Vocabulary};
 
     #[test]
     fn greedy_finds_exact_on_subgraph_pairs() {
@@ -181,30 +181,12 @@ mod tests {
 
     #[test]
     fn greedy_never_exceeds_exact() {
-        fn random_graph(rng: &mut Rng, n: usize, m: usize) -> Graph {
-            let mut g = Graph::new("r");
-            for _ in 0..n {
-                g.add_vertex(Label(rng.gen_index(2) as u32));
-            }
-            let mut added = 0;
-            let mut attempts = 0;
-            while added < m && attempts < 100 {
-                attempts += 1;
-                let u = gss_graph::VertexId::new(rng.gen_index(n));
-                let v = gss_graph::VertexId::new(rng.gen_index(n));
-                if u != v && !g.has_edge(u, v) {
-                    g.add_edge(u, v, Label(10)).unwrap();
-                    added += 1;
-                }
-            }
-            g
-        }
         let mut rng = Rng::seed_from_u64(77);
         for _ in 0..60 {
             let (n1, m1) = (3 + rng.gen_index(3), 2 + rng.gen_index(5));
             let (n2, m2) = (3 + rng.gen_index(3), 2 + rng.gen_index(5));
-            let g1 = random_graph(&mut rng, n1, m1);
-            let g2 = random_graph(&mut rng, n2, m2);
+            let g1 = random_graph(&mut rng, n1, m1, 2, 1);
+            let g2 = random_graph(&mut rng, n2, m2, 2, 1);
             let approx = greedy_mcs(&g1, &g2, usize::MAX).edges();
             let exact = mcs_edge_size(&g1, &g2);
             assert!(approx <= exact, "greedy {approx} exceeded exact {exact}");

@@ -67,7 +67,7 @@ fn subsets(
 mod tests {
     use super::*;
     use crate::exact::mcs_edge_size;
-    use gss_graph::{Graph, GraphBuilder, Label, Rng, VertexId, Vocabulary};
+    use gss_graph::{random_graph, GraphBuilder, Rng, Vocabulary};
 
     #[test]
     fn oracle_matches_worked_examples() {
@@ -85,27 +85,6 @@ mod tests {
         assert_eq!(mcs_edges_by_definition(&cycle, &path), 3);
         assert_eq!(mcs_edges_by_definition(&path, &cycle), 3);
         assert_eq!(mcs_edges_by_definition(&cycle, &cycle), 4);
-    }
-
-    fn random_graph(rng: &mut Rng, n: usize, m: usize, vlabels: u32, elabels: u32) -> Graph {
-        let mut g = Graph::new("r");
-        for _ in 0..n {
-            g.add_vertex(Label(rng.gen_index(vlabels as usize) as u32));
-        }
-        let mut attempts = 0;
-        let mut added = 0;
-        while added < m && attempts < 10 * m + 20 {
-            attempts += 1;
-            let u = VertexId::new(rng.gen_index(n));
-            let v = VertexId::new(rng.gen_index(n));
-            if u == v || g.has_edge(u, v) {
-                continue;
-            }
-            g.add_edge(u, v, Label(100 + rng.gen_index(elabels as usize) as u32))
-                .unwrap();
-            added += 1;
-        }
-        g
     }
 
     #[test]

@@ -273,7 +273,7 @@ pub fn maximum_common_induced_subgraph(g1: &Graph, g2: &Graph) -> InducedMcs {
 mod tests {
     use super::*;
     use crate::reference::max_clique_reference;
-    use gss_graph::{GraphBuilder, Label, Rng, Vocabulary};
+    use gss_graph::{random_graph, GraphBuilder, Rng, Vocabulary};
 
     #[test]
     fn max_clique_basics() {
@@ -425,33 +425,14 @@ mod tests {
         false
     }
 
-    fn random_graph(rng: &mut Rng, n: usize, m: usize) -> Graph {
-        let mut g = Graph::new("r");
-        for _ in 0..n {
-            g.add_vertex(Label(rng.gen_index(2) as u32));
-        }
-        let mut added = 0;
-        let mut guard = 0;
-        while added < m && guard < 60 {
-            guard += 1;
-            let u = VertexId::new(rng.gen_index(n));
-            let v = VertexId::new(rng.gen_index(n));
-            if u != v && !g.has_edge(u, v) {
-                g.add_edge(u, v, Label(5)).unwrap();
-                added += 1;
-            }
-        }
-        g
-    }
-
     #[test]
     fn clique_solver_matches_brute_force_oracle() {
         let mut rng = Rng::seed_from_u64(0xC11);
         for case in 0..60 {
             let (n1, m1) = (1 + rng.gen_index(4), rng.gen_index(5));
             let (n2, m2) = (1 + rng.gen_index(4), rng.gen_index(5));
-            let g1 = random_graph(&mut rng, n1, m1);
-            let g2 = random_graph(&mut rng, n2, m2);
+            let g1 = random_graph(&mut rng, n1, m1, 2, 1);
+            let g2 = random_graph(&mut rng, n2, m2, 2, 1);
             let fast = maximum_common_induced_subgraph(&g1, &g2).vertices();
             let slow = induced_oracle(&g1, &g2);
             assert_eq!(fast, slow, "case {case}");
@@ -464,8 +445,8 @@ mod tests {
         for case in 0..30 {
             let (n1, m1) = (1 + rng.gen_index(4), rng.gen_index(5));
             let (n2, m2) = (1 + rng.gen_index(4), rng.gen_index(5));
-            let g1 = random_graph(&mut rng, n1, m1);
-            let g2 = random_graph(&mut rng, n2, m2);
+            let g1 = random_graph(&mut rng, n1, m1, 2, 1);
+            let g2 = random_graph(&mut rng, n2, m2, 2, 1);
             let m = maximum_common_induced_subgraph(&g1, &g2);
             assert!(m.vertices() <= g1.order().min(g2.order()), "case {case}");
             // The witness must be an injective, label- and edge-consistent map.

@@ -8,7 +8,7 @@
 //! regression bound asserting the colouring search does not expand more
 //! nodes than the reference.
 
-use gss_graph::{Graph, Label, Rng, VertexId};
+use gss_graph::{random_graph, Graph, Rng};
 use gss_mcs::reference::{max_clique_reference, maximum_common_subgraph_reference};
 use gss_mcs::{max_clique_expanded, maximum_common_subgraph_expanded, Mcs, Objective};
 
@@ -25,35 +25,15 @@ const MCS: [McsSolver; 2] = [
 ];
 const CLIQUE: [CliqueSolver; 2] = [max_clique_expanded, max_clique_reference];
 
-fn random_graph(rng: &mut Rng, n: usize, m: usize, labels: usize) -> Graph {
-    let mut g = Graph::new("r");
-    for _ in 0..n {
-        g.add_vertex(Label(rng.gen_index(labels) as u32));
-    }
-    let mut added = 0;
-    let mut attempts = 0;
-    while added < m && attempts < 120 {
-        attempts += 1;
-        let u = VertexId::new(rng.gen_index(n));
-        let v = VertexId::new(rng.gen_index(n));
-        if u != v && !g.has_edge(u, v) {
-            g.add_edge(u, v, Label(10 + rng.gen_index(2) as u32))
-                .unwrap();
-            added += 1;
-        }
-    }
-    g
-}
-
 #[test]
 fn connected_mcs_is_bit_identical_to_reference_both_objectives() {
     let mut rng = Rng::seed_from_u64(0x9a417e);
     for case in 0..120 {
         let (n1, m1) = (1 + rng.gen_index(6), rng.gen_index(8));
         let (n2, m2) = (1 + rng.gen_index(6), rng.gen_index(8));
-        let labels = 1 + rng.gen_index(3);
-        let g1 = random_graph(&mut rng, n1, m1, labels);
-        let g2 = random_graph(&mut rng, n2, m2, labels);
+        let labels = 1 + rng.gen_index(3) as u32;
+        let g1 = random_graph(&mut rng, n1, m1, labels, 2);
+        let g2 = random_graph(&mut rng, n2, m2, labels, 2);
         for objective in [Objective::Edges, Objective::Vertices] {
             let [(fast, fast_nodes), (slow, slow_nodes)] =
                 MCS.map(|solve| solve(&g1, &g2, objective));
@@ -120,8 +100,8 @@ fn pinned_node_counts_on_fixed_workload() {
         clique_new += new;
         clique_ref += reference;
 
-        let g1 = random_graph(&mut rng, 6, 8, 2);
-        let g2 = random_graph(&mut rng, 6, 8, 2);
+        let g1 = random_graph(&mut rng, 6, 8, 2, 2);
+        let g2 = random_graph(&mut rng, 6, 8, 2, 2);
         let [new, reference] = MCS.map(|solve| solve(&g1, &g2, Objective::Edges).1);
         mcs_new += new;
         mcs_ref += reference;

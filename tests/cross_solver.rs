@@ -4,6 +4,8 @@
 //! their recorded baselines and retained reference solvers on the
 //! committed smoke workload.
 
+mod support;
+
 use similarity_skyline::datasets::synth::{
     molecule_like_graph, perturb, random_connected_graph, MoleculeConfig, RandomGraphConfig,
 };
@@ -18,6 +20,7 @@ use similarity_skyline::mcs::{
     Objective,
 };
 use similarity_skyline::prelude::*;
+use support::permuted;
 
 fn molecule_pairs(count: usize) -> Vec<(Vocabulary, Graph, Graph)> {
     (0..count)
@@ -82,22 +85,7 @@ fn zero_ged_iff_isomorphic() {
         // A structurally identical copy entered in a different vertex order.
         let mut order: Vec<usize> = (0..g1.order()).collect();
         rng.shuffle(&mut order);
-        let mut g2 = Graph::new("g2");
-        let mut back = vec![0usize; g1.order()];
-        for (new_idx, &old_idx) in order.iter().enumerate() {
-            back[old_idx] = new_idx;
-            g2.add_vertex(g1.vertex_label(similarity_skyline::graph::VertexId::new(old_idx)));
-            let _ = new_idx;
-        }
-        for e in g1.edges() {
-            let edge = g1.edge(e);
-            g2.add_edge(
-                similarity_skyline::graph::VertexId::new(back[edge.u.index()]),
-                similarity_skyline::graph::VertexId::new(back[edge.v.index()]),
-                edge.label,
-            )
-            .unwrap();
-        }
+        let g2 = permuted(&g1, &order);
         assert!(
             are_isomorphic(&g1, &g2),
             "case {i}: permuted copy must be isomorphic"

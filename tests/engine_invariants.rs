@@ -3,27 +3,16 @@
 //! Engine-level invariants that must hold regardless of data:
 //! * skyline members are never dominated; every excluded graph is dominated
 //!   by its recorded witness, and the witness is a skyline member;
-//! * all skyline algorithms and thread counts agree;
-//! * results are deterministic;
+//! * all skyline algorithms agree with the engine's skyline;
 //! * the refined subset is always a subset of the skyline with the
 //!   requested size.
 
-use proptest::prelude::*;
-use similarity_skyline::datasets::workload::{Workload, WorkloadConfig, WorkloadKind};
-use similarity_skyline::prelude::*;
+mod support;
 
-fn build_workload(seed: u64, size: usize, kind: WorkloadKind) -> (GraphDatabase, Graph) {
-    let cfg = WorkloadConfig {
-        kind,
-        database_size: size,
-        graph_vertices: 5,
-        related_fraction: 0.5,
-        max_edits: 3,
-        seed,
-    };
-    let w = Workload::generate(&cfg);
-    (GraphDatabase::from_parts(w.vocab, w.graphs), w.query)
-}
+use proptest::prelude::*;
+use similarity_skyline::datasets::workload::WorkloadKind;
+use similarity_skyline::prelude::*;
+use support::build_workload;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
@@ -63,7 +52,7 @@ proptest! {
     }
 
     #[test]
-    fn algorithms_threads_and_reruns_agree(
+    fn skyline_algorithms_agree_with_the_engine(
         seed in any::<u64>(),
         size in 2usize..8,
     ) {
@@ -76,14 +65,6 @@ proptest! {
             let sky = similarity_skyline::skyline::skyline(&points, algo);
             prop_assert_eq!(&sky, &members, "{:?}", algo);
         }
-        let threaded = graph_similarity_skyline(
-            &db, &q,
-            &QueryOptions { threads: 3, ..Default::default() },
-        );
-        prop_assert_eq!(&threaded.skyline, &base.skyline);
-        prop_assert_eq!(&threaded.gcs, &base.gcs);
-        let rerun = graph_similarity_skyline(&db, &q, &QueryOptions::default());
-        prop_assert_eq!(&rerun.skyline, &base.skyline);
     }
 
     #[test]

@@ -1,30 +1,29 @@
 //! Property tests for the unified planner and staged executor
 //! (`gss_core::exec`).
 //!
-//! Four families of invariants:
+//! * **Auto economy** — `Plan::Auto` never performs more exact solver
+//!   calls than the best manual plan on the same query (on random
+//!   workloads and on the committed smoke workload, where the pruned
+//!   skyband must also exclude candidates by bounds alone);
+//! * **Cancellation** — a fired [`CancelToken`] aborts every plan (and
+//!   each query of a batch independently) instead of returning a partial
+//!   answer;
+//! * **Pins** — every plan's document on the smoke workload, by digest.
 //!
-//! 1. **Plan parity** — all five plans (`Auto | Naive | Prefilter |
-//!    Indexed | Sharded`) yield byte-identical skylines, domination
-//!    witnesses, verified GCS vectors and skyband memberships, across
-//!    workload kinds, thread counts and solver configurations;
-//! 2. **Shard invariance** — the sharded plan's *entire serialized
-//!    explain document* is byte-identical across shard counts (the
-//!    server's cache key exempts `shards`, so this is load-bearing);
-//! 3. **Auto economy** — `Plan::Auto` never performs more exact solver
-//!    calls than the best manual plan on the same query (on random
-//!    workloads and on the committed smoke workload, where the pruned
-//!    skyband must also exclude candidates by bounds alone);
-//! 4. **Cancellation** — a fired [`CancelToken`] aborts every plan (and
-//!    each query of a batch independently) instead of returning a partial
-//!    answer.
+//! Plan parity (answers, witnesses, vectors, skyband membership and the
+//! shard- and thread-invariant documents) is checked by the parity
+//! lattice (`tests/parity.rs`).
 
 use std::sync::Arc;
+
+mod support;
 
 use proptest::prelude::*;
 use similarity_skyline::core::database::codec::Fnv64;
 use similarity_skyline::core::{exec, to_json, QueryIndex};
 use similarity_skyline::datasets::workload::{Workload, WorkloadConfig, WorkloadKind};
 use similarity_skyline::prelude::*;
+use support::build_workload;
 
 const ALL_PLANS: [Plan; 5] = [
     Plan::Auto,
@@ -33,19 +32,6 @@ const ALL_PLANS: [Plan; 5] = [
     Plan::Indexed,
     Plan::Sharded,
 ];
-
-fn build_workload(seed: u64, size: usize, kind: WorkloadKind) -> (GraphDatabase, Graph) {
-    let cfg = WorkloadConfig {
-        kind,
-        database_size: size,
-        graph_vertices: 5,
-        related_fraction: 0.5,
-        max_edits: 3,
-        seed,
-    };
-    let w = Workload::generate(&cfg);
-    (GraphDatabase::from_parts(w.vocab, w.graphs), w.query)
-}
 
 /// Options with the index attached (so `Indexed` and `Auto` can use it)
 /// and an explicit plan.
@@ -72,153 +58,6 @@ fn solver_calls(r: &GssResult) -> usize {
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-    #[test]
-    fn all_plans_agree_on_skyline_witnesses_and_vectors(
-        seed in any::<u64>(),
-        size in 2usize..10,
-        molecule in any::<bool>(),
-        threads in 1usize..4,
-        pivots in 1usize..4,
-        rings in 1usize..4,
-        approx in any::<bool>(),
-    ) {
-        let kind = if molecule { WorkloadKind::Molecule } else { WorkloadKind::Uniform };
-        let (db, q) = build_workload(seed, size, kind);
-        let index = Arc::new(PivotIndex::build(&db, &PivotIndexConfig { pivots, rings }));
-        let solvers = if approx {
-            SolverConfig::Approx
-        } else {
-            SolverConfig::default()
-        };
-        let baseline = graph_similarity_skyline(
-            &db, &q, &plan_options(&index, Plan::Naive, 1, solvers),
-        );
-        prop_assert_eq!(baseline.plan, ResolvedPlan::Naive);
-        prop_assert!(baseline.pruning.is_none());
-        for plan in ALL_PLANS {
-            let r = graph_similarity_skyline(
-                &db, &q, &plan_options(&index, plan, threads, solvers),
-            );
-            prop_assert_eq!(&r.skyline, &baseline.skyline, "{:?}", plan);
-            prop_assert_eq!(&r.dominated, &baseline.dominated, "{:?} witnesses", plan);
-            prop_assert_eq!(r.measures.len(), baseline.measures.len());
-            // Verified vectors are byte-identical to the naive scan's;
-            // pruned entries hold admissible lower bounds.
-            for i in 0..db.len() {
-                if r.is_exact(GraphId(i)) {
-                    prop_assert_eq!(&r.gcs[i], &baseline.gcs[i], "{:?} g{}", plan, i);
-                } else {
-                    for (lb, ex) in r.gcs[i].values.iter().zip(&baseline.gcs[i].values) {
-                        prop_assert!(lb <= &(ex + 1e-9), "{:?} g{}", plan, i);
-                    }
-                }
-            }
-            if let Some(stats) = &r.pruning {
-                prop_assert_eq!(
-                    stats.verified + stats.pruned + stats.short_circuited + stats.index_skipped,
-                    db.len(),
-                    "{:?}", plan
-                );
-            }
-        }
-        // An index attached under Auto resolves to the indexed strategy.
-        let auto = graph_similarity_skyline(&db, &q, &plan_options(&index, Plan::Auto, 1, solvers));
-        prop_assert_eq!(auto.plan, ResolvedPlan::Indexed);
-    }
-
-    #[test]
-    fn all_plans_agree_on_skyband_membership(
-        seed in any::<u64>(),
-        size in 2usize..10,
-        k in 0usize..4,
-        threads in 1usize..4,
-        approx in any::<bool>(),
-    ) {
-        let (db, q) = build_workload(seed, size, WorkloadKind::Molecule);
-        let index = Arc::new(PivotIndex::build(&db, &PivotIndexConfig { pivots: 2, rings: 2 }));
-        let solvers = if approx {
-            SolverConfig::Approx
-        } else {
-            SolverConfig::default()
-        };
-        let baseline = graph_similarity_skyband(
-            &db, &q, k, &plan_options(&index, Plan::Naive, 1, solvers),
-        );
-        prop_assert!(baseline.pruning.is_none());
-        for plan in ALL_PLANS {
-            let band = graph_similarity_skyband(
-                &db, &q, k, &plan_options(&index, plan, threads, solvers),
-            );
-            prop_assert_eq!(&band.members, &baseline.members, "{:?} k={}", plan, k);
-            prop_assert_eq!(band.k, k);
-        }
-        // The k = 1 band is exactly the skyline member set, under any plan.
-        if k == 1 {
-            let sky = graph_similarity_skyline(
-                &db, &q, &plan_options(&index, Plan::Prefilter, 1, solvers),
-            );
-            prop_assert_eq!(&baseline.members, &sky.skyline);
-        }
-    }
-
-    #[test]
-    fn sharded_documents_are_byte_identical_across_shard_and_thread_counts(
-        seed in any::<u64>(),
-        size in 2usize..14,
-        molecule in any::<bool>(),
-        approx in any::<bool>(),
-        k in 0usize..3,
-    ) {
-        let kind = if molecule { WorkloadKind::Molecule } else { WorkloadKind::Uniform };
-        let (db, q) = build_workload(seed, size, kind);
-        let solvers = if approx {
-            SolverConfig::Approx
-        } else {
-            SolverConfig::default()
-        };
-        let sharded = |shards: usize, threads: usize| QueryOptions {
-            threads,
-            solvers,
-            ..QueryOptions::default()
-        }
-        .with_shards(shards);
-        let naive = graph_similarity_skyline(
-            &db, &q,
-            &QueryOptions { solvers, plan: Plan::Naive, ..QueryOptions::default() },
-        );
-
-        // The shard count is *not* part of the server's cache key, so the
-        // whole explain document — answer set, witnesses, reported
-        // vectors, pruning stats — must not depend on it (nor on the
-        // thread count fanning the shards out).
-        let reference = similarity_skyline::core::to_json(
-            &db,
-            &graph_similarity_skyline(&db, &q, &sharded(1, 1)),
-        );
-        for shards in [2usize, 3, 5, 16] {
-            for threads in [1usize, 3] {
-                let r = graph_similarity_skyline(&db, &q, &sharded(shards, threads));
-                prop_assert_eq!(r.plan, ResolvedPlan::Sharded);
-                prop_assert_eq!(&r.skyline, &naive.skyline, "shards={}", shards);
-                prop_assert_eq!(&r.dominated, &naive.dominated, "shards={} witnesses", shards);
-                prop_assert_eq!(
-                    &similarity_skyline::core::to_json(&db, &r), &reference,
-                    "document drifted at shards={} threads={}", shards, threads
-                );
-            }
-        }
-
-        // Skyband membership is likewise shard-invariant.
-        let band = graph_similarity_skyband(
-            &db, &q, k,
-            &QueryOptions { solvers, plan: Plan::Naive, ..QueryOptions::default() },
-        );
-        for shards in [2usize, 7] {
-            let b = graph_similarity_skyband(&db, &q, k, &sharded(shards, 2));
-            prop_assert_eq!(&b.members, &band.members, "k={} shards={}", k, shards);
-        }
-    }
 
     #[test]
     fn auto_plan_never_costs_more_solver_calls_than_the_best_manual_plan(
@@ -352,9 +191,9 @@ fn digest(text: &str) -> u64 {
 
 /// Every plan's whole explain document, and its 2-skyband members plus
 /// pruning counters, pinned by digest on the committed smoke workload with
-/// the default pivot index. The parity tests above compare plans with each
+/// the default pivot index. The parity lattice compares plans with each
 /// other, so a counter or a reported non-member row that moved under every
-/// plan at once would pass them; it fails here.
+/// plan at once would pass it; it fails here.
 #[test]
 fn smoke_workload_documents_are_pinned_for_every_plan() {
     let w = Workload::generate(&WorkloadConfig::bench_smoke());

@@ -1,19 +1,14 @@
 //! Property tests for the pivot-index query pipeline.
 //!
-//! Three families of invariants:
+//! * **Admissibility** — every partition bound vector produced by an
+//!   [`PivotIndex`] plan is ≤ the exact GCS vector of *every* partition
+//!   member (an over-estimating bound would make partition skipping
+//!   unsound);
+//! * **Persistence** — corrupted index artifacts are rejected up front.
 //!
-//! 1. **Admissibility** — every partition bound vector produced by an
-//!    [`PivotIndex`] plan is ≤ the exact GCS vector of *every* partition
-//!    member (an over-estimating bound would make partition skipping
-//!    unsound);
-//! 2. **Equivalence** — the indexed scan returns *identical* skylines and
-//!    domination witnesses to the naive scan, across workload kinds,
-//!    thread counts, solver configurations, index shapes and database
-//!    representations (pointer-rich or compact arena);
-//! 3. **Persistence** — save → load → query is byte-identical to querying
-//!    the in-memory index (same skylines, witnesses, GCS matrix,
-//!    evaluated flags and pruning stats), and corrupted artifacts are
-//!    rejected up front.
+//! That an indexed query — built, loaded or maintained index, any
+//! representation — answers like the naive scan is checked by the parity
+//! lattice (`tests/parity.rs`).
 //!
 //! Plus one deliberate counterexample pinning down *why* the index only
 //! applies the triangle inequality to the GED dimensions, and the index's
@@ -21,41 +16,15 @@
 
 use std::sync::Arc;
 
+mod support;
+
 use proptest::prelude::*;
 use similarity_skyline::core::measures::compute_primitives;
 use similarity_skyline::core::QueryIndex;
 use similarity_skyline::datasets::workload::{Workload, WorkloadConfig, WorkloadKind};
 use similarity_skyline::index::IndexError;
 use similarity_skyline::prelude::*;
-
-fn build_workload(seed: u64, size: usize, kind: WorkloadKind) -> (GraphDatabase, Graph) {
-    let cfg = WorkloadConfig {
-        kind,
-        database_size: size,
-        graph_vertices: 5,
-        related_fraction: 0.5,
-        max_edits: 3,
-        seed,
-    };
-    let w = Workload::generate(&cfg);
-    (GraphDatabase::from_parts(w.vocab, w.graphs), w.query)
-}
-
-fn indexed_options(
-    db: &GraphDatabase,
-    pivots: usize,
-    rings: usize,
-    threads: usize,
-    solvers: SolverConfig,
-) -> QueryOptions {
-    let index = Arc::new(PivotIndex::build(db, &PivotIndexConfig { pivots, rings }));
-    QueryOptions {
-        threads,
-        solvers,
-        ..QueryOptions::default()
-    }
-    .with_index(index)
-}
+use support::build_workload;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 20, ..ProptestConfig::default() })]
@@ -91,94 +60,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn indexed_scan_equals_naive_scan(
-        seed in any::<u64>(),
-        size in 2usize..10,
-        molecule in any::<bool>(),
-        threads in 1usize..4,
-        pivots in 1usize..4,
-        rings in 1usize..4,
-        arena in any::<bool>(),
-    ) {
-        let kind = if molecule { WorkloadKind::Molecule } else { WorkloadKind::Uniform };
-        let (db, q) = build_workload(seed, size, kind);
-        let naive = graph_similarity_skyline(&db, &q, &QueryOptions::default());
-        let opts = indexed_options(&db, pivots, rings, threads, SolverConfig::default());
-        // The index is keyed on the database fingerprint, which compaction
-        // preserves, so one index serves both representations.
-        let mut scanned = db.clone();
-        if arena {
-            scanned.compact();
-        }
-        let indexed = graph_similarity_skyline(&scanned, &q, &opts);
-        prop_assert_eq!(&indexed.skyline, &naive.skyline);
-        prop_assert_eq!(&indexed.dominated, &naive.dominated, "witnesses must be identical");
-        let stats = indexed.pruning.expect("indexed stats");
-        prop_assert_eq!(
-            stats.verified + stats.pruned + stats.short_circuited + stats.index_skipped,
-            db.len()
-        );
-        // Verified vectors are byte-identical to the naive scan's.
-        for i in 0..db.len() {
-            if indexed.is_exact(GraphId(i)) {
-                prop_assert_eq!(&indexed.gcs[i], &naive.gcs[i]);
-            }
-        }
-    }
-
-    #[test]
-    fn indexed_scan_equals_prefilter_and_naive_with_approx_solvers(
-        seed in any::<u64>(),
-        size in 2usize..8,
-    ) {
-        let (db, q) = build_workload(seed, size, WorkloadKind::Molecule);
-        let solvers = SolverConfig::Approx;
-        let naive = graph_similarity_skyline(
-            &db, &q, &QueryOptions { solvers, ..QueryOptions::default() },
-        );
-        let prefilter = graph_similarity_skyline(
-            &db, &q, &QueryOptions { solvers, plan: Plan::Prefilter, ..QueryOptions::default() },
-        );
-        let indexed = graph_similarity_skyline(
-            &db, &q, &indexed_options(&db, 2, 2, 1, solvers),
-        );
-        prop_assert_eq!(&indexed.skyline, &naive.skyline);
-        prop_assert_eq!(&indexed.dominated, &naive.dominated);
-        prop_assert_eq!(&prefilter.skyline, &naive.skyline);
-    }
-
-    #[test]
-    fn save_load_query_is_byte_identical(
-        seed in any::<u64>(),
-        size in 2usize..8,
-        threads in 1usize..4,
-        approx in any::<bool>(),
-    ) {
-        let (db, q) = build_workload(seed, size, WorkloadKind::Molecule);
-        let built = PivotIndex::build(&db, &PivotIndexConfig { pivots: 2, rings: 2 });
-        let loaded = PivotIndex::from_bytes(&built.to_bytes()).expect("round trip");
-        prop_assert_eq!(&loaded, &built, "deserialized index equals the in-memory one");
-
-        let solvers = if approx {
-            SolverConfig::Approx
-        } else {
-            SolverConfig::default()
-        };
-        let base = QueryOptions { threads, solvers, ..QueryOptions::default() };
-        let mem = graph_similarity_skyline(
-            &db, &q, &base.clone().with_index(Arc::new(built)),
-        );
-        let disk = graph_similarity_skyline(
-            &db, &q, &base.with_index(Arc::new(loaded)),
-        );
-        prop_assert_eq!(&mem.skyline, &disk.skyline);
-        prop_assert_eq!(&mem.dominated, &disk.dominated, "witnesses must be identical");
-        prop_assert_eq!(&mem.gcs, &disk.gcs, "the full GCS matrix must match");
-        prop_assert_eq!(&mem.evaluated, &disk.evaluated);
-        prop_assert_eq!(mem.pruning, disk.pruning, "stats must match");
     }
 
     #[test]

@@ -15,10 +15,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
-use similarity_skyline::datasets::synth::{random_connected_graph, RandomGraphConfig};
 use similarity_skyline::datasets::workload::{Workload, WorkloadConfig};
 use similarity_skyline::ged::{exact_ged, GedOptions};
-use similarity_skyline::graph::{BitMatrix, Bitset, GraphArena};
+use similarity_skyline::graph::{random_graph, BitMatrix, Bitset, GraphArena};
 use similarity_skyline::iso::{find_embedding, MatchMode};
 use similarity_skyline::mcs::{max_clique_expanded, maximum_common_subgraph_expanded, Objective};
 use similarity_skyline::prelude::*;
@@ -131,21 +130,12 @@ fn check(solver: &str, calls: &[(String, usize, u64, u64)]) {
     }
 }
 
-/// Runs `solve`, which returns its expanded-node count, on random
-/// connected pairs of 4 to 9 vertices a side over a small alphabet: few
-/// labels mean weak bounds and deep searches.
+/// Runs `solve`, which returns its expanded-node count, on random pairs
+/// of 4 to 9 vertices a side over a small alphabet: few labels mean weak
+/// bounds and deep searches.
 fn on_pairs(solve: impl Fn(&Graph, &Graph) -> u64) -> Vec<(String, usize, u64, u64)> {
-    let mut vocab = Vocabulary::new();
     let mut rng = Rng::seed_from_u64(0xA110C);
-    let mut graph = |vertices: usize| {
-        let cfg = RandomGraphConfig {
-            vertices,
-            edges: vertices + vertices / 2,
-            vertex_alphabet: vec!["C".into(), "N".into()],
-            edge_alphabet: vec!["-".into()],
-        };
-        random_connected_graph("g", &cfg, &mut vocab, &mut rng)
-    };
+    let mut graph = |n: usize| random_graph(&mut rng, n, n + n / 2, 2, 1);
     (4..=9)
         .flat_map(|n| [(n, n), (n, 13 - n)])
         .map(|(n1, n2)| {

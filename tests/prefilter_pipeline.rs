@@ -1,20 +1,24 @@
 //! Property tests for the filter-and-verify pipeline.
 //!
-//! Two families of invariants:
+//! * **Admissibility** — every prefilter lower bound is ≤ its exact
+//!   distance on random synthetic graphs (lower bounds that could exceed
+//!   the exact value would make pruning unsound);
+//! * **Short-circuit** — planted isomorphic copies of the query resolve
+//!   without a solver and leave the answer unchanged.
 //!
-//! 1. **Admissibility** — every prefilter lower bound is ≤ its exact
-//!    distance on random synthetic graphs (lower bounds that could exceed
-//!    the exact value would make pruning unsound);
-//! 2. **Equivalence** — the pruned scan returns *identical* skylines and
-//!    domination witnesses to the naive scan, across workload kinds, thread
-//!    counts and solver configurations.
+//! Plan equivalence across workloads, threads and solvers is checked by
+//! the parity lattice (`tests/parity.rs`).
+
+mod support;
 
 use proptest::prelude::*;
+use similarity_skyline::core::compute_primitives;
 use similarity_skyline::core::prefilter::{summarize, PrefilterContext};
-use similarity_skyline::core::{compute_primitives, graph_similarity_skyline_batch};
 use similarity_skyline::datasets::synth::{perturb, random_connected_graph, RandomGraphConfig};
-use similarity_skyline::datasets::workload::{Workload, WorkloadConfig, WorkloadKind};
+use similarity_skyline::datasets::workload::WorkloadKind;
+use similarity_skyline::graph::random_graph;
 use similarity_skyline::prelude::*;
+use support::{build_workload, permuted};
 
 const ALL_MEASURES: [MeasureKind; 5] = [
     MeasureKind::EditDistance,
@@ -23,56 +27,6 @@ const ALL_MEASURES: [MeasureKind; 5] = [
     MeasureKind::Gu,
     MeasureKind::LabelHistogram,
 ];
-
-fn random_pair(seed: u64, n1: usize, n2: usize) -> (Graph, Graph) {
-    let mut vocab = Vocabulary::new();
-    let mut rng = Rng::seed_from_u64(seed);
-    let cfg1 = RandomGraphConfig {
-        vertices: n1,
-        edges: n1 + n1 / 2,
-        ..Default::default()
-    };
-    let cfg2 = RandomGraphConfig {
-        vertices: n2,
-        edges: n2 + n2 / 2,
-        ..Default::default()
-    };
-    let g1 = random_connected_graph("g1", &cfg1, &mut vocab, &mut rng);
-    let g2 = random_connected_graph("g2", &cfg2, &mut vocab, &mut rng);
-    (g1, g2)
-}
-
-/// An isomorphic copy of `g` with the vertex order reversed: same graph,
-/// different encoding — exactly what the WL + VF2 short-circuit must
-/// recognize and what approximate solvers may still score as nonzero.
-fn permuted_copy(g: &Graph, name: &str) -> Graph {
-    use similarity_skyline::graph::VertexId;
-    let n = g.order();
-    let mut h = Graph::new(name);
-    for i in (0..n).rev() {
-        h.add_vertex(g.vertex_label(VertexId::new(i)));
-    }
-    let newid = |old: VertexId| VertexId::new(n - 1 - old.index());
-    for e in g.edges() {
-        let edge = g.edge(e);
-        h.add_edge(newid(edge.u), newid(edge.v), edge.label)
-            .expect("copy of a simple graph stays simple");
-    }
-    h
-}
-
-fn build_workload(seed: u64, size: usize, kind: WorkloadKind) -> (GraphDatabase, Graph) {
-    let cfg = WorkloadConfig {
-        kind,
-        database_size: size,
-        graph_vertices: 5,
-        related_fraction: 0.5,
-        max_edits: 3,
-        seed,
-    };
-    let w = Workload::generate(&cfg);
-    (GraphDatabase::from_parts(w.vocab, w.graphs), w.query)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
@@ -83,7 +37,9 @@ proptest! {
         n1 in 2usize..7,
         n2 in 2usize..7,
     ) {
-        let (g1, g2) = random_pair(seed, n1, n2);
+        let mut rng = Rng::seed_from_u64(seed);
+        let g1 = random_graph(&mut rng, n1, n1 + n1 / 2, 3, 2);
+        let g2 = random_graph(&mut rng, n2, n2 + n2 / 2, 3, 2);
         let ctx = PrefilterContext::for_query(&g2, &SolverConfig::default(), true);
         let summary = summarize(&g1, &g2, &ALL_MEASURES, &ctx);
         let p = compute_primitives(&g1, &g2, &SolverConfig::default());
@@ -125,74 +81,6 @@ proptest! {
     }
 
     #[test]
-    fn pruned_scan_equals_naive_scan(
-        seed in any::<u64>(),
-        size in 2usize..10,
-        molecule in any::<bool>(),
-        threads in 1usize..4,
-    ) {
-        let kind = if molecule { WorkloadKind::Molecule } else { WorkloadKind::Uniform };
-        let (db, q) = build_workload(seed, size, kind);
-        let naive = graph_similarity_skyline(&db, &q, &QueryOptions::default());
-        let pruned = graph_similarity_skyline(
-            &db, &q,
-            &QueryOptions { plan: Plan::Prefilter, threads, ..QueryOptions::default() },
-        );
-        prop_assert_eq!(&pruned.skyline, &naive.skyline);
-        prop_assert_eq!(&pruned.dominated, &naive.dominated, "witnesses must be identical");
-        let stats = pruned.pruning.expect("prefilter stats");
-        prop_assert_eq!(stats.verified + stats.pruned + stats.short_circuited, db.len());
-        // Verified vectors are byte-identical to the naive scan's.
-        for i in 0..db.len() {
-            if pruned.is_exact(GraphId(i)) {
-                prop_assert_eq!(&pruned.gcs[i], &naive.gcs[i]);
-            }
-        }
-    }
-
-    #[test]
-    fn pruned_scan_equals_naive_scan_with_approx_solvers(
-        seed in any::<u64>(),
-        size in 2usize..8,
-    ) {
-        let (db, q) = build_workload(seed, size, WorkloadKind::Molecule);
-        let solvers = SolverConfig::Approx;
-        let naive = graph_similarity_skyline(
-            &db, &q, &QueryOptions { solvers, ..QueryOptions::default() },
-        );
-        let pruned = graph_similarity_skyline(
-            &db, &q,
-            &QueryOptions { solvers, plan: Plan::Prefilter, ..QueryOptions::default() },
-        );
-        prop_assert_eq!(&pruned.skyline, &naive.skyline);
-        prop_assert_eq!(&pruned.dominated, &naive.dominated);
-    }
-
-    #[test]
-    fn batch_api_matches_per_query_results(
-        seed in any::<u64>(),
-        size in 2usize..7,
-        queries in 1usize..4,
-        plan in any::<bool>().prop_map(|p| if p { Plan::Prefilter } else { Plan::Auto }),
-    ) {
-        let (db, q) = build_workload(seed, size, WorkloadKind::Molecule);
-        // Query set: the workload query plus some database members.
-        let mut qs: Vec<Graph> = vec![q];
-        for i in 0..queries.min(db.len()) {
-            qs.push(db.get(GraphId(i)).clone());
-        }
-        let opts = QueryOptions { plan, threads: 3, ..QueryOptions::default() };
-        let batch = graph_similarity_skyline_batch(&db, &qs, &opts);
-        prop_assert_eq!(batch.len(), qs.len());
-        let single_opts = QueryOptions { plan, ..QueryOptions::default() };
-        for (i, query) in qs.iter().enumerate() {
-            let single = graph_similarity_skyline(&db, query, &single_opts);
-            prop_assert_eq!(&batch[i].skyline, &single.skyline, "query {}", i);
-            prop_assert_eq!(&batch[i].dominated, &single.dominated, "query {}", i);
-        }
-    }
-
-    #[test]
     fn permuted_duplicate_stays_equivalent_under_all_solvers(
         seed in any::<u64>(),
         size in 2usize..7,
@@ -203,7 +91,11 @@ proptest! {
         // values — changing the skyline. The short-circuit is now gated on
         // exact solvers.
         let (mut db, q) = build_workload(seed, size, WorkloadKind::Molecule);
-        let copy = db.push(permuted_copy(&q, "twin"));
+        // The query with its vertex order reversed: same graph, different
+        // encoding, which approximate solvers may still score as nonzero.
+        let mut twin = permuted(&q, &(0..q.order()).rev().collect::<Vec<_>>());
+        twin.set_name("twin");
+        let copy = db.push(twin);
         for solvers in [
             SolverConfig::default(),
             SolverConfig::Approx,

@@ -8,8 +8,8 @@
 //!    compacted by the same `jsonio` writer).
 //! 2. **Cache identity** — repeated queries are answered from the result
 //!    cache (`cached: true`) with payloads byte-identical to the fresh
-//!    evaluation, across random workloads and option sets (property
-//!    test).
+//!    evaluation (across random workloads, plans and solvers the parity
+//!    lattice in `tests/parity.rs` checks the engine path the same way).
 //! 3. **Wire identity** — a fixed transcript of request lines gets
 //!    exactly the bytes the typed `Response` envelopes serialize to, and
 //!    the reactor preserves per-connection request order under
@@ -25,8 +25,8 @@
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
-use proptest::TestCaseError;
+mod support;
+
 use similarity_skyline::core::jsonio::Value;
 use similarity_skyline::datasets::workload::{Workload, WorkloadConfig, WorkloadKind};
 use similarity_skyline::prelude::*;
@@ -34,44 +34,18 @@ use similarity_skyline::protocol::{
     QueryEnvelope, QueryOverrides, Request, Response, MAX_LINE_BYTES,
 };
 use similarity_skyline::server::{serve, Client, ServerConfig};
+use support::{build_workload, graph_text, oracle};
 
-/// The single-threaded oracle: what the server must serve, byte for byte.
-fn oracle(db: &GraphDatabase, query: &Graph, options: &QueryOptions) -> String {
-    let result = similarity_skyline::core::graph_similarity_skyline(
-        db,
-        query,
-        &QueryOptions {
-            threads: 1,
-            ..options.clone()
-        },
-    );
-    Value::parse(&similarity_skyline::core::to_json(db, &result))
-        .expect("explain output is valid JSON")
-        .to_compact()
-}
-
-fn workload_db(size: usize, seed: u64) -> (GraphDatabase, Vec<Graph>) {
-    let w = Workload::generate(&WorkloadConfig {
-        kind: WorkloadKind::Molecule,
-        database_size: size,
-        graph_vertices: 6,
-        related_fraction: 0.4,
-        max_edits: 3,
-        seed,
-    });
-    let db = GraphDatabase::from_parts(w.vocab, w.graphs);
-    // Queries: the planted query plus a handful of database members (their
-    // skylines are nontrivial and they exercise the isomorphism
-    // short-circuit).
-    let mut queries = vec![w.query];
+/// A molecule workload and its query stream: the planted query plus a
+/// handful of database members (their skylines are nontrivial and they
+/// exercise the isomorphism short-circuit).
+fn workload_queries(size: usize, seed: u64) -> (GraphDatabase, Vec<Graph>) {
+    let (db, query) = build_workload(seed, size, WorkloadKind::Molecule);
+    let mut queries = vec![query];
     for i in (0..db.len()).step_by(db.len().div_ceil(4).max(1)) {
         queries.push(db.get(GraphId(i)).clone());
     }
     (db, queries)
-}
-
-fn graph_text(db: &GraphDatabase, g: &Graph) -> String {
-    similarity_skyline::graph::format::write_database(std::slice::from_ref(g), db.vocab())
 }
 
 /// A `query` request with per-request overrides (the builder covers the
@@ -88,7 +62,7 @@ fn query_request(text: &str, overrides: &QueryOverrides) -> Request {
 
 #[test]
 fn concurrent_clients_match_the_single_threaded_oracle() {
-    let (db, queries) = workload_db(24, 0xBEEF);
+    let (db, queries) = workload_queries(24, 0xBEEF);
     let db = Arc::new(db);
     let handle = serve(
         Arc::clone(&db),
@@ -183,7 +157,7 @@ fn concurrent_clients_match_the_single_threaded_oracle() {
 /// cache hits and option overrides.
 #[test]
 fn the_wire_transcript_matches_the_typed_envelopes() {
-    let (db, queries) = workload_db(12, 0xFACE);
+    let (db, queries) = workload_queries(12, 0xFACE);
     let db = Arc::new(db);
     let config = ServerConfig::default();
     let handle = serve(Arc::clone(&db), QueryOptions::default(), config).expect("bind loopback");
@@ -248,7 +222,7 @@ fn the_wire_transcript_matches_the_typed_envelopes() {
 fn reactor_pipelines_responses_in_request_order() {
     use std::io::{BufRead, BufReader, Write};
 
-    let (db, queries) = workload_db(10, 0xC0DE);
+    let (db, queries) = workload_queries(10, 0xC0DE);
     let db = Arc::new(db);
     let handle = serve(
         Arc::clone(&db),
@@ -431,7 +405,7 @@ fn a_thousand_idle_connections_on_two_reactors_leave_the_active_ones_answering()
 fn an_over_long_request_line_is_refused_and_the_connection_closed() {
     use std::io::{Read, Write};
 
-    let (db, _) = workload_db(4, 0xB16);
+    let (db, _) = workload_queries(4, 0xB16);
     let db = Arc::new(db);
     let expected = format!(
         "{}{}",
@@ -482,7 +456,7 @@ fn an_over_long_request_line_is_refused_and_the_connection_closed() {
 /// reactor — no error, no other mode.
 #[test]
 fn zero_reactor_threads_serve_like_one() {
-    let (db, _) = workload_db(4, 0x2E20);
+    let (db, _) = workload_queries(4, 0x2E20);
     let db = Arc::new(db);
     let pong = |reactor_threads| {
         let config = ServerConfig {
@@ -507,7 +481,7 @@ fn zero_reactor_threads_serve_like_one() {
 fn drain_completes_past_a_half_sent_line() {
     use std::io::{Read, Write};
 
-    let (db, _) = workload_db(4, 0x4A1F);
+    let (db, _) = workload_queries(4, 0x4A1F);
     let handle = serve(
         Arc::new(db),
         QueryOptions::default(),
@@ -535,7 +509,7 @@ fn drain_completes_past_a_half_sent_line() {
 
 #[test]
 fn stats_and_drain_protocol() {
-    let (db, queries) = workload_db(10, 0x51A7);
+    let (db, queries) = workload_queries(10, 0x51A7);
     let db = Arc::new(db);
     let handle = serve(
         Arc::clone(&db),
@@ -686,7 +660,7 @@ fn deadline_aborts_a_long_query_mid_evaluation() {
 
 #[test]
 fn deadline_zero_expires_in_queue() {
-    let (db, queries) = workload_db(10, 0xDEAD);
+    let (db, queries) = workload_queries(10, 0xDEAD);
     let db = Arc::new(db);
     let handle = serve(
         Arc::clone(&db),
@@ -704,66 +678,4 @@ fn deadline_zero_expires_in_queue() {
     assert!(matches!(response, Response::Expired { .. }), "{response:?}");
     handle.shutdown();
     handle.join();
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
-
-    /// Cache hits never change answers: for random workloads, random
-    /// query picks and random option sets, the cached response payload is
-    /// byte-identical to the fresh evaluation — which itself matches the
-    /// single-threaded oracle (skyline *and* witnesses, since both are
-    /// part of the serialized document).
-    #[test]
-    fn cache_hits_are_byte_identical_to_fresh_evaluation(
-        seed in any::<u64>(),
-        size in 6usize..16,
-        pick in any::<usize>(),
-        plan in any::<bool>().prop_map(|p| if p { Plan::Prefilter } else { Plan::Auto }),
-        approx in any::<bool>(),
-    ) {
-        let (db, queries) = workload_db(size, seed);
-        let db = Arc::new(db);
-        let handle = serve(
-            Arc::clone(&db),
-            QueryOptions::default(),
-            ServerConfig {
-                workers: 2,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind loopback");
-        let mut builder = Client::builder();
-        if plan == Plan::Prefilter { builder = builder.plan(plan); }
-        if approx { builder = builder.approx(true); }
-        let mut client = builder.connect(handle.addr()).expect("connect");
-
-        let query = &queries[pick % queries.len()];
-        let mut options = QueryOptions { plan, ..QueryOptions::default() };
-        if approx {
-            options.solvers = SolverConfig::Approx;
-        }
-
-        let text = graph_text(&db, query);
-        let fresh = match client.query(&text).expect("fresh") {
-            Response::Result { cached, result, .. } => {
-                prop_assert!(!cached, "first evaluation cannot be a hit");
-                result
-            }
-            other => return Err(TestCaseError(format!("fresh: {other:?}"))),
-        };
-        let hit = match client.query(&text).expect("hit") {
-            Response::Result { cached, result, .. } => {
-                prop_assert!(cached, "replay must hit the cache");
-                result
-            }
-            other => return Err(TestCaseError(format!("hit: {other:?}"))),
-        };
-
-        prop_assert_eq!(&hit, &fresh, "cache hit changed the bytes");
-        prop_assert_eq!(&fresh, &oracle(&db, query, &options), "served != oracle");
-
-        handle.shutdown();
-        handle.join();
-    }
 }

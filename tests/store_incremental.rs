@@ -20,31 +20,12 @@
 
 use std::sync::Arc;
 
+mod support;
+
 use proptest::prelude::*;
-use similarity_skyline::datasets::workload::{Workload, WorkloadConfig, WorkloadKind};
+use similarity_skyline::datasets::workload::WorkloadKind;
 use similarity_skyline::prelude::*;
-
-fn workload_db(size: usize, seed: u64) -> (GraphDatabase, Graph) {
-    let w = Workload::generate(&WorkloadConfig {
-        kind: WorkloadKind::Molecule,
-        database_size: size,
-        graph_vertices: 6,
-        related_fraction: 0.4,
-        max_edits: 3,
-        seed,
-    });
-    (GraphDatabase::from_parts(w.vocab, w.graphs), w.query)
-}
-
-/// Serializes one database graph standalone and renames it, so inserts
-/// and updates reuse existing structure (and never grow the vocabulary).
-fn renamed_text(db: &GraphDatabase, id: usize, new_name: &str) -> String {
-    let g = db.get(GraphId(id));
-    let text =
-        similarity_skyline::graph::format::write_database(std::slice::from_ref(g), db.vocab());
-    let body = text.split_once('\n').map_or("", |(_, b)| b);
-    format!("t {new_name}\n{body}")
-}
+use support::{build_workload, renamed_text};
 
 /// One deterministic mutation batch derived from `step` and `ops_seed`:
 /// mostly inserts (the database must keep growing for brackets to
@@ -80,7 +61,7 @@ proptest! {
         steps in 2usize..6,
         budget in 0u64..4,
     ) {
-        let (db, q) = workload_db(size, seed);
+        let (db, q) = build_workload(seed, size, WorkloadKind::Molecule);
         let store = GraphStore::new(
             Arc::new(db),
             StoreConfig {

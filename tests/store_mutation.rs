@@ -23,63 +23,19 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+mod support;
+
 use similarity_skyline::core::jsonio::Value;
-use similarity_skyline::datasets::workload::{Workload, WorkloadConfig, WorkloadKind};
+use similarity_skyline::datasets::workload::WorkloadKind;
 use similarity_skyline::prelude::*;
 use similarity_skyline::protocol::Response;
 use similarity_skyline::server::{serve_store, Client, ServerConfig};
-
-/// The single-threaded oracle for one snapshot: what the server must
-/// serve for queries admitted at that epoch, byte for byte — including
-/// the epoch's own maintained index, which the engine installs into the
-/// effective options at parse time.
-fn oracle(snap: &Snapshot, query: &Graph) -> String {
-    let db = snap.database();
-    let result = similarity_skyline::core::graph_similarity_skyline(
-        db,
-        query,
-        &QueryOptions {
-            threads: 1,
-            index: snap.query_index(),
-            ..QueryOptions::default()
-        },
-    );
-    Value::parse(&similarity_skyline::core::to_json(db, &result))
-        .expect("explain output is valid JSON")
-        .to_compact()
-}
-
-fn workload_db(size: usize, seed: u64) -> (GraphDatabase, Vec<Graph>) {
-    let w = Workload::generate(&WorkloadConfig {
-        kind: WorkloadKind::Molecule,
-        database_size: size,
-        graph_vertices: 6,
-        related_fraction: 0.4,
-        max_edits: 3,
-        seed,
-    });
-    let query = w.query.clone();
-    let db = GraphDatabase::from_parts(w.vocab, w.graphs);
-    let second = db.get(GraphId(db.len() / 2)).clone();
-    (db, vec![query, second])
-}
-
-fn graph_text(db: &GraphDatabase, g: &Graph) -> String {
-    similarity_skyline::graph::format::write_database(std::slice::from_ref(g), db.vocab())
-}
-
-/// Serializes database graph `id` standalone under a new name, so writer
-/// traffic reuses existing structure and never grows the vocabulary
-/// (queries parsed against any epoch's vocab then agree token for token).
-fn renamed_text(db: &GraphDatabase, id: usize, new_name: &str) -> String {
-    let text = graph_text(db, db.get(GraphId(id)));
-    let body = text.split_once('\n').map_or("", |(_, b)| b);
-    format!("t {new_name}\n{body}")
-}
+use support::{build_workload, graph_text, oracle, renamed_text};
 
 #[test]
 fn mutations_while_querying_serve_epoch_consistent_bytes() {
-    let (db, queries) = workload_db(16, 0x11FE);
+    let (db, query) = build_workload(0x11FE, 16, WorkloadKind::Molecule);
+    let queries = [query, db.get(GraphId(db.len() / 2)).clone()];
     let db = Arc::new(db);
     let store = Arc::new(
         GraphStore::with_index(
@@ -181,10 +137,15 @@ fn mutations_while_querying_serve_epoch_consistent_bytes() {
     assert_eq!(store.epoch(), 10);
 
     // Oracle documents per (epoch, query), evaluated on the recorded
-    // snapshots with their own maintained indexes.
+    // snapshots with their own maintained indexes (which the engine
+    // installs into the effective options at parse time).
     let oracles: Vec<Vec<String>> = snapshots
         .iter()
-        .map(|snap| queries.iter().map(|q| oracle(snap, q)).collect())
+        .map(|snap| {
+            let (db, index) = (snap.database(), snap.query_index().expect("indexed"));
+            let options = QueryOptions::default().with_index(index);
+            queries.iter().map(|q| oracle(db, q, &options)).collect()
+        })
         .collect();
 
     // Every served byte matches some epoch's oracle, and each connection
