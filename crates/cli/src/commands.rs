@@ -91,7 +91,9 @@ whose lower bounds already have k verified dominators without solving them.
 `serve` runs the long-lived query server (newline-delimited JSON protocol,
 result caching, admission control — see the gss-server crate docs); all
 connections share --reactor-threads poll(2) event loops (default 1, and
-anything below 1 runs one; any unix). The served database is live: `client` mutation flags (--insert-file, --remove,
+anything below 1 runs one; any unix). --workers, --queue and --batch must
+be at least 1, as must the --bench --connections, --repeat and --limit.
+The served database is live: `client` mutation flags (--insert-file, --remove,
 --update … --update-file) apply atomic batches that bump the store epoch,
 maintain the pivot index incrementally (--staleness-budget caps drift
 before a partial rebuild), and invalidate cached results. `client` also
@@ -857,6 +859,35 @@ e 0 1 -
             let words = ["index", "build", "--db", &path, "--out", &out, option, "0"];
             let err = index(&args(&words)).expect_err(option);
             assert!(err.0.contains("must be at least 1"), "{err}");
+        }
+    }
+
+    #[test]
+    fn zero_counts_are_refused_by_serve_and_client_bench() {
+        let (_keep, path) = write_temp_db();
+        // An unusable port (no lookup, no bind, no connect): each refusal
+        // must come before the address is ever used.
+        let addr = "127.0.0.1:99999";
+        let serve = ["serve", "--db", &path, "--addr", addr];
+        let bench = ["client", "--db", &path, "--addr", addr, "--bench"];
+        type Command = fn(&Args) -> Result<String, ArgError>;
+        for (run, base, options) in [
+            (
+                crate::net::serve as Command,
+                &serve[..],
+                ["--workers", "--queue", "--batch"],
+            ),
+            (
+                crate::net::client,
+                &bench[..],
+                ["--connections", "--repeat", "--limit"],
+            ),
+        ] {
+            for option in options {
+                let err = run(&args(&[base, &[option, "0"]].concat())).expect_err(option);
+                let expected = format!("{option} must be at least 1");
+                assert!(err.0.contains(&expected), "{err}");
+            }
         }
     }
 

@@ -72,6 +72,17 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
         }
         _ => Arc::new(FaultPlan::none()),
     };
+    let defaults = ServerConfig::default();
+    let config = ServerConfig {
+        addr: args.get_or("addr", "127.0.0.1:7878").to_owned(),
+        workers: args.get_checked_or("workers", defaults.workers, 1.., "at least 1")?,
+        reactor_threads: args.get_parsed_or("reactor-threads", defaults.reactor_threads)?,
+        queue_capacity: args.get_checked_or("queue", defaults.queue_capacity, 1.., "at least 1")?,
+        cache_capacity: args.get_parsed_or("cache", defaults.cache_capacity)?,
+        batch_max: args.get_checked_or("batch", defaults.batch_max, 1.., "at least 1")?,
+        default_deadline_ms: args.get_parsed_or("deadline-ms", defaults.default_deadline_ms)?,
+        faults,
+    };
     let store = match args.get("data-dir") {
         Some(dir) => {
             // Durable mode: the WAL owns recovery, so the pivot index is
@@ -88,7 +99,7 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
             }
             wal_config.checkpoint_every =
                 args.get_parsed_or("checkpoint-every", wal_config.checkpoint_every)?;
-            wal_config.faults = Arc::clone(&faults);
+            wal_config.faults = Arc::clone(&config.faults);
             GraphStore::open_durable(db, durable_config, wal_config)
                 .map_err(|e| ArgError(format!("cannot open --data-dir {dir}: {e}")))?
         }
@@ -104,17 +115,6 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
                 None => GraphStore::new(db, store_config),
             }
         }
-    };
-    let defaults = ServerConfig::default();
-    let config = ServerConfig {
-        addr: args.get_or("addr", "127.0.0.1:7878").to_owned(),
-        workers: args.get_parsed_or("workers", defaults.workers)?,
-        reactor_threads: args.get_parsed_or("reactor-threads", defaults.reactor_threads)?,
-        queue_capacity: args.get_parsed_or("queue", defaults.queue_capacity)?,
-        cache_capacity: args.get_parsed_or("cache", defaults.cache_capacity)?,
-        batch_max: args.get_parsed_or("batch", defaults.batch_max)?,
-        default_deadline_ms: args.get_parsed_or("deadline-ms", defaults.default_deadline_ms)?,
-        faults,
     };
     let graphs = store.snapshot().database().len();
     let handle = gss_server::serve_store(Arc::new(store), base, config)
@@ -383,9 +383,11 @@ fn bench(addr: &str, args: &Args) -> Result<String, ArgError> {
     if db.is_empty() {
         return Err(ArgError("--bench needs a nonempty --db".to_owned()));
     }
-    let limit = args.get_parsed_or("limit", db.len())?.min(db.len()).max(1);
-    let repeat = args.get_parsed_or("repeat", 2usize)?.max(1);
-    let connections = args.get_parsed_or("connections", 4usize)?.max(1);
+    let limit = args
+        .get_checked_or("limit", db.len(), 1.., "at least 1")?
+        .min(db.len());
+    let repeat = args.get_checked_or("repeat", 2usize, 1.., "at least 1")?;
+    let connections = args.get_checked_or("connections", 4usize, 1.., "at least 1")?;
     let builder = client_builder(args)?;
 
     // Each query graph is serialized standalone against the shared vocab.

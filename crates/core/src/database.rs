@@ -415,58 +415,6 @@ impl GraphDatabase {
             .find(|&id| self.name_of(id) == name)
     }
 
-    /// Groups the database into isomorphism classes: each inner vector holds
-    /// the ids of mutually isomorphic graphs (singletons for unique graphs),
-    /// ordered by first occurrence.
-    ///
-    /// Candidates are bucketed by Weisfeiler–Lehman fingerprint first, so
-    /// the quadratic exact check only runs inside (typically tiny) buckets.
-    pub fn isomorphism_classes(&self) -> Vec<Vec<GraphId>> {
-        use std::collections::HashMap;
-        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-        for i in 0..self.slots.len() {
-            // The cached summary's WL fingerprint uses the same round
-            // count as the direct call did, and decodes for free on
-            // arena-backed graphs.
-            buckets
-                .entry(self.stats(GraphId(i)).wl_fingerprint)
-                .or_default()
-                .push(i);
-        }
-        let mut classes: Vec<Vec<GraphId>> = Vec::new();
-        let mut bucket_keys: Vec<(usize, u64)> = buckets
-            .iter()
-            .map(|(&fp, members)| (members[0], fp))
-            .collect();
-        bucket_keys.sort(); // first-occurrence order
-        for (_, fp) in bucket_keys {
-            let members = &buckets[&fp];
-            let mut local: Vec<Vec<GraphId>> = Vec::new();
-            'member: for &i in members {
-                for class in &mut local {
-                    let representative = class[0];
-                    if gss_iso::are_isomorphic(self.get(representative), self.get(GraphId(i))) {
-                        class.push(GraphId(i));
-                        continue 'member;
-                    }
-                }
-                local.push(vec![GraphId(i)]);
-            }
-            classes.extend(local);
-        }
-        classes.sort_by_key(|c| c[0]);
-        classes
-    }
-
-    /// Ids of graphs that are isomorphic duplicates of an earlier graph —
-    /// what a deduplicating ingest would drop.
-    pub fn duplicate_ids(&self) -> Vec<GraphId> {
-        self.isomorphism_classes()
-            .into_iter()
-            .flat_map(|class| class.into_iter().skip(1))
-            .collect()
-    }
-
     /// A structural fingerprint of the database: a 64-bit hash of the
     /// mutation epoch plus every graph's vertex labels and edge list in
     /// insertion order.
@@ -1153,50 +1101,6 @@ mod tests {
     }
 
     #[test]
-    fn isomorphism_classes_group_duplicates() {
-        let mut db = GraphDatabase::new();
-        // Two structurally identical triangles entered in different orders,
-        // one distinct path, and an exact re-insertion.
-        db.add("t1", |b| {
-            b.vertices(&["a", "b", "c"], "C")
-                .cycle(&["a", "b", "c"], "-")
-        })
-        .unwrap();
-        db.add("p", |b| {
-            b.vertices(&["a", "b", "c"], "C")
-                .path(&["a", "b", "c"], "-")
-        })
-        .unwrap();
-        db.add("t2", |b| {
-            b.vertices(&["x", "y", "z"], "C")
-                .cycle(&["z", "x", "y"], "-")
-        })
-        .unwrap();
-        db.add("t3", |b| {
-            b.vertices(&["q", "r", "s"], "C")
-                .cycle(&["q", "r", "s"], "-")
-        })
-        .unwrap();
-
-        let classes = db.isomorphism_classes();
-        assert_eq!(classes.len(), 2);
-        assert_eq!(classes[0], vec![GraphId(0), GraphId(2), GraphId(3)]);
-        assert_eq!(classes[1], vec![GraphId(1)]);
-        assert_eq!(db.duplicate_ids(), vec![GraphId(2), GraphId(3)]);
-    }
-
-    #[test]
-    fn isomorphism_classes_respect_labels() {
-        let mut db = GraphDatabase::new();
-        db.add("c", |b| b.vertices(&["a", "b"], "C").edge("a", "b", "-"))
-            .unwrap();
-        db.add("n", |b| b.vertices(&["a", "b"], "N").edge("a", "b", "-"))
-            .unwrap();
-        assert_eq!(db.isomorphism_classes().len(), 2);
-        assert!(db.duplicate_ids().is_empty());
-    }
-
-    #[test]
     fn codec_round_trips_and_rejects_corruption() {
         use codec::{CodecError, Reader, Writer};
         const MAGIC: &[u8; 8] = b"GSSTEST\0";
@@ -1437,11 +1341,6 @@ mod tests {
                 assert_eq!(pairs_a, pairs_b, "adjacency order must survive");
             }
         }
-        assert_eq!(
-            db.isomorphism_classes(),
-            oracle.isomorphism_classes(),
-            "cached WL fingerprints must group identically"
-        );
     }
 
     #[test]

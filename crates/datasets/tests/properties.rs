@@ -21,7 +21,7 @@ proptest! {
         prop_assert_eq!(g.order(), n);
         prop_assert!(algo::is_connected(&g));
         prop_assert!(g.size() <= n * n.saturating_sub(1) / 2);
-        prop_assert_eq!(g.degree_sum(), 2 * g.size());
+        prop_assert_eq!(g.vertices().map(|v| g.degree(v)).sum::<usize>(), 2 * g.size());
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! undecided vertex-label counts of each side and the label counts of edges
 //! lying entirely inside the undecided regions. Rather than re-deriving the
 //! edge histograms by scanning both edge sets at every node (the original
-//! implementation — retained as [`crate::reference::reference_exact_ged`] —
+//! implementation — retained under test as `reference::reference_exact_ged` —
 //! allocated two fresh histograms per node), the solver maintains the
 //! counts **incrementally**: deciding a vertex removes its label from the
 //! vertex counters and its incident still-undecided edges from the edge

@@ -1,8 +1,7 @@
 //! The Hungarian algorithm (Kuhn–Munkres) for the square assignment problem.
 //!
 //! `O(n³)` shortest-augmenting-path formulation with dual potentials. This is
-//! a substrate the bipartite GED approximation (Riesen & Bunke) needs; it is
-//! exposed publicly because workload code also uses it for diagnostics.
+//! the substrate the bipartite GED approximation (Riesen & Bunke) needs.
 //!
 //! Forbidden assignments should be encoded as [`FORBIDDEN`] (a large finite
 //! value) rather than `f64::INFINITY`, which would poison the potentials
@@ -12,8 +11,7 @@
 //! flat row-major slice and a caller-provided [`Workspace`] holding the dual
 //! potential, slack and augmenting-path buffers, so a scan that solves
 //! thousands of assignment problems (one per candidate pair) performs no
-//! per-call heap allocation. [`solve`] is the allocating convenience wrapper
-//! around it.
+//! per-call heap allocation.
 
 /// Large finite cost standing in for "forbidden assignment".
 pub const FORBIDDEN: f64 = 1.0e12;
@@ -136,30 +134,25 @@ pub fn solve_into(cost: &[f64], n: usize, ws: &mut Workspace) -> f64 {
         .sum()
 }
 
-/// Solves the square assignment problem for the given `n × n` cost matrix.
-///
-/// Returns `(assignment, total_cost)` where `assignment[row] = col` and the
-/// total is minimal. Allocating convenience wrapper over [`solve_into`].
-///
-/// # Panics
-/// Panics when the matrix is not square or rows have inconsistent lengths.
-pub fn solve(cost: &[Vec<f64>]) -> (Vec<usize>, f64) {
-    let n = cost.len();
-    if n == 0 {
-        return (Vec::new(), 0.0);
-    }
-    for row in cost {
-        assert_eq!(row.len(), n, "cost matrix must be square");
-    }
-    let flat: Vec<f64> = cost.iter().flat_map(|row| row.iter().copied()).collect();
-    let mut ws = Workspace::new();
-    let total = solve_into(&flat, n, &mut ws);
-    (std::mem::take(&mut ws.assignment), total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`solve_into`] over a nested `n × n` matrix: `(assignment[row] =
+    /// col, total cost)`.
+    fn solve(cost: &[Vec<f64>]) -> (Vec<usize>, f64) {
+        let n = cost.len();
+        if n == 0 {
+            return (Vec::new(), 0.0);
+        }
+        for row in cost {
+            assert_eq!(row.len(), n, "cost matrix must be square");
+        }
+        let flat: Vec<f64> = cost.iter().flat_map(|row| row.iter().copied()).collect();
+        let mut ws = Workspace::new();
+        let total = solve_into(&flat, n, &mut ws);
+        (std::mem::take(&mut ws.assignment), total)
+    }
 
     #[test]
     fn trivial_sizes() {

@@ -21,9 +21,13 @@
 //! The exact solver maintains its remaining-cost bound **incrementally**
 //! and the bipartite solver reuses caller-provided [`Workspace`] buffers
 //! (cost matrix, Hungarian duals/slacks) across calls — see the module docs
-//! of [`exact`] and [`bipartite`]. The original rescanning solver is
-//! retained in [`mod@reference`] as the parity oracle for property tests
-//! and the baseline for the solver benchmarks.
+//! of [`exact`] and [`bipartite`]. The original rescanning solver is kept
+//! as a test-only parity reference (a `#[cfg(test)]` module), so it is not
+//! part of the public API:
+//!
+//! ```compile_fail
+//! use gss_ged::reference::reference_exact_ged;
+//! ```
 //!
 //! ```
 //! use gss_graph::{GraphBuilder, Vocabulary};
@@ -46,7 +50,8 @@ pub mod cost;
 pub mod exact;
 pub mod hungarian;
 pub mod path;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 
 pub use bipartite::{bipartite_ged_with, Workspace};
 pub use cost::CostModel;

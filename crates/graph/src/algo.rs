@@ -1,48 +1,6 @@
-//! Traversal and connectivity utilities.
+//! Connectivity and component utilities.
 
 use crate::graph::{EdgeId, Graph, VertexId};
-
-/// Breadth-first order of vertices reachable from `start`.
-pub fn bfs_order(g: &Graph, start: VertexId) -> Vec<VertexId> {
-    let mut seen = vec![false; g.order()];
-    let mut queue = std::collections::VecDeque::new();
-    let mut order = Vec::new();
-    seen[start.index()] = true;
-    queue.push_back(start);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        for (n, _) in g.neighbors(v) {
-            if !seen[n.index()] {
-                seen[n.index()] = true;
-                queue.push_back(n);
-            }
-        }
-    }
-    order
-}
-
-/// Depth-first order of vertices reachable from `start` (iterative,
-/// neighbor order as stored).
-pub fn dfs_order(g: &Graph, start: VertexId) -> Vec<VertexId> {
-    let mut seen = vec![false; g.order()];
-    let mut stack = vec![start];
-    let mut order = Vec::new();
-    while let Some(v) = stack.pop() {
-        if seen[v.index()] {
-            continue;
-        }
-        seen[v.index()] = true;
-        order.push(v);
-        // Push in reverse so the first-listed neighbor is visited first.
-        let ns: Vec<_> = g.neighbors(v).map(|(n, _)| n).collect();
-        for n in ns.into_iter().rev() {
-            if !seen[n.index()] {
-                stack.push(n);
-            }
-        }
-    }
-    order
-}
 
 /// Connected components as lists of vertex ids (each sorted ascending;
 /// components ordered by their smallest vertex).
@@ -118,46 +76,6 @@ pub fn largest_connected_edge_component(g: &Graph, edges: &[EdgeId]) -> usize {
         .unwrap_or(0)
 }
 
-/// Degree sequence in non-increasing order — a cheap isomorphism invariant.
-pub fn degree_sequence(g: &Graph) -> Vec<usize> {
-    let mut d: Vec<usize> = g.vertices().map(|v| g.degree(v)).collect();
-    d.sort_unstable_by(|a, b| b.cmp(a));
-    d
-}
-
-/// Unweighted shortest-path (hop) distances from `start` to every vertex;
-/// `None` for unreachable vertices. `O(|V| + |E|)` BFS.
-pub fn bfs_distances(g: &Graph, start: VertexId) -> Vec<Option<usize>> {
-    let mut dist = vec![None; g.order()];
-    let mut queue = std::collections::VecDeque::new();
-    dist[start.index()] = Some(0);
-    queue.push_back(start);
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v.index()].expect("popped vertices have distances");
-        for (n, _) in g.neighbors(v) {
-            if dist[n.index()].is_none() {
-                dist[n.index()] = Some(d + 1);
-                queue.push_back(n);
-            }
-        }
-    }
-    dist
-}
-
-/// Eccentricity of `v`: the greatest hop distance to any reachable vertex.
-pub fn eccentricity(g: &Graph, v: VertexId) -> usize {
-    bfs_distances(g, v).into_iter().flatten().max().unwrap_or(0)
-}
-
-/// Diameter of the graph: the largest eccentricity over all vertices, or
-/// `None` when the graph is disconnected or empty (infinite/undefined).
-pub fn diameter(g: &Graph) -> Option<usize> {
-    if g.order() == 0 || !is_connected(g) {
-        return None;
-    }
-    g.vertices().map(|v| eccentricity(g, v)).max()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,17 +90,6 @@ mod tests {
             .cycle(&["x", "y", "z"], "-")
             .build()
             .unwrap()
-    }
-
-    #[test]
-    fn bfs_and_dfs_cover_component() {
-        let g = two_triangles();
-        let b = bfs_order(&g, VertexId::new(0));
-        let d = dfs_order(&g, VertexId::new(0));
-        assert_eq!(b.len(), 3);
-        assert_eq!(d.len(), 3);
-        assert_eq!(b[0], VertexId::new(0));
-        assert_eq!(d[0], VertexId::new(0));
     }
 
     #[test]
@@ -238,60 +145,5 @@ mod tests {
             .unwrap();
         let all: Vec<_> = g.edges().collect();
         assert_eq!(largest_connected_edge_component(&g, &all), 5);
-    }
-
-    #[test]
-    fn bfs_distances_on_path() {
-        let mut v = Vocabulary::new();
-        let g = GraphBuilder::new("p", &mut v)
-            .vertices(&["a", "b", "c", "d"], "C")
-            .path(&["a", "b", "c", "d"], "-")
-            .build()
-            .unwrap();
-        let d = bfs_distances(&g, VertexId::new(0));
-        assert_eq!(d, vec![Some(0), Some(1), Some(2), Some(3)]);
-        assert_eq!(eccentricity(&g, VertexId::new(0)), 3);
-        assert_eq!(eccentricity(&g, VertexId::new(1)), 2);
-        assert_eq!(diameter(&g), Some(3));
-    }
-
-    #[test]
-    fn bfs_distances_unreachable() {
-        let g = two_triangles();
-        let d = bfs_distances(&g, VertexId::new(0));
-        assert_eq!(d[1], Some(1));
-        assert_eq!(d[3], None, "other triangle unreachable");
-        assert_eq!(diameter(&g), None, "disconnected graph has no diameter");
-    }
-
-    #[test]
-    fn diameter_edge_cases() {
-        let mut v = Vocabulary::new();
-        let empty = GraphBuilder::new("e", &mut v).build().unwrap();
-        assert_eq!(diameter(&empty), None);
-        let single = GraphBuilder::new("s", &mut v)
-            .vertex("a", "A")
-            .build()
-            .unwrap();
-        assert_eq!(diameter(&single), Some(0));
-        let cycle = GraphBuilder::new("c", &mut v)
-            .vertices(&["a", "b", "c", "d", "e", "f"], "C")
-            .cycle(&["a", "b", "c", "d", "e", "f"], "-")
-            .build()
-            .unwrap();
-        assert_eq!(diameter(&cycle), Some(3));
-    }
-
-    #[test]
-    fn degree_sequence_sorted() {
-        let mut v = Vocabulary::new();
-        let g = GraphBuilder::new("star", &mut v)
-            .vertices(&["c", "l1", "l2", "l3"], "C")
-            .edge("c", "l1", "-")
-            .edge("c", "l2", "-")
-            .edge("c", "l3", "-")
-            .build()
-            .unwrap();
-        assert_eq!(degree_sequence(&g), vec![3, 1, 1, 1]);
     }
 }

@@ -312,11 +312,6 @@ impl GraphArena {
         self.names.is_empty()
     }
 
-    /// Total vertices across all graphs.
-    pub fn total_vertices(&self) -> usize {
-        self.vertex_labels.len()
-    }
-
     /// Total edges across all graphs.
     pub fn total_edges(&self) -> usize {
         self.edge_u.len()
@@ -1008,7 +1003,6 @@ mod tests {
         let (vocab, graphs) = sample();
         let arena = GraphArena::from_graphs(&graphs, &vocab);
         assert_eq!(arena.len(), 3);
-        assert_eq!(arena.total_vertices(), 5);
         assert_eq!(arena.total_edges(), 3);
         for (i, g) in graphs.iter().enumerate() {
             let r = arena.graph(i);

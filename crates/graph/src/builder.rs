@@ -114,11 +114,6 @@ impl<'v> GraphBuilder<'v> {
             None => Ok(self.graph),
         }
     }
-
-    /// Looks up the id of a named vertex declared so far.
-    pub fn id_of(&self, name: &str) -> Option<VertexId> {
-        self.names.get(name).copied()
-    }
 }
 
 #[cfg(test)]
@@ -201,13 +196,5 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(g.size(), 1);
-    }
-
-    #[test]
-    fn id_of_reports_declared_vertices() {
-        let mut vocab = Vocabulary::new();
-        let b = GraphBuilder::new("g", &mut vocab).vertex("a", "A");
-        assert!(b.id_of("a").is_some());
-        assert!(b.id_of("nope").is_none());
     }
 }

@@ -76,12 +76,6 @@ impl Edge {
         }
     }
 
-    /// True when `w` is one of the endpoints.
-    #[inline]
-    pub fn touches(&self, w: VertexId) -> bool {
-        self.u == w || self.v == w
-    }
-
     /// Endpoints with the smaller id first — a canonical undirected key.
     #[inline]
     pub fn key(&self) -> (VertexId, VertexId) {
@@ -334,29 +328,13 @@ impl Graph {
         g
     }
 
-    /// Returns the subgraph containing exactly the given edges and every
-    /// vertex of this graph (vertex ids preserved).
-    pub fn edge_subgraph(&self, keep: &[EdgeId]) -> Graph {
-        let mut g = Graph::with_capacity(format!("{}[sub]", self.name), self.order(), keep.len());
-        for v in &self.vertices {
-            g.add_vertex(v.label);
-        }
-        for e in keep {
-            let e = self.edge(*e);
-            g.add_edge(e.u, e.v, e.label)
-                .expect("edge subset of a valid graph cannot clash");
-        }
-        g
-    }
-
     /// Returns the subgraph consisting of exactly the given edges and
     /// **only their endpoint vertices** (vertex ids are re-densified in
     /// first-occurrence order).
     ///
     /// This is the literal "subgraph" of the paper's Definition 7: a set of
     /// selected vertices plus selected edges among them, with no isolated
-    /// leftovers. Compare [`Graph::edge_subgraph`], which preserves the full
-    /// vertex set and ids.
+    /// leftovers.
     pub fn edge_induced_subgraph(&self, keep: &[EdgeId]) -> Graph {
         let mut remap: Vec<Option<VertexId>> = vec![None; self.order()];
         let mut g =
@@ -379,11 +357,6 @@ impl Graph {
                 .expect("edge subset of a valid graph cannot clash");
         }
         g
-    }
-
-    /// Sum of all degrees (= 2·size). Exposed for invariant tests.
-    pub fn degree_sum(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum()
     }
 }
 
@@ -459,7 +432,7 @@ mod tests {
         assert_eq!(g.degree(v0), 1);
         assert!(g.has_edge(v1, v0));
         assert!(!g.has_edge(v0, v2));
-        assert_eq!(g.degree_sum(), 2 * g.size());
+        assert_eq!(g.vertices().map(|v| g.degree(v)).sum::<usize>(), 4);
     }
 
     #[test]
@@ -493,7 +466,6 @@ mod tests {
         let edge = g.edge(e);
         assert_eq!(edge.other(v0), v1);
         assert_eq!(edge.other(v1), v0);
-        assert!(edge.touches(v0) && edge.touches(v1));
         assert_eq!(edge.key(), (v0, v1));
     }
 
@@ -540,20 +512,6 @@ mod tests {
         assert!(h.has_edge(vs[1], vs[2]));
         // ids re-densified
         assert_eq!(h.edges().count(), 2);
-    }
-
-    #[test]
-    fn edge_subgraph_keeps_only_selected() {
-        let (_v, a, _b, bond) = labels();
-        let mut g = Graph::new("g");
-        let vs: Vec<_> = (0..3).map(|_| g.add_vertex(a)).collect();
-        let e0 = g.add_edge(vs[0], vs[1], bond).unwrap();
-        let _e1 = g.add_edge(vs[1], vs[2], bond).unwrap();
-        let s = g.edge_subgraph(&[e0]);
-        assert_eq!(s.size(), 1);
-        assert_eq!(s.order(), 3);
-        assert!(s.has_edge(vs[0], vs[1]));
-        assert!(!s.has_edge(vs[1], vs[2]));
     }
 
     #[test]

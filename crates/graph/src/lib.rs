@@ -18,7 +18,7 @@
 //!   views, and column-oriented [`StatsColumns`] — the memory layout the
 //!   zero-parse persistence format adopts byte-for-byte;
 //! * [`GraphBuilder`] — ergonomic construction from string labels;
-//! * [`algo`] — traversal, connectivity and component utilities;
+//! * [`algo`] — connectivity and component utilities;
 //! * [`stats`] — label histograms used by distance lower bounds, plus the
 //!   per-graph [`GraphStats`] summary the query pipeline caches;
 //! * [`fnv`] — the workspace's one FNV-1a hasher ([`Fnv64`]), behind every
@@ -85,15 +85,3 @@ pub use label::{Label, Vocabulary};
 pub use rng::{random_graph, Rng};
 pub use stats::GraphStats;
 pub use wl::wl_fingerprint;
-
-/// Convenient glob import for downstream crates:
-/// `use gss_graph::prelude::*;`
-pub mod prelude {
-    pub use crate::algo;
-    pub use crate::builder::GraphBuilder;
-    pub use crate::error::GraphError;
-    pub use crate::graph::{Edge, EdgeId, Graph, Vertex, VertexId};
-    pub use crate::label::{Label, Vocabulary};
-    pub use crate::rng::Rng;
-    pub use crate::stats;
-}

@@ -1,9 +1,7 @@
 //! Property-based tests for the graph substrate.
 
-use gss_graph::algo::{
-    bfs_distances, bfs_order, connected_components, degree_sequence, dfs_order, is_connected,
-    largest_connected_edge_component,
-};
+use gss_graph::algo::{connected_components, is_connected, largest_connected_edge_component};
+use gss_graph::stats::degree_sequence;
 use gss_graph::{random_graph, Label, Rng, VertexId};
 use proptest::prelude::*;
 
@@ -31,12 +29,11 @@ proptest! {
     #[test]
     fn handshake_lemma(seed in any::<u64>(), n in 1usize..15, m in 0usize..20) {
         let g = random_graph(&mut Rng::seed_from_u64(seed), n, m, 4, 2);
-        prop_assert_eq!(g.degree_sum(), 2 * g.size());
         let ds = degree_sequence(&g);
         prop_assert_eq!(ds.iter().sum::<usize>(), 2 * g.size());
-        // Degree sequence is non-increasing.
+        // Degree sequence is non-decreasing.
         for w in ds.windows(2) {
-            prop_assert!(w[0] >= w[1]);
+            prop_assert!(w[0] <= w[1]);
         }
     }
 
@@ -57,38 +54,6 @@ proptest! {
             let cu = comps.iter().position(|c| c.contains(&edge.u));
             let cv = comps.iter().position(|c| c.contains(&edge.v));
             prop_assert_eq!(cu, cv);
-        }
-    }
-
-    #[test]
-    fn traversals_cover_exactly_the_component(seed in any::<u64>(), n in 1usize..12, m in 0usize..16) {
-        let g = random_graph(&mut Rng::seed_from_u64(seed), n, m, 4, 2);
-        let comps = connected_components(&g);
-        let start = VertexId::new(0);
-        let comp0 = comps.iter().find(|c| c.contains(&start)).expect("vertex 0 exists");
-        let mut bfs = bfs_order(&g, start);
-        let mut dfs = dfs_order(&g, start);
-        bfs.sort();
-        dfs.sort();
-        prop_assert_eq!(&bfs, comp0);
-        prop_assert_eq!(&dfs, comp0);
-    }
-
-    #[test]
-    fn bfs_distance_is_a_shortest_path_metric(seed in any::<u64>(), n in 2usize..10, m in 1usize..14) {
-        let g = random_graph(&mut Rng::seed_from_u64(seed), n, m, 4, 2);
-        let d0 = bfs_distances(&g, VertexId::new(0));
-        prop_assert_eq!(d0[0], Some(0));
-        // Distances never jump by more than 1 across an edge.
-        for e in g.edges() {
-            let edge = g.edge(e);
-            match (d0[edge.u.index()], d0[edge.v.index()]) {
-                (Some(a), Some(b)) => {
-                    prop_assert!(a.abs_diff(b) <= 1, "edge endpoints differ by ≤ 1 hop");
-                }
-                (None, None) => {}
-                _ => prop_assert!(false, "one endpoint reachable, the other not"),
-            }
         }
     }
 
@@ -123,10 +88,5 @@ proptest! {
         prop_assert_eq!(removed.order(), g.order());
         let edge = g.edge(victim);
         prop_assert!(!removed.has_edge(edge.u, edge.v) || g.edge_between(edge.u, edge.v).is_none());
-        // Keeping every edge reproduces the same structure.
-        let all: Vec<_> = g.edges().collect();
-        let kept = g.edge_subgraph(&all);
-        prop_assert_eq!(kept.size(), g.size());
-        prop_assert_eq!(kept.order(), g.order());
     }
 }

@@ -8,8 +8,8 @@
 //! * **subgraph isomorphism** (Def. 5) — a label-preserving injection under
 //!   which every *pattern* edge appears in the target with an equal label
 //!   (the *non-induced* variant, which is what the paper's `⊆` means);
-//! * an **induced** variant (useful for the clique-based MCS cross-check),
-//!   where mapped vertex pairs must agree on edges *and* non-edges.
+//! * an **induced** variant, where mapped vertex pairs must agree on edges
+//!   *and* non-edges.
 //!
 //! The solver in [`vf2`] is a VF2-style backtracking matcher with
 //! connectivity-guided candidate generation and cheap invariant pre-filters
@@ -43,6 +43,6 @@ pub mod invariants;
 pub mod vf2;
 
 pub use vf2::{
-    are_isomorphic, count_embeddings, enumerate_embeddings, find_embedding, is_subgraph_isomorphic,
-    Embedding, MatchMode,
+    are_isomorphic, enumerate_embeddings, find_embedding, is_subgraph_isomorphic, Embedding,
+    MatchMode,
 };

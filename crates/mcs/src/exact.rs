@@ -44,8 +44,8 @@
 //!
 //! None of this changes the search *order*: candidates are generated in the
 //! same sequence, deduplicated keep-first, and stably sorted by the same
-//! keys as the retained reference implementation
-//! ([`crate::reference::maximum_common_subgraph_reference`]), so costs,
+//! keys as the retained reference implementation (the test-only
+//! `reference::maximum_common_subgraph_reference`), so costs,
 //! witnesses **and expanded-node counts** are identical — property tests
 //! pin all three.
 

@@ -19,16 +19,14 @@
 //!   of Definition 7 (enumerate connected edge subsets of `g1` by decreasing
 //!   size, test embeddability with `gss-iso`). Hopelessly slow, but the
 //!   ground truth the other solvers are checked against.
-//! * [`product::maximum_common_induced_subgraph`] — the classical modular
-//!   product + maximum clique construction for the *induced* MCS variant
-//!   (a Tomita-style bitset branch and bound with a greedy-colouring
-//!   bound); a different problem than Definition 7, included for
-//!   completeness and cross-checked against its own oracle.
 //!
-//! The exact kernels are allocation-free word-parallel rewrites; the
-//! original implementations are retained in [`mod@reference`] as the
-//! parity oracle for property tests and the baseline for the solver
-//! benchmarks.
+//! The exact kernel is an allocation-free word-parallel rewrite; the
+//! original implementation is kept as a test-only parity reference (a
+//! `#[cfg(test)]` module), so it is not part of the public API:
+//!
+//! ```compile_fail
+//! use gss_mcs::reference::maximum_common_subgraph_reference;
+//! ```
 //!
 //! ## Note on disconnected inputs
 //!
@@ -59,12 +57,9 @@
 pub mod exact;
 pub mod greedy;
 pub mod oracle;
-pub mod product;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 
 pub use exact::{
     maximum_common_subgraph, maximum_common_subgraph_expanded, mcs_edge_size, Mcs, Objective,
-};
-pub use product::{
-    max_clique, max_clique_bitset, max_clique_expanded, maximum_common_induced_subgraph, InducedMcs,
 };

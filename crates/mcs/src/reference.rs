@@ -1,87 +1,16 @@
-//! Retained reference implementations of the pre-bitset solver kernels.
+//! Retained reference implementation of the pre-bitset connected-MCS
+//! kernel, compiled only under test.
 //!
-//! The word-parallel kernels in [`crate::product`] and [`crate::exact`]
-//! were rewritten for speed; these are the straightforward implementations
-//! they replaced, kept verbatim (plus expanded-node counters) so that
-//!
-//! * property tests can assert the optimized kernels return identical
-//!   sizes/costs — and, where the search order is preserved, identical
-//!   witnesses — on random inputs, and
-//! * `tests/cross_solver.rs::smoke_workload_solver_sweep_stays_within_recorded_expansion_baselines`
-//!   can gate the kernels' expanded-node counts against the exact code
-//!   they replaced.
-//!
-//! Nothing in the query pipeline calls these; they are test and benchmark
-//! substrate only.
+//! [`crate::exact`] was rewritten for speed; this is the straightforward
+//! implementation it replaced, kept verbatim (plus an expanded-node
+//! counter) so that the unit tests below can assert the kernel returns
+//! identical witnesses and expanded-node counts on random inputs and on
+//! the committed smoke workload. Nothing in the query pipeline calls it.
 
 use gss_graph::stats::mcs_upper_bound;
 use gss_graph::{Graph, VertexId};
 
 use crate::exact::{Mcs, Objective};
-
-/// Maximum clique via the original Bron–Kerbosch-with-pivoting search over
-/// a `Vec<Vec<bool>>` adjacency matrix, as shipped before the Tomita
-/// rewrite. Returns `(clique vertices ascending, nodes expanded)`.
-///
-/// # Panics
-/// Panics when `adj` is not square (and, in debug builds, when the diagonal
-/// is set).
-pub fn max_clique_reference(adj: &[Vec<bool>]) -> (Vec<usize>, u64) {
-    let n = adj.len();
-    for (i, row) in adj.iter().enumerate() {
-        assert_eq!(row.len(), n, "adjacency matrix must be square");
-        debug_assert!(!row[i], "no self-loops expected");
-    }
-    let mut best: Vec<usize> = Vec::new();
-    let mut r: Vec<usize> = Vec::new();
-    let p: Vec<usize> = (0..n).collect();
-    let x: Vec<usize> = Vec::new();
-    let mut expanded = 0u64;
-    bron_kerbosch(adj, &mut r, p, x, &mut best, &mut expanded);
-    best.sort_unstable();
-    (best, expanded)
-}
-
-fn bron_kerbosch(
-    adj: &[Vec<bool>],
-    r: &mut Vec<usize>,
-    p: Vec<usize>,
-    x: Vec<usize>,
-    best: &mut Vec<usize>,
-    expanded: &mut u64,
-) {
-    *expanded += 1;
-    if p.is_empty() && x.is_empty() {
-        if r.len() > best.len() {
-            *best = r.clone();
-        }
-        return;
-    }
-    // Bound: even taking all of P cannot beat the incumbent.
-    if r.len() + p.len() <= best.len() {
-        return;
-    }
-    // Pivot: vertex of P ∪ X with most neighbors in P.
-    let pivot = p
-        .iter()
-        .chain(x.iter())
-        .copied()
-        .max_by_key(|&u| p.iter().filter(|&&w| adj[u][w]).count())
-        .expect("P ∪ X non-empty here");
-    let candidates: Vec<usize> = p.iter().copied().filter(|&u| !adj[pivot][u]).collect();
-
-    let mut p = p;
-    let mut x = x;
-    for u in candidates {
-        let p_next: Vec<usize> = p.iter().copied().filter(|&w| adj[u][w]).collect();
-        let x_next: Vec<usize> = x.iter().copied().filter(|&w| adj[u][w]).collect();
-        r.push(u);
-        bron_kerbosch(adj, r, p_next, x_next, best, expanded);
-        r.pop();
-        p.retain(|&w| w != u);
-        x.push(u);
-    }
-}
 
 const UNMAPPED: u32 = u32::MAX;
 
@@ -89,11 +18,7 @@ const UNMAPPED: u32 = u32::MAX;
 /// allocation in `candidates`, full rescans in the potential bound), kept
 /// as the byte-identical-witness reference for [`crate::exact`]. Returns
 /// the witness plus the number of search nodes expanded.
-pub fn maximum_common_subgraph_reference(
-    g1: &Graph,
-    g2: &Graph,
-    objective: Objective,
-) -> (Mcs, u64) {
+fn maximum_common_subgraph_reference(g1: &Graph, g2: &Graph, objective: Objective) -> (Mcs, u64) {
     let global_bound = mcs_upper_bound(g1, g2) as usize;
     let mut solver = RefSolver {
         g1,
@@ -300,5 +225,99 @@ impl RefSolver<'_> {
                 return;
             }
         }
+    }
+}
+
+/// Parity of the bitset kernel against the reference. The rewrite
+/// preserves the search order, so witnesses *and* expanded-node counts
+/// must be identical for both objectives.
+mod tests {
+    use super::*;
+    use crate::exact::maximum_common_subgraph_expanded;
+    use gss_datasets::workload::{Workload, WorkloadConfig};
+    use gss_graph::{random_graph, Rng};
+
+    /// A connected-MCS solver: witness and expanded-node count.
+    type McsSolver = fn(&Graph, &Graph, Objective) -> (Mcs, u64);
+
+    /// `[kernel, reference]` under one signature: if either side's
+    /// signature drifts, this array stops compiling.
+    const MCS: [McsSolver; 2] = [
+        maximum_common_subgraph_expanded,
+        maximum_common_subgraph_reference,
+    ];
+
+    #[test]
+    fn connected_mcs_is_bit_identical_to_reference_both_objectives() {
+        let mut rng = Rng::seed_from_u64(0x9a417e);
+        for case in 0..120 {
+            let (n1, m1) = (1 + rng.gen_index(6), rng.gen_index(8));
+            let (n2, m2) = (1 + rng.gen_index(6), rng.gen_index(8));
+            let labels = 1 + rng.gen_index(3) as u32;
+            let g1 = random_graph(&mut rng, n1, m1, labels, 2);
+            let g2 = random_graph(&mut rng, n2, m2, labels, 2);
+            for objective in [Objective::Edges, Objective::Vertices] {
+                let [(fast, fast_nodes), (slow, slow_nodes)] =
+                    MCS.map(|solve| solve(&g1, &g2, objective));
+                assert_eq!(
+                    fast.vertex_pairs, slow.vertex_pairs,
+                    "case {case} {objective:?}: vertex witness"
+                );
+                assert_eq!(
+                    fast.edge_pairs, slow.edge_pairs,
+                    "case {case} {objective:?}: edge witness"
+                );
+                assert_eq!(
+                    fast_nodes, slow_nodes,
+                    "case {case} {objective:?}: search order must be preserved"
+                );
+            }
+        }
+    }
+
+    /// Pinned node-count regression on a fixed workload: the rewrite must
+    /// match the reference count exactly.
+    #[test]
+    fn pinned_node_counts_on_fixed_workload() {
+        let mut rng = Rng::seed_from_u64(0xf1bed);
+        let (mut mcs_new, mut mcs_ref) = (0u64, 0u64);
+        for _ in 0..20 {
+            let g1 = random_graph(&mut rng, 6, 8, 2, 2);
+            let g2 = random_graph(&mut rng, 6, 8, 2, 2);
+            let [new, reference] = MCS.map(|solve| solve(&g1, &g2, Objective::Edges).1);
+            mcs_new += new;
+            mcs_ref += reference;
+        }
+        assert_eq!(
+            mcs_new, mcs_ref,
+            "connected-MCS search order must be preserved"
+        );
+    }
+
+    /// The MCS half of the solver sweep over every query/candidate pair of
+    /// the committed smoke workload ([`WorkloadConfig::bench_smoke`]). The
+    /// kernel is deterministic, so the expanded-node total repeats exactly,
+    /// and it preserves the reference search order exactly.
+    #[test]
+    fn smoke_workload_solver_sweep_stays_within_recorded_expansion_baselines() {
+        // Recorded baseline: total search nodes the exact solver expands
+        // over all 120 pairs. Any increase is a real search-order or bound
+        // regression; re-record deliberately when the workload or the
+        // candidate ordering changes.
+        const MCS_EXPANDED_BASELINE: u64 = 1_536;
+
+        let w = Workload::generate(&WorkloadConfig::bench_smoke());
+        let (mut mcs, mut mcs_ref) = (0u64, 0u64);
+        for g in &w.graphs {
+            let [new, reference] = MCS.map(|solve| solve(g, &w.query, Objective::Edges).1);
+            mcs += new;
+            mcs_ref += reference;
+        }
+        assert_eq!(w.graphs.len(), 120, "the sweep covers all 120 pairs");
+        assert!(
+            mcs <= MCS_EXPANDED_BASELINE,
+            "expanded nodes vs recorded baseline: MCS {mcs} vs ≤ {MCS_EXPANDED_BASELINE}"
+        );
+        assert_eq!(mcs, mcs_ref, "MCS kernel vs reference expanded nodes");
     }
 }
