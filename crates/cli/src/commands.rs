@@ -8,9 +8,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use gss_core::{
-    graph_similarity_skyband, graph_similarity_skyline, refine_skyline, top_k_by_measure,
-    GraphDatabase, GraphId, MeasureKind, Plan, PruneStats, QueryOptions, RefineOptions,
-    SolverConfig,
+    graph_similarity_skyline, refine_skyline, top_k_by_measure, GraphDatabase, GraphId,
+    MeasureKind, Plan, PruneStats, QueryOptions, RefineOptions, SolverConfig,
 };
 use gss_datasets::workload::{Workload, WorkloadConfig, WorkloadKind};
 use gss_ged::{bipartite::bipartite_ged, edit_path_for_mapping, exact_ged, CostModel, GedOptions};
@@ -33,9 +32,6 @@ USAGE:
   gss measure  --db FILE --a NAME --b NAME
   gss topk     --db FILE --query-name NAME --measure ed|ned|mcs|gu [--k K]
                [--approx] [--threads N]
-  gss skyband  --db FILE --query-name NAME [--k K] [--approx] [--threads N]
-               [--index IDX]
-               [--plan auto|naive|prefilter|indexed|sharded] [--shards N]
   gss index    build --db FILE --out IDX [--pivots K] [--rings R]
                [--exclude NAME]
   gss index    stats --index IDX [--db FILE]
@@ -73,20 +69,18 @@ With --query-name the named graph is removed from the database and queried
 against the rest; with --query-file the database is used whole and the
 query graph is the first graph of the given file (use `-` to read it from
 stdin, so scripts can pipe queries). --plan forces one evaluation strategy
-(all strategies return identical answers); the default `auto` picks from
-the database size and index availability, and the report names the
-strategy that actually ran. `--plan prefilter` runs the filter-and-verify
-pipeline: cheap lower bounds prune candidates before the exact solvers
-(the report then includes pruning statistics). With --index it also
-consults a pivot index built by `gss index build`, skipping whole
-candidate partitions up front — build with --exclude NAME when querying
-by --query-name so the index matches the database the query actually
-scans. --shards N without --plan selects `sharded` over N candidate
-ranges. `serve` takes the same --plan/--shards as its base options, and
-`client --plan` overrides them per query. `skyband` accepts the same plan
-flags: the
-k-skyband now runs through the same staged executor, excluding candidates
-whose lower bounds already have k verified dominators without solving them.
+(all strategies return identical answers), and the report names the
+strategy that actually ran. The default `auto` runs the filter-and-verify
+pipeline (`prefilter`): cheap lower bounds prune candidates before the
+exact solvers, and the report includes pruning statistics; `naive` runs
+the exact solvers on every candidate. `--plan indexed` also consults the
+pivot index given by --index IDX (built by `gss index build`), skipping
+whole candidate partitions up front — build with --exclude NAME when
+querying by --query-name so the index matches the database the query
+actually scans. --shards N without --plan selects `sharded` over N
+candidate ranges. --threads and --shards must be at least 1. `serve`
+takes the same --plan/--shards as its base options, and `client --plan`
+overrides them per query.
 
 `serve` runs the long-lived query server (newline-delimited JSON protocol,
 result caching, admission control — see the gss-server crate docs); all
@@ -162,13 +156,13 @@ pub(crate) fn solver_config(args: &Args) -> SolverConfig {
 fn refine_options(args: &Args) -> Result<RefineOptions, ArgError> {
     Ok(RefineOptions {
         solvers: solver_config(args),
-        threads: args.get_parsed_or("threads", 1usize)?,
+        threads: args.get_checked_or("threads", 1usize, 1.., "at least 1")?,
         ..RefineOptions::default()
     })
 }
 
 /// Parses `--plan` (default `auto`) and `--shards` (default 1) for
-/// `query`, `skyband` and `serve` alike. The plan is validated against the
+/// `query` and `serve` alike. The plan is validated against the
 /// loaded index: the indexed plan without `--index` would panic deep in
 /// the engine, so fail with a usable message here instead. Asking for more
 /// than one shard without naming a plan means the sharded plan.
@@ -186,14 +180,14 @@ pub(crate) fn parse_plan(args: &Args, has_index: bool) -> Result<(Plan, usize), 
             "--plan indexed requires --index IDX (build one with `gss index build`)".to_owned(),
         ));
     }
-    let shards = args.get_parsed_or("shards", 1usize)?.max(1);
+    let shards = args.get_checked_or("shards", 1usize, 1.., "at least 1")?;
     if args.get("plan").is_none() && shards > 1 {
         return Ok((Plan::Sharded, shards));
     }
     Ok((plan, shards))
 }
 
-/// The one-line plan report shown by `query` and `skyband`.
+/// The one-line plan report shown by `query`.
 fn plan_line(requested: Plan, resolved: gss_core::ResolvedPlan) -> String {
     if requested == Plan::Auto {
         format!("plan: {} (selected by auto)", resolved.name())
@@ -202,8 +196,8 @@ fn plan_line(requested: Plan, resolved: gss_core::ResolvedPlan) -> String {
     }
 }
 
-/// The pruning-statistics lines shown by `query` and `skyband` whenever
-/// the filter-and-verify pipeline ran.
+/// The pruning-statistics lines shown by `query` whenever the
+/// filter-and-verify pipeline ran.
 fn write_prune_stats(out: &mut String, stats: &PruneStats) {
     let _ = writeln!(
         out,
@@ -315,10 +309,9 @@ pub fn query(args: &Args) -> Result<String, ArgError> {
     let (db, q) = resolve_query(db, args)?;
     let index = load_index(&db, args)?;
     let (plan, shards) = parse_plan(args, index.is_some())?;
-    let threads = args.get_parsed_or("threads", 1usize)?;
     let options = QueryOptions {
         solvers: solver_config(args),
-        threads,
+        threads: args.get_checked_or("threads", 1usize, 1.., "at least 1")?,
         plan,
         shards,
         index: index.map(|i| i as Arc<dyn gss_core::QueryIndex>),
@@ -476,49 +469,6 @@ pub fn measure(args: &Args) -> Result<String, ArgError> {
     Ok(out)
 }
 
-/// `gss skyband` — the k-skyband relaxation of the similarity skyline:
-/// graphs dominated by fewer than `k` others (`k = 1` is the skyline).
-/// Runs through the staged executor, so the plan flags of `gss query`
-/// (`--index`, `--plan`, `--shards`) apply here too, with identical
-/// membership and a pruning report when the pipeline ran.
-pub fn skyband(args: &Args) -> Result<String, ArgError> {
-    args.reject_unknown(&[
-        "db",
-        "query-name",
-        "k",
-        "approx",
-        "threads",
-        "index",
-        "plan",
-        "shards",
-    ])?;
-    let db = load_db(args)?;
-    let (db, q) = split_query(db, args.require("query-name")?)?;
-    let index = load_index(&db, args)?;
-    let (plan, shards) = parse_plan(args, index.is_some())?;
-    let k = args.get_parsed_or("k", 2usize)?;
-    let threads = args.get_parsed_or("threads", 1usize)?;
-    let options = QueryOptions {
-        solvers: solver_config(args),
-        threads,
-        plan,
-        shards,
-        index: index.map(|i| i as Arc<dyn gss_core::QueryIndex>),
-        ..Default::default()
-    };
-    let band = graph_similarity_skyband(&db, &q, k, &options);
-    let mut out = String::new();
-    let _ = writeln!(out, "{}", plan_line(plan, band.plan));
-    let _ = writeln!(out, "{k}-skyband ({} members):", band.members.len());
-    for id in &band.members {
-        let _ = writeln!(out, "  {}", db.name_of(*id));
-    }
-    if let Some(stats) = &band.pruning {
-        write_prune_stats(&mut out, stats);
-    }
-    Ok(out)
-}
-
 /// `gss topk` — single-measure baseline retrieval.
 pub fn topk(args: &Args) -> Result<String, ArgError> {
     args.reject_unknown(&["db", "query-name", "measure", "k", "approx", "threads"])?;
@@ -526,7 +476,7 @@ pub fn topk(args: &Args) -> Result<String, ArgError> {
     let (db, q) = split_query(db, args.require("query-name")?)?;
     let measure = parse_measure(args.get_or("measure", "ed"))?;
     let k = args.get_parsed_or("k", 3usize)?;
-    let threads = args.get_parsed_or("threads", 1usize)?;
+    let threads = args.get_checked_or("threads", 1usize, 1.., "at least 1")?;
     let scored = top_k_by_measure(&db, &q, measure, k, &solver_config(args), threads);
     let mut out = String::new();
     let _ = writeln!(out, "top-{k} by {}:", measure.name());
@@ -892,6 +842,26 @@ e 0 1 -
     }
 
     #[test]
+    fn zero_counts_are_refused_by_query_refine_and_topk() {
+        let (_keep, path) = write_temp_db();
+        let query_words = ["--db", &path, "--query-name", "needle"];
+        for option in ["--threads", "--shards"] {
+            let err = query(&args(&[&query_words[..], &[option, "0"]].concat())).expect_err(option);
+            assert!(
+                err.0.contains(&format!("{option} must be at least 1")),
+                "{err}"
+            );
+        }
+        let refine = [&query_words[..], &["--refine", "2", "--threads", "0"]].concat();
+        let err = query(&args(&refine)).expect_err("--refine --threads 0");
+        assert!(err.0.contains("--threads must be at least 1"), "{err}");
+        let err = refine_options(&args(&["--threads", "0"])).expect_err("refine");
+        assert!(err.0.contains("--threads must be at least 1"), "{err}");
+        let err = topk(&args(&[&query_words[..], &["--threads", "0"]].concat())).expect_err("topk");
+        assert!(err.0.contains("--threads must be at least 1"), "{err}");
+    }
+
+    #[test]
     fn query_reports_skyline() {
         let (_keep, path) = write_temp_db();
         let out = query(&args(&["--db", &path, "--query-name", "needle"])).unwrap();
@@ -1038,38 +1008,17 @@ e 0 1 -
     }
 
     #[test]
-    fn skyband_relaxes_the_skyline() {
-        let (_keep, path) = write_temp_db();
-        let band1 = skyband(&args(&[
-            "--db",
-            &path,
-            "--query-name",
-            "needle",
-            "--k",
-            "1",
-        ]))
-        .unwrap();
-        let band9 = skyband(&args(&[
-            "--db",
-            &path,
-            "--query-name",
-            "needle",
-            "--k",
-            "9",
-        ]))
-        .unwrap();
-        assert!(band1.contains("close"));
-        assert!(
-            !band1.contains("far"),
-            "k=1 skyband is the skyline:\n{band1}"
-        );
-        assert!(band9.contains("far"), "large k keeps everything");
-    }
-
-    #[test]
     fn query_with_prefilter_reports_stats_and_same_skyline() {
         let (_keep, path) = write_temp_db();
-        let naive = query(&args(&["--db", &path, "--query-name", "needle"])).unwrap();
+        let naive = query(&args(&[
+            "--db",
+            &path,
+            "--query-name",
+            "needle",
+            "--plan",
+            "naive",
+        ]))
+        .unwrap();
         let pruned = query(&args(&[
             "--db",
             &path,
@@ -1114,6 +1063,8 @@ e 0 1 -
             &path,
             "--query-name",
             "needle",
+            "--plan",
+            "naive",
             "--format",
             "json",
         ]))
@@ -1166,6 +1117,8 @@ e 0 1 -
             "needle",
             "--index",
             &idx_path,
+            "--plan",
+            "indexed",
         ]))
         .unwrap();
         assert!(indexed.contains("index: "), "{indexed}");
@@ -1187,6 +1140,8 @@ e 0 1 -
             "needle",
             "--index",
             &idx_path,
+            "--plan",
+            "indexed",
             "--format",
             "json",
         ]))
@@ -1222,6 +1177,8 @@ e 0 1 -
             &qfile,
             "--index",
             &full_idx,
+            "--plan",
+            "indexed",
         ]))
         .unwrap();
         assert!(by_file.contains("database: 3 graphs"), "{by_file}");
@@ -1236,18 +1193,22 @@ e 0 1 -
     fn query_reports_the_plan_and_accepts_plan_flags() {
         let (_keep, path) = write_temp_db();
         let auto = query(&args(&["--db", &path, "--query-name", "needle"])).unwrap();
-        assert!(auto.contains("plan: naive (selected by auto)"), "{auto}");
+        assert!(
+            auto.contains("plan: prefilter (selected by auto)"),
+            "{auto}"
+        );
+        assert!(auto.contains("prefilter:"), "{auto}");
         let forced = query(&args(&[
             "--db",
             &path,
             "--query-name",
             "needle",
             "--plan",
-            "prefilter",
+            "naive",
         ]))
         .unwrap();
-        assert!(forced.contains("plan: prefilter\n"), "{forced}");
-        assert!(forced.contains("prefilter:"), "{forced}");
+        assert!(forced.contains("plan: naive\n"), "{forced}");
+        assert!(!forced.contains("prefilter:"), "{forced}");
         // Same skyline regardless of plan.
         let sky = |s: &str| {
             s.lines()
@@ -1267,7 +1228,7 @@ e 0 1 -
             "json",
         ]))
         .unwrap();
-        assert!(json.contains("\"plan\": \"naive\""), "{json}");
+        assert!(json.contains("\"plan\": \"prefilter\""), "{json}");
         // Bad plans fail loudly; indexed without an index is refused.
         assert!(query(&args(&[
             "--db",
@@ -1288,92 +1249,6 @@ e 0 1 -
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("--index"), "{err}");
-    }
-
-    #[test]
-    fn skyband_supports_pruning_flags_and_reports_stats() {
-        let (_keep, path) = write_temp_db();
-        let base = skyband(&args(&[
-            "--db",
-            &path,
-            "--query-name",
-            "needle",
-            "--k",
-            "1",
-        ]))
-        .unwrap();
-        assert!(base.contains("plan: naive (selected by auto)"), "{base}");
-        assert!(!base.contains("prefilter:"), "{base}");
-        let pruned = skyband(&args(&[
-            "--db",
-            &path,
-            "--query-name",
-            "needle",
-            "--k",
-            "1",
-            "--plan",
-            "prefilter",
-        ]))
-        .unwrap();
-        assert!(pruned.contains("plan: prefilter"), "{pruned}");
-        assert!(pruned.contains("prefilter:"), "{pruned}");
-        assert!(pruned.contains("candidates"), "{pruned}");
-        // Same members in both modes.
-        let members = |s: &str| {
-            s.lines()
-                .skip_while(|l| !l.contains("-skyband ("))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        let strip_stats = |s: String| {
-            s.split("\nprefilter:")
-                .next()
-                .unwrap()
-                .trim_end()
-                .to_owned()
-        };
-        assert_eq!(members(&base).trim_end(), strip_stats(members(&pruned)));
-
-        // An index built with --exclude works for the skyband too.
-        let idx_path = std::env::temp_dir()
-            .join(format!("gss-cli-test-{}-skyband.gsi", std::process::id()))
-            .to_str()
-            .unwrap()
-            .to_owned();
-        index(&args(&[
-            "index",
-            "build",
-            "--db",
-            &path,
-            "--out",
-            &idx_path,
-            "--exclude",
-            "needle",
-            "--pivots",
-            "2",
-            "--rings",
-            "2",
-        ]))
-        .unwrap();
-        let indexed = skyband(&args(&[
-            "--db",
-            &path,
-            "--query-name",
-            "needle",
-            "--k",
-            "1",
-            "--index",
-            &idx_path,
-        ]))
-        .unwrap();
-        assert!(indexed.contains("plan: indexed"), "{indexed}");
-        assert!(indexed.contains("pivot probes"), "{indexed}");
-        assert_eq!(
-            members(&base).trim_end(),
-            strip_stats(members(&indexed)),
-            "indexed skyband must keep membership"
-        );
-        let _ = std::fs::remove_file(&idx_path);
     }
 
     #[test]

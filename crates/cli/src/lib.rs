@@ -45,7 +45,6 @@ pub fn run<I: IntoIterator<Item = String>>(raw: I) -> Result<String, String> {
         "query" => commands::query(&args).map_err(|e| e.to_string()),
         "measure" => commands::measure(&args).map_err(|e| e.to_string()),
         "topk" => commands::topk(&args).map_err(|e| e.to_string()),
-        "skyband" => commands::skyband(&args).map_err(|e| e.to_string()),
         "index" => commands::index(&args).map_err(|e| e.to_string()),
         "serve" => net::serve(&args).map_err(|e| e.to_string()),
         "client" => net::client(&args).map_err(|e| e.to_string()),
@@ -67,7 +66,7 @@ mod tests {
     fn help_lists_commands() {
         let out = run(["help".to_string()]).unwrap();
         for cmd in [
-            "query", "measure", "topk", "skyband", "index", "generate", "convert", "paper",
+            "query", "measure", "topk", "index", "generate", "convert", "paper",
         ] {
             assert!(out.contains(cmd), "help must mention {cmd}");
         }

@@ -135,8 +135,7 @@ pub fn options_fingerprint(options: &QueryOptions) -> u64 {
     hash_str(&mut h, mcs);
     // The requested plan is part of the key: plans never change answers,
     // but they do change the response document (pruning stats, per-graph
-    // `exact` flags), and `Auto` resolves deterministically from the
-    // database + options, both already covered by the composite key.
+    // `exact` flags), and `Auto` always resolves to `Prefilter`.
     hash_str(&mut h, "plan:");
     hash_str(&mut h, plan.name());
     match index {

@@ -1,22 +1,21 @@
 //! The unified query planner and staged execution engine.
 //!
-//! Every GSS entry point — [`crate::graph_similarity_skyline`], the batch
-//! API and [`crate::graph_similarity_skyband`] — runs through the one
-//! pipeline in this module. A query evaluation is four stages:
+//! Every GSS entry point — [`crate::graph_similarity_skyline`] and the
+//! batch API — runs through the one pipeline in this module. A query
+//! evaluation is four stages:
 //!
 //! ```text
 //!  candidate source ──► summarize ──► Verifier ──► assembly
 //!  (every candidate,    (one Prefilter-  (the one exact-    (skyline +
-//!   index partitions     Summary per      vector loop:       witnesses,
-//!   most promising       candidate,       waves of solver    or k-skyband
-//!   first, or shards)    lower bounds)    calls; frontier    membership)
+//!   index partitions     Summary per      vector loop:       witnesses)
+//!   most promising       candidate,       waves of solver
+//!   first, or shards)    lower bounds)    calls; frontier
 //!                                         prunes covered
 //!                                         bounds)
 //! ```
 //!
-//! Skyline and skyband queries share one dispatch; they differ only in
-//! the verifier's frontier (the non-dominated verified set, or `k`
-//! distinct verified dominators) and in the assembly.
+//! The verifier keeps one frontier, the non-dominated verified set, and
+//! prunes a candidate whose lower bound a frontier member dominates.
 //!
 //! # Plans
 //!
@@ -37,15 +36,12 @@
 //!   one skyline. This is the fan-out strategy for one huge query spread
 //!   across a worker pool; the reported document is invariant in the shard
 //!   count by construction (see [`skyline`]).
-//! * [`Plan::Auto`] (the default) — picks one of the above from what is
-//!   available: an attached index wins, otherwise the prefilter pipeline
-//!   for databases of at least [`AUTO_PREFILTER_MIN`] graphs, otherwise
-//!   the naive scan (for tiny databases the bound bookkeeping buys
-//!   nothing).
+//! * [`Plan::Auto`] (the default) — the prefilter pipeline, at every
+//!   database size and whether or not an index is attached.
 //!
 //! Every plan returns **byte-identical** answers: the same skyline, the
-//! same witnesses, the same exact GCS vectors, the same skyband
-//! membership, across solver configurations and thread counts. One witness
+//! same witnesses and the same exact GCS vectors, across solver
+//! configurations and thread counts. One witness
 //! rule serves them all: an excluded graph's witness is the first skyline
 //! member dominating its lower bound, else its exact vector — and the
 //! *stragglers* that need the latter are verified during assembly,
@@ -82,19 +78,11 @@ use crate::parallel::parallel_map_indexed;
 use crate::prefilter::{self, PrefilterContext, PrefilterSummary, PruneStats};
 use crate::query::{DominationWitness, GssResult, QueryOptions};
 
-/// Smallest database for which [`Plan::Auto`] picks the filter-and-verify
-/// pipeline over the naive scan when no index is attached. Below this the
-/// frontier bookkeeping cannot amortize; at or above it the pruned scan
-/// never runs more solver calls and usually runs far fewer.
-pub const AUTO_PREFILTER_MIN: usize = 16;
-
 /// How a query should be evaluated. The executor turns a `Plan` into a
-/// [`ResolvedPlan`] per query via [`resolve_plan`]; `Auto` is the only
-/// variant whose resolution depends on the database and options.
+/// [`ResolvedPlan`] per query via [`resolve_plan`].
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum Plan {
-    /// Choose the cheapest sound strategy from the database size and the
-    /// attached index (see [`resolve_plan`]). The default.
+    /// The default: the filter-and-verify pipeline (see [`resolve_plan`]).
     #[default]
     Auto,
     /// Full scan, exact solvers for every candidate, no pruning.
@@ -138,7 +126,7 @@ impl Plan {
 }
 
 /// The concrete strategy a query ran under, reported in
-/// [`GssResult::plan`] (an `Auto` request resolves to one of these).
+/// [`GssResult::plan`] (an `Auto` request resolves to `Prefilter`).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ResolvedPlan {
     /// Full scan without pruning.
@@ -165,15 +153,14 @@ impl ResolvedPlan {
 
 /// Resolves the strategy for one query.
 ///
-/// Explicit plans win: `Naive` and `Prefilter` ignore any attached index,
-/// and `Indexed` **panics** without one (callers that accept user input
-/// should validate first). `Auto` picks the cheapest available strategy:
-/// the index when attached, the prefilter pipeline when the database has
-/// at least [`AUTO_PREFILTER_MIN`] graphs, and the naive scan otherwise.
-pub fn resolve_plan(db: &GraphDatabase, options: &QueryOptions) -> ResolvedPlan {
+/// `Auto` is `Prefilter`, at every database size and with or without an
+/// attached index. `Naive` and `Prefilter` ignore any attached index, and
+/// `Indexed` **panics** without one (callers that accept user input
+/// should validate first).
+pub fn resolve_plan(options: &QueryOptions) -> ResolvedPlan {
     match options.plan {
         Plan::Naive => ResolvedPlan::Naive,
-        Plan::Prefilter => ResolvedPlan::Prefilter,
+        Plan::Auto | Plan::Prefilter => ResolvedPlan::Prefilter,
         Plan::Sharded => ResolvedPlan::Sharded,
         Plan::Indexed => {
             assert!(
@@ -181,15 +168,6 @@ pub fn resolve_plan(db: &GraphDatabase, options: &QueryOptions) -> ResolvedPlan 
                 "Plan::Indexed requires QueryOptions::index"
             );
             ResolvedPlan::Indexed
-        }
-        Plan::Auto => {
-            if options.index.is_some() {
-                ResolvedPlan::Indexed
-            } else if db.len() >= AUTO_PREFILTER_MIN {
-                ResolvedPlan::Prefilter
-            } else {
-                ResolvedPlan::Naive
-            }
         }
     }
 }
@@ -296,61 +274,8 @@ impl CancelToken {
     }
 }
 
-/// The result of a `k`-skyband query (see
-/// [`crate::graph_similarity_skyband`]): every database graph
-/// similarity-dominated by fewer than `k` others.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SkybandResult {
-    /// The dominance threshold the query ran with (`k = 1` is the skyline).
-    pub k: usize,
-    /// Member ids, ascending. Identical across every [`Plan`].
-    pub members: Vec<GraphId>,
-    /// The strategy the skyband ran under.
-    pub plan: ResolvedPlan,
-    /// Pruning counters when the filter-and-verify pipeline ran, `None`
-    /// for the naive and sharded scans. Candidates counted
-    /// `pruned`/`index_skipped` were proven out of the band by lower
-    /// bounds alone — no solver ran.
-    pub pruning: Option<PruneStats>,
-}
-
-impl SkybandResult {
-    /// True when `id` is in the skyband.
-    pub fn contains(&self, id: GraphId) -> bool {
-        self.members.binary_search(&id).is_ok()
-    }
-}
-
-/// How the dominance frontier prunes: never (naive scans), against the
-/// non-dominated verified set (skyline queries), or by counting `k`
-/// distinct verified dominators (skyband queries).
-#[derive(Clone)]
-enum Frontier {
-    /// Maintains the non-dominated verified set like [`Frontier::Skyline`]
-    /// but covers no bound, so every candidate fed to [`Verifier::run`] is
-    /// verified. The naive scan runs under it, and so does the sharded
-    /// plan's merged verifier, whose only work is stragglers (whose bounds
-    /// no skyline member covers, by definition).
-    Off(Vec<usize>),
-    /// The non-dominated subset of verified vectors. Dominance is
-    /// transitive, so testing a bound against this subset is as strong as
-    /// testing against every verified vector.
-    Skyline(Vec<usize>),
-    /// Every verified vector. A bound is only "covered" once `k` distinct
-    /// verified vectors dominate it — a candidate excluded this way is
-    /// dominated by at least `k` graphs, so it cannot be in the band, and
-    /// (by transitivity) anything its exact vector would dominate already
-    /// has `k` verified dominators, so skipping it never under-counts.
-    Band {
-        /// The dominance threshold.
-        k: usize,
-        /// Indices of every verified vector, in verification order.
-        verified: Vec<usize>,
-    },
-}
-
 /// The verify stage shared by every plan: the verified vectors so far, the
-/// pruning frontier over them, and the running counters. Candidates and
+/// frontier over them, and the running counters. Candidates and
 /// partitions can be fed in any order without changing the final answer
 /// (only the stats depend on order).
 struct Verifier<'a> {
@@ -359,7 +284,15 @@ struct Verifier<'a> {
     options: &'a QueryOptions,
     cancel: &'a CancelToken,
     exact: Vec<Option<GcsVector>>,
-    frontier: Frontier,
+    /// The non-dominated subset of verified vectors. Dominance is
+    /// transitive, so testing a bound against this subset is as strong as
+    /// testing against every verified vector.
+    frontier: Vec<usize>,
+    /// Whether the frontier covers bounds. False for the naive scan, and
+    /// for the sharded plan's merged verifier, whose only work is
+    /// stragglers (whose bounds no skyline member covers, by definition):
+    /// every candidate fed to [`Verifier::run`] is then verified.
+    prunes: bool,
     stats: PruneStats,
 }
 
@@ -369,7 +302,7 @@ impl<'a> Verifier<'a> {
         query: &'a Graph,
         options: &'a QueryOptions,
         cancel: &'a CancelToken,
-        frontier: Frontier,
+        prunes: bool,
     ) -> Self {
         Verifier {
             db,
@@ -377,7 +310,8 @@ impl<'a> Verifier<'a> {
             options,
             cancel,
             exact: vec![None; db.len()],
-            frontier,
+            frontier: Vec::new(),
+            prunes,
             stats: PruneStats {
                 candidates: db.len(),
                 ..PruneStats::default()
@@ -389,30 +323,15 @@ impl<'a> Verifier<'a> {
         &self.exact[i].as_ref().expect("vector is verified").values
     }
 
-    /// True when the verified set already covers `bound` — the one pruning
+    /// True when a frontier member dominates `bound` — the one pruning
     /// decision of the pipeline, shared by partitions (index bounds) and
-    /// candidates (prefilter lower bounds). For skyline queries this means
-    /// one frontier member dominates the bound; for skyband queries it
-    /// means `k` distinct verified vectors do.
+    /// candidates (prefilter lower bounds).
     fn frontier_dominates(&self, bound: &[f64]) -> bool {
-        match &self.frontier {
-            Frontier::Off(_) => false,
-            Frontier::Skyline(frontier) => frontier
+        self.prunes
+            && self
+                .frontier
                 .iter()
-                .any(|&f| dominance::dominates(self.values(f), bound)),
-            Frontier::Band { k, verified } => {
-                let mut dominators = 0usize;
-                for &v in verified {
-                    if dominance::dominates(self.values(v), bound) {
-                        dominators += 1;
-                        if dominators >= *k {
-                            return true;
-                        }
-                    }
-                }
-                dominators >= *k
-            }
-        }
+                .any(|&f| dominance::dominates(self.values(f), bound))
     }
 
     /// Registers a freshly verified vector with the frontier.
@@ -420,26 +339,23 @@ impl<'a> Verifier<'a> {
         let exact = &self.exact;
         let point =
             |f: usize| -> &[f64] { &exact[f].as_ref().expect("frontier is verified").values };
-        match &mut self.frontier {
-            Frontier::Band { verified, .. } => verified.push(i),
-            Frontier::Off(frontier) | Frontier::Skyline(frontier) => {
-                let v = point(i);
-                if frontier.iter().any(|&f| dominance::dominates(point(f), v)) {
-                    return;
-                }
-                frontier.retain(|&f| !dominance::dominates(v, point(f)));
-                frontier.push(i);
-            }
+        let v = point(i);
+        if self
+            .frontier
+            .iter()
+            .any(|&f| dominance::dominates(point(f), v))
+        {
+            return;
         }
+        self.frontier
+            .retain(|&f| !dominance::dominates(v, point(f)));
+        self.frontier.push(i);
     }
 
     /// The non-dominated verified set, ascending. Once every candidate is
     /// verified or provably dominated, this is exactly `GSS(D, q)`.
     fn skyline(&self) -> Vec<GraphId> {
-        let (Frontier::Off(members) | Frontier::Skyline(members)) = &self.frontier else {
-            unreachable!("skyband scans keep no skyline");
-        };
-        let mut skyline: Vec<GraphId> = members.iter().map(|&i| GraphId(i)).collect();
+        let mut skyline: Vec<GraphId> = self.frontier.iter().map(|&i| GraphId(i)).collect();
         skyline.sort_unstable();
         skyline
     }
@@ -537,41 +453,36 @@ struct Scan<'a> {
     skipped_in: Vec<Option<usize>>,
 }
 
-/// Runs the resolved plan's candidate source under `frontier`
-/// ([`Frontier::Skyline`] or [`Frontier::Band`]) through one
-/// [`Verifier`] — the single dispatch behind [`skyline`] and [`skyband`].
+/// Runs the resolved plan's candidate source through one [`Verifier`] —
+/// the single dispatch behind [`skyline`].
 ///
 /// * Naive and Prefilter summarize every candidate and verify them all,
-///   the naive scan under [`Frontier::Off`].
+///   the naive scan under a frontier that never prunes.
 /// * Indexed feeds the verifier partition by partition (see
 ///   [`Scan::partitions`]).
 /// * Sharded runs one sequential verifier per shard (see [`Scan::shards`])
-///   and merges their vectors into a verifier under [`Frontier::Off`].
+///   and merges their vectors into a verifier that never prunes.
 fn execute<'a>(
     db: &'a GraphDatabase,
     query: &'a Graph,
     options: &'a QueryOptions,
     cancel: &'a CancelToken,
-    frontier: Frontier,
 ) -> Result<Scan<'a>, Cancelled> {
     assert!(
         !options.measures.is_empty(),
         "at least one measure is required"
     );
     let n = db.len();
-    let plan = resolve_plan(db, options);
+    let plan = resolve_plan(options);
     cancel.checkpoint()?;
-    let scan_frontier = match plan {
-        ResolvedPlan::Prefilter | ResolvedPlan::Indexed => frontier.clone(),
-        ResolvedPlan::Naive | ResolvedPlan::Sharded => Frontier::Off(Vec::new()),
-    };
+    let prunes = matches!(plan, ResolvedPlan::Prefilter | ResolvedPlan::Indexed);
     let mut scan = Scan {
         plan,
         // The query-side invariants are hoisted once per scan; the
         // isomorphism short-circuit stays off for naive scans and
         // approximate solvers.
         ctx: PrefilterContext::for_query(query, &options.solvers, plan != ResolvedPlan::Naive),
-        v: Verifier::new(db, query, options, cancel, scan_frontier),
+        v: Verifier::new(db, query, options, cancel, prunes),
         summaries: vec![None; n],
         skipped_in: vec![None; n],
     };
@@ -583,7 +494,7 @@ fn execute<'a>(
     scan.summarize(&all);
     cancel.checkpoint()?;
     if plan == ResolvedPlan::Sharded {
-        scan.shards(&frontier)?;
+        scan.shards()?;
     } else {
         scan.v.run(&all, &scan.summaries)?;
     }
@@ -657,19 +568,17 @@ impl Scan<'_> {
     }
 
     /// The sharded candidate source: each of [`QueryOptions::shards`]
-    /// contiguous ranges runs its own *sequential* [`Verifier`] under
-    /// `frontier` — shards, not candidates, are the unit
-    /// [`QueryOptions::threads`] parallelizes — and every exact vector a
-    /// shard computed is merged into this scan's verifier and its frontier.
+    /// contiguous ranges runs its own *sequential*, pruning [`Verifier`] —
+    /// shards, not candidates, are the unit [`QueryOptions::threads`]
+    /// parallelizes — and every exact vector a shard computed is merged
+    /// into this scan's verifier and its frontier.
     ///
     /// Within a shard, a local skyline member's lower bound is never
     /// covered (a dominator of its bound would dominate its exact vector),
     /// so every global skyline member is verified, and every other merged
     /// vector is dominated by one: the skyline of the merged vectors is the
-    /// skyline of the database. A local skyband exclusion needs `k` local
-    /// verified dominators, which are true dominators, so no band member is
-    /// excluded either, and the band count over the merged set is exact.
-    fn shards(&mut self, frontier: &Frontier) -> Result<(), Cancelled> {
+    /// skyline of the database.
+    fn shards(&mut self) -> Result<(), Cancelled> {
         let (db, query, options, cancel) = (self.v.db, self.v.query, self.v.options, self.v.cancel);
         let n = db.len();
         let shards = options.shards.max(1).min(n.max(1));
@@ -679,7 +588,7 @@ impl Scan<'_> {
         };
         let summaries = &self.summaries;
         let results = parallel_map_indexed(shards, options.threads, |s| {
-            let mut v = Verifier::new(db, query, &per_shard, cancel, frontier.clone());
+            let mut v = Verifier::new(db, query, &per_shard, cancel, true);
             let members: Vec<usize> = shard_range(n, shards, s).collect();
             v.run(&members, summaries)?;
             Ok(members
@@ -694,17 +603,6 @@ impl Scan<'_> {
             }
         }
         Ok(())
-    }
-
-    /// The pruning counters the plan reports: the verifier's own for the
-    /// pruned plans, `None` for the naive scan and for the sharded one
-    /// (whose per-shard totals vary with the shard count; [`skyline`]
-    /// derives invariant ones from its reported set).
-    fn counters(&self) -> Option<PruneStats> {
-        match self.plan {
-            ResolvedPlan::Prefilter | ResolvedPlan::Indexed => Some(self.v.stats),
-            ResolvedPlan::Naive | ResolvedPlan::Sharded => None,
-        }
     }
 }
 
@@ -724,7 +622,7 @@ pub fn skyline(
     options: &QueryOptions,
     cancel: &CancelToken,
 ) -> Result<GssResult, Cancelled> {
-    let mut scan = execute(db, query, options, cancel, Frontier::Skyline(Vec::new()))?;
+    let mut scan = execute(db, query, options, cancel)?;
     let n = db.len();
 
     // Members of skipped index partitions get their bounds only now, after
@@ -787,7 +685,10 @@ pub fn skyline(
     demoted.dedup();
     scan.v.stats.index_partitions_skipped -= demoted.len();
 
-    let mut pruning = scan.counters();
+    // The pruned plans report the verifier's own counters. The naive scan
+    // reports none, and the sharded plan's per-shard totals vary with the
+    // shard count, so it derives invariant ones from its reported set.
+    let mut pruning = scan.v.prunes.then_some(scan.v.stats);
     if scan.plan == ResolvedPlan::Sharded {
         // The document must not depend on the shard count, so exact vectors
         // are reported for exactly the skyline plus the stragglers (extra
@@ -897,55 +798,6 @@ pub fn skyline_batch(
     })
 }
 
-/// Computes the `k`-skyband through the staged executor: every database
-/// graph similarity-dominated by fewer than `k` others, under any
-/// [`Plan`], with cooperative cancellation.
-///
-/// The pruned plans use the band frontier: a
-/// candidate whose lower-bound vector is dominated by `k` distinct
-/// verified exact vectors is excluded without solving — those `k` vectors
-/// dominate its exact vector too, and by transitivity anything *it* would
-/// have dominated already has `k` verified dominators, so membership of
-/// every other graph is decided identically to the naive scan. Skipped
-/// index partitions need no backfill: a skipped partition's bound already
-/// proves `k` dominators for every member.
-pub fn skyband(
-    db: &GraphDatabase,
-    query: &Graph,
-    k: usize,
-    options: &QueryOptions,
-    cancel: &CancelToken,
-) -> Result<SkybandResult, Cancelled> {
-    let frontier = Frontier::Band {
-        k,
-        verified: Vec::new(),
-    };
-    let scan = execute(db, query, options, cancel, frontier)?;
-    Ok(SkybandResult {
-        k,
-        members: band_members(&scan.v.exact, k),
-        plan: scan.plan,
-        pruning: scan.counters(),
-    })
-}
-
-/// Skyband assembly: membership by final dominator count over the
-/// verified vectors. Pruned candidates are excluded (they have ≥ `k`
-/// dominators by construction), and for a verified candidate the
-/// verified-only count equals the true count — any unverified dominator
-/// would imply ≥ `k` verified dominators by transitivity.
-fn band_members(exact: &[Option<GcsVector>], k: usize) -> Vec<GraphId> {
-    let verified: Vec<usize> = (0..exact.len()).filter(|&i| exact[i].is_some()).collect();
-    let points: Vec<Vec<f64>> = verified
-        .iter()
-        .map(|&i| exact[i].as_ref().expect("verified").values.clone())
-        .collect();
-    gss_skyline::k_skyband(&points, k)
-        .into_iter()
-        .map(|j| GraphId(verified[j]))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -979,40 +831,28 @@ mod tests {
 
     #[test]
     fn auto_resolution_rules() {
-        let (db, _) = paper_db(); // 7 graphs: below AUTO_PREFILTER_MIN
         let base = QueryOptions::default();
-        assert_eq!(resolve_plan(&db, &base), ResolvedPlan::Naive);
-        let explicit = QueryOptions {
-            plan: Plan::Prefilter,
-            ..base.clone()
-        };
-        assert_eq!(resolve_plan(&db, &explicit), ResolvedPlan::Prefilter);
-        let forced_naive = QueryOptions {
-            plan: Plan::Naive,
-            ..base.clone()
-        };
-        assert_eq!(resolve_plan(&db, &forced_naive), ResolvedPlan::Naive);
-
-        // A big database flips Auto to the prefilter pipeline.
-        let mut big = db.clone();
-        let filler = big.get(GraphId(0)).clone();
-        while big.len() < AUTO_PREFILTER_MIN {
-            big.push(filler.clone());
+        let indexed = base.clone().with_index(Arc::new(SingletonIndex));
+        for options in [&base, &indexed] {
+            assert_eq!(resolve_plan(options), ResolvedPlan::Prefilter);
+            for (plan, resolved) in [
+                (Plan::Naive, ResolvedPlan::Naive),
+                (Plan::Prefilter, ResolvedPlan::Prefilter),
+                (Plan::Sharded, ResolvedPlan::Sharded),
+            ] {
+                assert_eq!(resolve_plan(&options.clone().with_plan(plan)), resolved);
+            }
         }
-        assert_eq!(resolve_plan(&big, &base), ResolvedPlan::Prefilter);
+        assert_eq!(
+            resolve_plan(&indexed.with_plan(Plan::Indexed)),
+            ResolvedPlan::Indexed
+        );
     }
 
     #[test]
     #[should_panic(expected = "requires QueryOptions::index")]
     fn indexed_plan_without_index_panics() {
-        let (db, _) = paper_db();
-        resolve_plan(
-            &db,
-            &QueryOptions {
-                plan: Plan::Indexed,
-                ..QueryOptions::default()
-            },
-        );
+        resolve_plan(&QueryOptions::default().with_plan(Plan::Indexed));
     }
 
     #[test]
@@ -1058,8 +898,7 @@ mod tests {
         }
     }
 
-    /// The cancellation contract of every plan, for skyline and skyband:
-    /// a token firing at any checkpoint the uncancelled run polls aborts
+    /// The cancellation contract of every plan: a token firing at any checkpoint the uncancelled run polls aborts
     /// the query, and the run polls at least once per wave of solver calls.
     #[test]
     fn pre_cancelled_token_aborts_every_plan() {
@@ -1079,30 +918,24 @@ mod tests {
                 index: Some(Arc::new(SingletonIndex)),
                 ..QueryOptions::default()
             };
-            // The candidates a query verified with a solver (a lower bound
+            // The candidates a query verified with a solver (all of them
             // where the plan reports no counters).
-            let run = |what: &str, t: &CancelToken| match what {
-                "skyline" => {
-                    skyline(&db, &q, &opts, t).map(|r| r.pruning.map_or(db.len(), |p| p.verified))
-                }
-                _ => skyband(&db, &q, 2, &opts, t)
-                    .map(|r| r.pruning.map_or(r.members.len(), |p| p.verified)),
+            let run = |t: &CancelToken| {
+                skyline(&db, &q, &opts, t).map(|r| r.pruning.map_or(db.len(), |p| p.verified))
             };
-            for what in ["skyline", "skyband"] {
-                let counting = CancelToken::new();
-                let verified = run(what, &counting).expect("an unfired token never cancels");
-                let polls = counting.inner.polls.load(AtomicOrdering::Relaxed);
-                assert!(
-                    polls >= verified,
-                    "{plan:?} {what}: {polls} checkpoints for {verified} verified"
+            let counting = CancelToken::new();
+            let verified = run(&counting).expect("an unfired token never cancels");
+            let polls = counting.inner.polls.load(AtomicOrdering::Relaxed);
+            assert!(
+                polls >= verified,
+                "{plan:?}: {polls} checkpoints for {verified} verified"
+            );
+            for k in 0..polls {
+                assert_eq!(
+                    run(&CancelToken::firing_at(k)),
+                    Err(Cancelled),
+                    "{plan:?}: fired at checkpoint {k} of {polls}"
                 );
-                for k in 0..polls {
-                    assert_eq!(
-                        run(what, &CancelToken::firing_at(k)),
-                        Err(Cancelled),
-                        "{plan:?} {what}: fired at checkpoint {k} of {polls}"
-                    );
-                }
             }
         }
     }
@@ -1137,17 +970,11 @@ mod tests {
     #[test]
     fn result_reports_the_resolved_plan() {
         let (db, q) = paper_db();
-        let naive = graph_similarity_skyline(&db, &q, &QueryOptions::default());
-        assert_eq!(naive.plan, ResolvedPlan::Naive);
-        let pruned = graph_similarity_skyline(
-            &db,
-            &q,
-            &QueryOptions {
-                plan: Plan::Prefilter,
-                ..QueryOptions::default()
-            },
-        );
+        let pruned = graph_similarity_skyline(&db, &q, &QueryOptions::default());
         assert_eq!(pruned.plan, ResolvedPlan::Prefilter);
+        let naive =
+            graph_similarity_skyline(&db, &q, &QueryOptions::default().with_plan(Plan::Naive));
+        assert_eq!(naive.plan, ResolvedPlan::Naive);
         assert_eq!(pruned.skyline, naive.skyline);
         assert_eq!(pruned.dominated, naive.dominated);
     }
@@ -1163,29 +990,5 @@ mod tests {
                 assert_eq!(seen, (0..n).collect::<Vec<_>>(), "n={n} shards={shards}");
             }
         }
-    }
-
-    #[test]
-    fn band_members_counts_dominators() {
-        let v = |values: Vec<f64>| Some(GcsVector { values });
-        // p0 and p3 are incomparable; both dominate p1, which dominates
-        // p2, so dominator counts are p0: 0, p1: 2, p2: 3, p3: 0.
-        let exact = vec![
-            v(vec![0.0, 1.0]),
-            v(vec![1.0, 1.0]),
-            v(vec![2.0, 2.0]),
-            v(vec![1.0, 0.0]),
-        ];
-        assert_eq!(band_members(&exact, 0), Vec::<GraphId>::new());
-        assert_eq!(band_members(&exact, 1), vec![GraphId(0), GraphId(3)]);
-        assert_eq!(band_members(&exact, 2), vec![GraphId(0), GraphId(3)]);
-        assert_eq!(
-            band_members(&exact, 3),
-            vec![GraphId(0), GraphId(1), GraphId(3)]
-        );
-        // A pruned (None) entry neither votes nor appears.
-        let mut with_hole = exact.clone();
-        with_hole[1] = None;
-        assert_eq!(band_members(&with_hole, 1), vec![GraphId(0), GraphId(3)]);
     }
 }

@@ -52,14 +52,14 @@ pub mod refine;
 pub use baseline::{top_k_by_measure, ScoredGraph};
 pub use cachekey::{options_fingerprint, query_fingerprint, QueryKey};
 pub use database::{GraphDatabase, GraphId};
-pub use exec::{resolve_plan, CancelToken, Cancelled, Plan, ResolvedPlan, SkybandResult};
+pub use exec::{resolve_plan, CancelToken, Cancelled, Plan, ResolvedPlan};
 pub use explain::{batch_stats_to_json, explain_all, to_json, Explanation};
 pub use index::{IndexPartition, IndexPlan, QueryIndex};
 pub use measures::{compute_primitives, GcsVector, MeasureKind, PairPrimitives, SolverConfig};
 pub use prefilter::{PrefilterContext, PrefilterSummary, PruneStats};
 pub use query::{
-    graph_similarity_skyband, graph_similarity_skyline, graph_similarity_skyline_batch, BatchStats,
-    DominationWitness, GssResult, QueryOptions,
+    graph_similarity_skyline, graph_similarity_skyline_batch, BatchStats, DominationWitness,
+    GssResult, QueryOptions,
 };
 pub use refine::{
     pairwise_matrices, refine_skyline, refine_skyline_greedy, RefineOptions, RefinedSkyline,

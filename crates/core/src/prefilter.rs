@@ -28,9 +28,8 @@
 //!   nonzero distances even for isomorphic pairs, and the pipeline promises
 //!   byte-identical results to whatever the configured solvers produce.
 //!
-//! Soundness contract, relied on by the staged executor in [`crate::exec`]
-//! (both the skyline's dominance pruning and the skyband's dominance
-//! *counting*): for every measure `m`, `lower_bound_m(g, q) ≤ value_m(g, q)`
+//! Soundness contract, relied on by the staged executor's dominance
+//! pruning in [`crate::exec`]: for every measure `m`, `lower_bound_m(g, q) ≤ value_m(g, q)`
 //! where `value_m` is whatever the configured solver reports — the bounds
 //! hold for the *exact* solvers and remain valid for the approximate ones
 //! (under [`SolverConfig::Approx`], bipartite GED only over-estimates and
@@ -267,9 +266,8 @@ pub fn summarize_deferred<'g>(
 }
 
 /// Counters describing what the pruned scan did, for `explain` output and
-/// benchmarking. Skyline queries fill them via [`crate::GssResult::pruning`],
-/// skyband queries via [`crate::SkybandResult::pruning`]; a naive-plan run
-/// reports `None` instead.
+/// benchmarking, reported in [`crate::GssResult::pruning`]; a naive-plan
+/// run reports `None` instead.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct PruneStats {
     /// Database size (candidates considered).

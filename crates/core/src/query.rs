@@ -9,8 +9,8 @@
 //!
 //! # Plans and the staged executor
 //!
-//! Every entry point here — [`graph_similarity_skyline`], the batch API and
-//! [`graph_similarity_skyband`] — is a thin wrapper over the staged
+//! Every entry point here — [`graph_similarity_skyline`] and the batch
+//! API — is a thin wrapper over the staged
 //! executor in [`crate::exec`]: candidate source → per-candidate bound
 //! stage → dominance-driven verifier → assembly. Which source and bound
 //! stage run is chosen by [`QueryOptions::plan`]:
@@ -25,8 +25,8 @@
 //!   `dominates(e, lower)` implies `dominates(e, exact)`);
 //! * [`Plan::Indexed`] — a [`crate::QueryIndex`] partitions the database
 //!   first and dominated partitions are skipped wholesale;
-//! * [`Plan::Auto`] (default) — resolves to one of the above from the
-//!   database size and index availability ([`crate::exec::resolve_plan`]).
+//! * [`Plan::Auto`] (default) — the prefilter pipeline
+//!   ([`crate::exec::resolve_plan`]).
 //!
 //! All plans return the **identical** skyline and witness list — only
 //! [`GssResult::evaluated`] and [`GssResult::pruning`] reveal that less
@@ -37,17 +37,16 @@
 //! always fires (its pruner, or a skyline member dominating the pruner,
 //! dominates the lower bound transitively).
 //!
-//! Under `Plan::Auto` an attached [`QueryOptions::index`] selects the
-//! indexed strategy. The cancellable forms live in [`crate::exec`]
-//! ([`exec::skyline`], [`exec::skyline_batch`], [`exec::skyband`]): they
-//! take a [`CancelToken`] and abort mid-scan at wave boundaries.
+//! The cancellable forms live in [`crate::exec`] ([`exec::skyline`],
+//! [`exec::skyline_batch`]): they take a [`CancelToken`] and abort
+//! mid-scan at wave boundaries.
 
 use std::sync::Arc;
 
 use gss_graph::Graph;
 
 use crate::database::{GraphDatabase, GraphId};
-use crate::exec::{self, CancelToken, Plan, ResolvedPlan, SkybandResult};
+use crate::exec::{self, CancelToken, Plan, ResolvedPlan};
 use crate::index::QueryIndex;
 use crate::measures::{GcsVector, MeasureKind, SolverConfig};
 use crate::prefilter::PruneStats;
@@ -69,17 +68,15 @@ pub struct QueryOptions {
     /// other plan; values `<= 1` run the sharded pipeline as one shard.
     pub shards: usize,
     /// The evaluation strategy (see [`crate::exec`]). `Plan::Auto` (the
-    /// default) picks from the database size, this option set and index
-    /// availability; the explicit plans force one strategy. Every plan
-    /// returns identical answers.
+    /// default) runs the prefilter pipeline; the explicit plans force one
+    /// strategy. Every plan returns identical answers.
     pub plan: Plan,
     /// Optional database index (e.g. `gss-index`'s pivot index) consulted
     /// *before* the per-candidate prefilter: whole partitions whose bound
     /// vector is dominated by a verified exact vector are skipped without
-    /// touching their members. Under [`Plan::Auto`] an attached index
-    /// selects the indexed strategy (which runs the per-candidate
-    /// prefilter inside surviving partitions); [`Plan::Indexed`] requires
-    /// it. Results stay identical to the naive scan.
+    /// touching their members. Only [`Plan::Indexed`] consults it (and
+    /// requires it); it runs the per-candidate prefilter inside surviving
+    /// partitions. Results stay identical to the naive scan.
     pub index: Option<Arc<dyn QueryIndex>>,
 }
 
@@ -97,9 +94,8 @@ impl Default for QueryOptions {
 }
 
 impl QueryOptions {
-    /// Returns the options with the given index attached (under
-    /// `Plan::Auto` the indexed strategy — including the per-candidate
-    /// prefilter for surviving partitions — is then selected).
+    /// Returns the options with the given index attached, for
+    /// [`Plan::Indexed`].
     pub fn with_index(self, index: Arc<dyn QueryIndex>) -> Self {
         QueryOptions {
             index: Some(index),
@@ -138,7 +134,7 @@ pub struct GssResult {
     /// The measures used, in GCS-vector order.
     pub measures: Vec<MeasureKind>,
     /// The strategy the query actually ran under (an `Auto` request
-    /// resolves to one of the concrete plans).
+    /// resolves to `Prefilter`).
     pub plan: ResolvedPlan,
     /// Per-graph vectors in database order: the exact `GCS(gi, q)` for
     /// verified graphs, the prefilter *lower-bound* vector for pruned ones
@@ -272,29 +268,6 @@ pub fn graph_similarity_skyline_batch(
         .collect()
 }
 
-/// **Extension** (related work \[20\] of the paper): the *k-skyband* of a
-/// similarity query — every database graph similarity-dominated by fewer
-/// than `k` others. `k = 1` is exactly the [`graph_similarity_skyline`]
-/// member set; larger `k` relaxes the answer set gracefully (useful when
-/// the strict skyline is too small), while staying order-consistent: the
-/// skyband is monotone in `k` and always contains the skyline.
-///
-/// Runs through the same staged executor as the skyline: under the pruned
-/// plans the frontier tracks **dominance counts** against lower bounds — a
-/// candidate whose lower-bound vector is dominated by `k` verified exact
-/// vectors is excluded without ever running the solvers
-/// ([`SkybandResult::pruning`] reports how many were). Membership is
-/// byte-identical across plans.
-pub fn graph_similarity_skyband(
-    db: &GraphDatabase,
-    query: &Graph,
-    k: usize,
-    options: &QueryOptions,
-) -> SkybandResult {
-    exec::skyband(db, query, k, options, &CancelToken::new())
-        .expect("a fresh CancelToken never fires")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,6 +286,11 @@ mod tests {
         }
     }
 
+    /// The naive scan: every row of [`GssResult::gcs`] is exact.
+    fn naive_options() -> QueryOptions {
+        QueryOptions::default().with_plan(Plan::Naive)
+    }
+
     #[test]
     fn paper_skyline_is_g1_g4_g5_g7() {
         let (db, q) = paper_db();
@@ -324,7 +302,7 @@ mod tests {
     #[test]
     fn paper_dominance_witnesses() {
         let (db, q) = paper_db();
-        let r = graph_similarity_skyline(&db, &q, &QueryOptions::default());
+        let r = graph_similarity_skyline(&db, &q, &naive_options());
         // Paper: g2 dominated by g7, g3 by g5, g6 by g1.
         for (loser, winner) in expected::DOMINANCE_WITNESSES {
             let w = r
@@ -348,7 +326,7 @@ mod tests {
     #[test]
     fn gcs_matrix_matches_table3() {
         let (db, q) = paper_db();
-        let r = graph_similarity_skyline(&db, &q, &QueryOptions::default());
+        let r = graph_similarity_skyline(&db, &q, &naive_options());
         // Column 0: DistEd (Table III, exact integers).
         let ed: Vec<f64> = r.gcs.iter().map(|g| g.values[0]).collect();
         assert_eq!(ed, expected::TABLE3_ED.to_vec());
@@ -373,13 +351,13 @@ mod tests {
     #[test]
     fn parallel_scan_matches_sequential() {
         let (db, q) = paper_db();
-        let seq = graph_similarity_skyline(&db, &q, &QueryOptions::default());
+        let seq = graph_similarity_skyline(&db, &q, &naive_options());
         let par = graph_similarity_skyline(
             &db,
             &q,
             &QueryOptions {
                 threads: 4,
-                ..QueryOptions::default()
+                ..naive_options()
             },
         );
         assert_eq!(seq.skyline, par.skyline);
@@ -389,7 +367,7 @@ mod tests {
     #[test]
     fn all_skyline_algorithms_agree() {
         let (db, q) = paper_db();
-        let r = graph_similarity_skyline(&db, &q, &QueryOptions::default());
+        let r = graph_similarity_skyline(&db, &q, &naive_options());
         let points: Vec<Vec<f64>> = r.gcs.iter().map(|g| g.values.clone()).collect();
         let members: Vec<usize> = r.skyline.iter().map(|id| id.index()).collect();
         for algo in [
@@ -418,57 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn skyband_1_is_the_skyline_and_grows_with_k() {
-        let (db, q) = paper_db();
-        let opts = QueryOptions::default();
-        let sky = graph_similarity_skyline(&db, &q, &opts).skyline;
-        let band1 = graph_similarity_skyband(&db, &q, 1, &opts);
-        assert_eq!(band1.members, sky);
-        assert!(band1.contains(sky[0]));
-        let band2 = graph_similarity_skyband(&db, &q, 2, &opts);
-        for id in &band1.members {
-            assert!(band2.members.contains(id), "skyband must be monotone in k");
-        }
-        // On the paper's data: g2 has 2 dominators (g1, g7), g3 has 1 (g5),
-        // g6 has 2 (g1, g5?) — verify counts directly instead of guessing.
-        let big = graph_similarity_skyband(&db, &q, db.len(), &opts);
-        assert_eq!(big.members.len(), db.len(), "huge k keeps everything");
-    }
-
-    #[test]
-    fn pruned_skyband_matches_naive_across_plans_and_k() {
-        let (db, q) = paper_db();
-        for k in 0..=3 {
-            let naive = graph_similarity_skyband(
-                &db,
-                &q,
-                k,
-                &QueryOptions {
-                    plan: Plan::Naive,
-                    ..QueryOptions::default()
-                },
-            );
-            assert!(naive.pruning.is_none());
-            let pruned = graph_similarity_skyband(&db, &q, k, &prefilter_options());
-            assert_eq!(pruned.members, naive.members, "k={k}");
-            let stats = pruned.pruning.expect("prefilter skyband stats");
-            assert_eq!(
-                stats.verified + stats.pruned + stats.short_circuited,
-                db.len(),
-                "k={k}"
-            );
-            if k == 0 {
-                assert!(pruned.members.is_empty());
-            }
-        }
-        // With k = 1 the pruned skyband actually prunes on this dataset
-        // (the skyline pipeline does, and the band frontier is at least as
-        // strong there).
-        let band1 = graph_similarity_skyband(&db, &q, 1, &prefilter_options());
-        assert!(band1.pruning.expect("stats").pruned > 0);
-    }
-
-    #[test]
     fn extended_measure_vector_still_yields_valid_skyline() {
         let (db, q) = paper_db();
         let opts = QueryOptions {
@@ -478,7 +405,7 @@ mod tests {
                 MeasureKind::Gu,
                 MeasureKind::LabelHistogram,
             ],
-            ..Default::default()
+            ..naive_options()
         };
         let r = graph_similarity_skyline(&db, &q, &opts);
         // Adding a dimension never invalidates the core invariant:
@@ -535,7 +462,7 @@ mod tests {
     #[test]
     fn pruned_scan_matches_naive_on_paper_data() {
         let (db, q) = paper_db();
-        let naive = graph_similarity_skyline(&db, &q, &QueryOptions::default());
+        let naive = graph_similarity_skyline(&db, &q, &naive_options());
         let pruned = graph_similarity_skyline(&db, &q, &prefilter_options());
         assert_eq!(pruned.skyline, naive.skyline);
         assert_eq!(pruned.dominated, naive.dominated);
@@ -594,14 +521,7 @@ mod tests {
         );
         // An all-zero frontier member prunes everything it strictly
         // dominates; only ties (other zero vectors) still verify.
-        let naive = graph_similarity_skyline(
-            &db,
-            &q,
-            &QueryOptions {
-                plan: Plan::Naive,
-                ..QueryOptions::default()
-            },
-        );
+        let naive = graph_similarity_skyline(&db, &q, &naive_options());
         assert_eq!(r.skyline, naive.skyline);
         assert_eq!(r.dominated, naive.dominated);
         assert!(stats.pruned > 0, "a perfect match should prune the rest");
@@ -644,7 +564,7 @@ mod tests {
             &q,
             &QueryOptions {
                 solvers,
-                ..QueryOptions::default()
+                ..naive_options()
             },
         );
         let pruned = graph_similarity_skyline(

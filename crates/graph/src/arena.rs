@@ -45,13 +45,12 @@
 //! **Byte-parity contract**: [`GraphArena::materialize`] reconstructs a
 //! [`Graph`] that is behaviorally identical to the one the arena was
 //! built from — same name, same dense ids, same adjacency order — so
-//! every downstream answer (skylines, skybands, witnesses, fingerprints)
+//! every downstream answer (skylines, witnesses, fingerprints)
 //! is byte-identical whichever representation a database holds. The
 //! pointer-rich path stays available as the parity oracle.
 
 use std::collections::HashMap;
 
-use crate::fnv::Fnv64;
 use crate::graph::{EdgeId, Graph, VertexId};
 use crate::label::{Label, Vocabulary};
 use crate::stats::{GraphStats, Multiset};
@@ -195,25 +194,6 @@ impl LabelPool {
             offsets,
             index: HashMap::new(),
         })
-    }
-
-    /// Structural fingerprint of the pool content (entries + spans).
-    pub fn pool_fingerprint(&self) -> u64 {
-        // Exhaustive: a new field must be hashed or bound as `_` with a reason.
-        let LabelPool {
-            bytes,
-            offsets,
-            // Derived lookup cache over `bytes` / `offsets`, rebuilt lazily.
-            index: _,
-        } = self;
-        let mut h = Fnv64::new();
-        for &b in bytes {
-            h.write_u64(u64::from(b));
-        }
-        for &o in offsets {
-            h.write_u64(u64::from(o));
-        }
-        h.finish()
     }
 }
 
@@ -461,44 +441,6 @@ impl GraphArena {
             edge_v,
             edge_labels,
         })
-    }
-
-    /// Structural fingerprint of the whole arena — every content column
-    /// folded into one FNV-1a digest. Two arenas packed from the same
-    /// graphs and vocabulary always agree; any structural difference
-    /// disagrees. (This is the arena's *self*-identity; the database-level
-    /// `GraphDatabase::fingerprint` in `gss-core` hashes label *strings*
-    /// and stays representation-independent.)
-    pub fn content_fingerprint(&self) -> u64 {
-        // Exhaustive: a new column does not compile until it is hashed.
-        let GraphArena {
-            pool,
-            label_count,
-            names,
-            vertex_off,
-            edge_off,
-            vertex_labels,
-            edge_u,
-            edge_v,
-            edge_labels,
-        } = self;
-        let mut h = Fnv64::resume(pool.pool_fingerprint());
-        h.write_u64(u64::from(*label_count));
-        for col in [
-            names,
-            vertex_off,
-            edge_off,
-            vertex_labels,
-            edge_u,
-            edge_v,
-            edge_labels,
-        ] {
-            h.write_u64(col.len() as u64);
-            for &v in col.iter() {
-                h.write_u64(u64::from(v));
-            }
-        }
-        h.finish()
     }
 }
 
@@ -840,60 +782,6 @@ impl StatsColumns {
             eclass_counts,
         })
     }
-
-    /// Structural fingerprint of every stats column.
-    pub fn columns_fingerprint(&self) -> u64 {
-        // Exhaustive: a new column does not compile until it is hashed.
-        let StatsColumns {
-            orders,
-            sizes,
-            wl_fingerprints,
-            connected,
-            degree_off,
-            degree_vals,
-            vlabel_off,
-            vlabel_keys,
-            vlabel_counts,
-            elabel_off,
-            elabel_keys,
-            elabel_counts,
-            eclass_off,
-            eclass_lo,
-            eclass_hi,
-            eclass_label,
-            eclass_counts,
-        } = self;
-        let mut h = Fnv64::new();
-        for col in [
-            orders,
-            sizes,
-            degree_off,
-            degree_vals,
-            vlabel_off,
-            vlabel_keys,
-            vlabel_counts,
-            elabel_off,
-            elabel_keys,
-            elabel_counts,
-            eclass_off,
-            eclass_lo,
-            eclass_hi,
-            eclass_label,
-            eclass_counts,
-        ] {
-            h.write_u64(col.len() as u64);
-            for &v in col.iter() {
-                h.write_u64(u64::from(v));
-            }
-        }
-        for &v in wl_fingerprints {
-            h.write_u64(v);
-        }
-        for &v in connected {
-            h.write_u64(u64::from(v));
-        }
-        h.finish()
-    }
 }
 
 /// Estimated resident heap bytes of one pointer-rich [`Graph`] with the
@@ -971,10 +859,8 @@ mod tests {
         assert_eq!(q.get(a), "C");
         assert_eq!(q.intern("C"), a, "lazy index rebuild finds old entries");
         assert_eq!(q.intern("new"), 3);
-        assert_eq!(p.pool_fingerprint(), {
-            let r = LabelPool::from_raw(bytes.to_vec(), offsets.to_vec()).unwrap();
-            r.pool_fingerprint()
-        });
+        let r = LabelPool::from_raw(bytes.to_vec(), offsets.to_vec()).unwrap();
+        assert_eq!(r, p);
     }
 
     #[test]
@@ -1077,7 +963,6 @@ mod tests {
             el.to_vec(),
         )
         .unwrap();
-        assert_eq!(rebuilt.content_fingerprint(), arena.content_fingerprint());
         assert_eq!(rebuilt, arena);
 
         // Each invariant violation is rejected.
@@ -1154,7 +1039,7 @@ mod tests {
             assert_eq!(&cols.decode(i), s, "graph {i} decodes to the exact value");
         }
 
-        // Raw round trip preserves content and fingerprint.
+        // Raw round trip preserves content.
         let (fixed, deg, vl, el, ec) = cols.raw();
         let rebuilt = StatsColumns::from_raw(
             (
@@ -1175,7 +1060,6 @@ mod tests {
             ),
         )
         .unwrap();
-        assert_eq!(rebuilt.columns_fingerprint(), cols.columns_fingerprint());
         assert_eq!(rebuilt, cols);
 
         // Misaligned raw columns are rejected.

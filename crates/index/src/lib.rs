@@ -17,13 +17,10 @@
 //!   bipartite upper bound — **no exact solver runs**), and every partition
 //!   gets a per-measure lower-bound vector valid for all of its members.
 //!   The plan feeds the staged executor's candidate-source stage
-//!   (`gss_core::exec`, `Plan::Indexed` — or `Plan::Auto`, which selects
-//!   the index whenever one is attached): partitions are visited in
+//!   (`gss_core::exec`, `Plan::Indexed`): partitions are visited in
 //!   [`gss_core::IndexPlan::most_promising_order`] and whole partitions
 //!   whose vector is dominated by a verified point are skipped without
-//!   touching their members — this prunes the skyline scan *and* the
-//!   `k`-skyband (where "dominated" means `k` distinct verified
-//!   dominators).
+//!   touching their members.
 //!
 //! # Which dimensions get triangle bounds
 //!
@@ -826,9 +823,16 @@ impl QueryIndex for PivotIndex {
 mod tests {
     use super::*;
     use gss_core::measures::{compute_primitives, SolverConfig};
-    use gss_core::{graph_similarity_skyline, QueryOptions};
+    use gss_core::{graph_similarity_skyline, Plan, QueryOptions};
     use gss_datasets::paper::figure3_database;
     use std::sync::Arc;
+
+    /// Options that query through `index`.
+    fn indexed(index: PivotIndex) -> QueryOptions {
+        QueryOptions::default()
+            .with_index(Arc::new(index))
+            .with_plan(Plan::Indexed)
+    }
 
     fn paper_db() -> (GraphDatabase, Graph) {
         let data = figure3_database();
@@ -918,9 +922,10 @@ mod tests {
     #[test]
     fn indexed_query_matches_naive_on_paper_data() {
         let (db, q) = paper_db();
-        let naive = graph_similarity_skyline(&db, &q, &QueryOptions::default());
-        let idx = Arc::new(PivotIndex::build(&db, &PivotIndexConfig::default()));
-        let indexed = graph_similarity_skyline(&db, &q, &QueryOptions::default().with_index(idx));
+        let naive_options = QueryOptions::default().with_plan(Plan::Naive);
+        let naive = graph_similarity_skyline(&db, &q, &naive_options);
+        let idx = PivotIndex::build(&db, &PivotIndexConfig::default());
+        let indexed = graph_similarity_skyline(&db, &q, &indexed(idx));
         assert_eq!(indexed.skyline, naive.skyline);
         assert_eq!(indexed.dominated, naive.dominated);
         let stats = indexed.pruning.expect("indexed stats");
@@ -984,13 +989,8 @@ mod tests {
 
     fn indexed_matches_rebuild(idx: &PivotIndex, db: &GraphDatabase, q: &Graph) {
         let fresh = PivotIndex::build(db, &idx.config());
-        let a = graph_similarity_skyline(
-            db,
-            q,
-            &QueryOptions::default().with_index(Arc::new(idx.clone())),
-        );
-        let b =
-            graph_similarity_skyline(db, q, &QueryOptions::default().with_index(Arc::new(fresh)));
+        let a = graph_similarity_skyline(db, q, &indexed(idx.clone()));
+        let b = graph_similarity_skyline(db, q, &indexed(fresh));
         assert_eq!(a.skyline, b.skyline);
         assert_eq!(a.dominated, b.dominated);
     }

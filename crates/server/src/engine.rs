@@ -784,7 +784,7 @@ mod tests {
         };
         let jobs = vec![
             mk(",\"id\":\"a\""),
-            mk(",\"id\":\"b\",\"options\":{\"plan\":\"prefilter\"}"),
+            mk(",\"id\":\"b\",\"options\":{\"plan\":\"naive\"}"),
             mk(",\"id\":\"c\""),
         ];
         let responses = e.evaluate_batch(&jobs);
@@ -794,10 +794,11 @@ mod tests {
             assert_eq!(v.get("id").and_then(Value::as_str), Some(id));
             assert_eq!(v.get("ok"), Some(&Value::Bool(true)));
         }
-        // The prefilter run carries pruning stats; the naive ones don't.
-        let with_stats = response_value(&responses[1]);
+        // The default (prefilter) runs carry pruning stats; the naive one
+        // doesn't.
+        let with_stats = response_value(&responses[0]);
         assert!(with_stats.get("result").unwrap().get("pruning").is_some());
-        let naive = response_value(&responses[0]);
+        let naive = response_value(&responses[1]);
         assert!(naive.get("result").unwrap().get("pruning").is_none());
         // Engine totals absorbed both groups — jobs "a" and "c" are the
         // same query under the same options, so they share one scan.

@@ -7,8 +7,7 @@
 //!
 //! * [`dominance`] — the Pareto dominance relation;
 //! * [`algorithms`] — naive, block-nested-loops and sort-filter-skyline,
-//!   all returning identical results;
-//! * [`extensions`] — the k-skyband.
+//!   all returning identical results.
 //!
 //! ```
 //! use gss_skyline::{skyline, Algorithm};
@@ -27,8 +26,6 @@
 
 pub mod algorithms;
 pub mod dominance;
-pub mod extensions;
 
 pub use algorithms::{bnl_skyline, naive_skyline, sfs_skyline, skyline, Algorithm};
 pub use dominance::{compare, dominates, Dominance};
-pub use extensions::k_skyband;

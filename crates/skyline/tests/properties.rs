@@ -1,8 +1,6 @@
 //! Property-based tests for the skyline operators.
 
-use gss_skyline::{
-    bnl_skyline, compare, dominates, k_skyband, naive_skyline, sfs_skyline, Dominance,
-};
+use gss_skyline::{bnl_skyline, compare, dominates, naive_skyline, sfs_skyline, Dominance};
 use proptest::prelude::*;
 
 /// Strategy: a set of points with small integer coordinates (plenty of ties
@@ -61,19 +59,4 @@ proptest! {
             prop_assert!(dominates(&a, &c));
         }
     }
-
-    #[test]
-    fn skyband_is_monotone_and_contains_skyline(pts in points(40, 3), k in 1usize..5) {
-        let sky = naive_skyline(&pts);
-        let band_k = k_skyband(&pts, k);
-        let band_k1 = k_skyband(&pts, k + 1);
-        for s in &sky {
-            prop_assert!(band_k.contains(s), "skyband ⊇ skyline");
-        }
-        for s in &band_k {
-            prop_assert!(band_k1.contains(s), "skyband monotone in k");
-        }
-        prop_assert_eq!(k_skyband(&pts, 1), sky);
-    }
-
 }

@@ -689,8 +689,15 @@ pub(crate) fn apply_batch_contents(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gss_core::{graph_similarity_skyline, QueryOptions};
+    use gss_core::{graph_similarity_skyline, Plan, QueryOptions};
     use gss_datasets::paper::figure3_database;
+
+    /// Options that query through `index`.
+    fn indexed(index: Arc<PivotIndex>) -> QueryOptions {
+        QueryOptions::default()
+            .with_index(index)
+            .with_plan(Plan::Indexed)
+    }
 
     fn store(config: StoreConfig) -> GraphStore {
         let data = figure3_database();
@@ -847,16 +854,8 @@ mod tests {
         // Query answers through the maintained index equal a from-scratch
         // rebuild.
         let rebuilt = Arc::new(PivotIndex::build(snap.database(), &idx.config()));
-        let with_maintained = graph_similarity_skyline(
-            snap.database(),
-            &q,
-            &QueryOptions::default().with_index(idx),
-        );
-        let with_rebuilt = graph_similarity_skyline(
-            snap.database(),
-            &q,
-            &QueryOptions::default().with_index(rebuilt),
-        );
+        let with_maintained = graph_similarity_skyline(snap.database(), &q, &indexed(idx));
+        let with_rebuilt = graph_similarity_skyline(snap.database(), &q, &indexed(rebuilt));
         assert_eq!(with_maintained.skyline, with_rebuilt.skyline);
         assert_eq!(with_maintained.dominated, with_rebuilt.dominated);
 
@@ -1096,11 +1095,7 @@ mod tests {
                 .apply(&MutationBatch::default().insert("t ix\nv 0 C\nv 1 N\ne 0 1 -\n"))
                 .unwrap();
             let snap = store.snapshot();
-            graph_similarity_skyline(
-                snap.database(),
-                &q,
-                &QueryOptions::default().with_index(snap.index().unwrap().clone()),
-            )
+            graph_similarity_skyline(snap.database(), &q, &indexed(snap.index().unwrap().clone()))
         };
         let store = GraphStore::open_durable(
             Arc::new(GraphDatabase::new()),
@@ -1111,11 +1106,7 @@ mod tests {
         let snap = store.snapshot();
         let idx = snap.index().expect("index rebuilt after recovery").clone();
         assert!(idx.validate(snap.database()).is_ok());
-        let got = graph_similarity_skyline(
-            snap.database(),
-            &q,
-            &QueryOptions::default().with_index(idx),
-        );
+        let got = graph_similarity_skyline(snap.database(), &q, &indexed(idx));
         assert_eq!(got.skyline, expected.skyline);
         assert_eq!(got.dominated, expected.dominated);
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,12 +1,10 @@
 //! Tour of the extensions this library adds beyond the paper:
 //!
-//! * the **k-skyband** relaxation (answer sets between "skyline" and "all");
 //! * a fourth GCS dimension, the **label-histogram distance** (`DistLH`);
 //! * **non-uniform edit-cost models** and their effect on the skyline.
 //!
 //! Run with: `cargo run --example extensions_tour`
 
-use similarity_skyline::core::graph_similarity_skyband;
 use similarity_skyline::datasets::paper::figure3_database;
 use similarity_skyline::prelude::*;
 
@@ -14,19 +12,6 @@ fn main() {
     let data = figure3_database();
     let mut db = GraphDatabase::from_parts(data.vocab, data.graphs);
     let q = data.query;
-
-    // --- k-skyband: relax the skyline gradually -------------------------
-    println!("k-skyband of the paper's Fig. 3 query:");
-    for k in 1..=3 {
-        let band = graph_similarity_skyband(&db, &q, k, &QueryOptions::default());
-        let names: Vec<String> = band
-            .members
-            .iter()
-            .map(|g| format!("g{}", g.index() + 1))
-            .collect();
-        println!("  k = {k}: {names:?} (plan: {})", band.plan.name());
-    }
-    println!("  (k = 1 is exactly GSS(D, q); each step admits graphs with one more dominator)\n");
 
     // --- a fourth dimension: DistLH --------------------------------------
     let four_dim = QueryOptions {
@@ -76,6 +61,5 @@ fn main() {
     // --- the gss CLI ------------------------------------------------------
     println!("the same analyses are scriptable via the `gss` binary:");
     println!("  cargo run -p gss-cli --bin gss -- query --db my.gdb --query-name q --refine 2");
-    println!("  cargo run -p gss-cli --bin gss -- skyband --db my.gdb --query-name q --k 2");
     let _ = db.vocab_mut(); // keep the database mutable-borrow-checked in the example
 }

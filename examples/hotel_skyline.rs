@@ -1,10 +1,9 @@
-//! The classic relational skyline (the paper's Example 1) plus the related
-//! operator this workspace ships: the k-skyband.
+//! The classic relational skyline (the paper's Example 1).
 //!
 //! Run with: `cargo run --example hotel_skyline`
 
 use gss_datasets::paper::hotels;
-use gss_skyline::{k_skyband, naive_skyline, sfs_skyline};
+use gss_skyline::{naive_skyline, sfs_skyline};
 
 fn main() {
     let (names, rows) = hotels();
@@ -20,9 +19,4 @@ fn main() {
         println!("  {}", names[i]);
     }
     assert_eq!(sky, sfs_skyline(&rows), "all algorithms agree");
-
-    println!("\n2-skyband (dominated by at most one other hotel):");
-    for i in k_skyband(&rows, 2) {
-        println!("  {}", names[i]);
-    }
 }

@@ -12,7 +12,7 @@
 
 use gss_core::{
     graph_similarity_skyline, refine_skyline, top_k_by_measure, GraphDatabase, GraphId,
-    MeasureKind, QueryOptions, RefineOptions, SolverConfig,
+    MeasureKind, Plan, QueryOptions, RefineOptions, SolverConfig,
 };
 use gss_datasets::paper::{expected, figure1_pair, figure3_database, hotels};
 use gss_ged::{bipartite::bipartite_ged, edit_path_for_mapping, exact_ged, CostModel, GedOptions};
@@ -79,7 +79,12 @@ fn section6_example() {
     println!("=== Section VI / Tables II–III: the similarity skyline ===");
     let data = figure3_database();
     let db = GraphDatabase::from_parts(data.vocab, data.graphs);
-    let result = graph_similarity_skyline(&db, &data.query, &QueryOptions::default());
+    // The naive scan verifies every graph, so each row of Table III is
+    // exact (the default plan reports lower bounds for pruned graphs).
+    let naive = QueryOptions::default().with_plan(Plan::Naive);
+    let result = graph_similarity_skyline(&db, &data.query, &naive);
+    let dist_ed: Vec<f64> = result.gcs.iter().map(|g| g.values[0]).collect();
+    assert_eq!(dist_ed, expected::TABLE3_ED, "Table III DistEd column");
 
     println!(
         "  {:<4} {:>4} {:>7} {:>8} {:>8}  skyline?",
@@ -106,6 +111,8 @@ fn section6_example() {
         .map(|g| format!("g{}", g.index() + 1))
         .collect();
     println!("  GSS(D, q) = {sky:?} (paper: [g1, g4, g5, g7])");
+    let members: Vec<usize> = result.skyline.iter().map(|g| g.index()).collect();
+    assert_eq!(members, expected::SKYLINE, "GSS(D, q)");
     for w in &result.dominated {
         println!(
             "  g{} is dominated by g{}",

@@ -73,10 +73,10 @@ pub use gss_store as store;
 /// One-stop import for applications.
 pub mod prelude {
     pub use gss_core::{
-        graph_similarity_skyband, graph_similarity_skyline, graph_similarity_skyline_batch,
-        refine_skyline, refine_skyline_greedy, top_k_by_measure, CancelToken, Cancelled, GcsVector,
-        GraphDatabase, GraphId, GssResult, MeasureKind, Plan, PruneStats, QueryOptions,
-        RefineOptions, ResolvedPlan, SkybandResult, SolverConfig,
+        graph_similarity_skyline, graph_similarity_skyline_batch, refine_skyline,
+        refine_skyline_greedy, top_k_by_measure, CancelToken, Cancelled, GcsVector, GraphDatabase,
+        GraphId, GssResult, MeasureKind, Plan, PruneStats, QueryOptions, RefineOptions,
+        ResolvedPlan, SolverConfig,
     };
     pub use gss_ged::{ged, CostModel};
     pub use gss_graph::{Graph, GraphBuilder, Label, Rng, Vocabulary};

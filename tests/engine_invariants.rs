@@ -25,7 +25,10 @@ proptest! {
     ) {
         let kind = if molecule { WorkloadKind::Molecule } else { WorkloadKind::Uniform };
         let (db, q) = build_workload(seed, size, kind);
-        let r = graph_similarity_skyline(&db, &q, &QueryOptions::default());
+        // The naive scan: every row is exact, so non-dominance is decided
+        // on exact vectors.
+        let naive = QueryOptions::default().with_plan(Plan::Naive);
+        let r = graph_similarity_skyline(&db, &q, &naive);
 
         let points: Vec<&Vec<f64>> = r.gcs.iter().map(|g| &g.values).collect();
         for i in 0..db.len() {
@@ -57,7 +60,8 @@ proptest! {
         size in 2usize..8,
     ) {
         let (db, q) = build_workload(seed, size, WorkloadKind::Molecule);
-        let base = graph_similarity_skyline(&db, &q, &QueryOptions::default());
+        let naive = QueryOptions::default().with_plan(Plan::Naive);
+        let base = graph_similarity_skyline(&db, &q, &naive);
         // Every skyline algorithm agrees with the engine over its GCS matrix.
         let points: Vec<Vec<f64>> = base.gcs.iter().map(|g| g.values.clone()).collect();
         let members: Vec<usize> = base.skyline.iter().map(|id| id.index()).collect();

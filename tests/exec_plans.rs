@@ -1,18 +1,18 @@
 //! Property tests for the unified planner and staged executor
 //! (`gss_core::exec`).
 //!
-//! * **Auto economy** — `Plan::Auto` never performs more exact solver
-//!   calls than the best manual plan on the same query (on random
-//!   workloads and on the committed smoke workload, where the pruned
-//!   skyband must also exclude candidates by bounds alone);
+//! * **Auto is Prefilter** — `Plan::Auto` returns the prefilter plan's
+//!   document at every database size, with or without an index attached,
+//!   and its verified counts are pinned on Figure 3 and a served-shape
+//!   database;
 //! * **Cancellation** — a fired [`CancelToken`] aborts every plan (and
 //!   each query of a batch independently) instead of returning a partial
 //!   answer;
 //! * **Pins** — every plan's document on the smoke workload, by digest.
 //!
-//! Plan parity (answers, witnesses, vectors, skyband membership and the
-//! shard- and thread-invariant documents) is checked by the parity
-//! lattice (`tests/parity.rs`).
+//! Plan parity (answers, witnesses, vectors and the shard- and
+//! thread-invariant documents) is checked by the parity lattice
+//! (`tests/parity.rs`).
 
 use std::sync::Arc;
 
@@ -21,7 +21,9 @@ mod support;
 use proptest::prelude::*;
 use similarity_skyline::core::database::codec::Fnv64;
 use similarity_skyline::core::{exec, to_json, QueryIndex};
+use similarity_skyline::datasets::paper::figure3_database;
 use similarity_skyline::datasets::workload::{Workload, WorkloadConfig, WorkloadKind};
+use similarity_skyline::datasets::{perturb_typed, PerturbationStyle};
 use similarity_skyline::prelude::*;
 use support::build_workload;
 
@@ -33,8 +35,8 @@ const ALL_PLANS: [Plan; 5] = [
     Plan::Sharded,
 ];
 
-/// Options with the index attached (so `Indexed` and `Auto` can use it)
-/// and an explicit plan.
+/// Options with the index attached (so `Indexed` can use it) and an
+/// explicit plan.
 fn plan_options(
     index: &Arc<PivotIndex>,
     plan: Plan,
@@ -60,7 +62,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     #[test]
-    fn auto_plan_never_costs_more_solver_calls_than_the_best_manual_plan(
+    fn auto_document_is_the_prefilter_document_with_or_without_an_index(
         seed in any::<u64>(),
         size in 2usize..24,
         with_index in any::<bool>(),
@@ -71,33 +73,10 @@ proptest! {
             let idx = with_index.then(|| Arc::clone(&index) as Arc<dyn QueryIndex>);
             QueryOptions { plan, index: idx, ..QueryOptions::default() }
         };
-        let mut manual_best = usize::MAX;
-        for plan in [Plan::Naive, Plan::Prefilter] {
-            manual_best =
-                manual_best.min(solver_calls(&graph_similarity_skyline(&db, &q, &options(plan))));
-        }
-        if with_index {
-            manual_best = manual_best
-                .min(solver_calls(&graph_similarity_skyline(&db, &q, &options(Plan::Indexed))));
-        }
         let auto = graph_similarity_skyline(&db, &q, &options(Plan::Auto));
-        if with_index || size >= similarity_skyline::core::exec::AUTO_PREFILTER_MIN {
-            // Once Auto resolves to a pruned strategy it is solver-optimal:
-            // prefilter never verifies more than naive, and the indexed
-            // scan never verifies more than prefilter.
-            prop_assert!(auto.plan != ResolvedPlan::Naive);
-            prop_assert!(
-                solver_calls(&auto) <= manual_best,
-                "auto ({:?}) ran {} solver calls, best manual plan ran {}",
-                auto.plan, solver_calls(&auto), manual_best
-            );
-        } else {
-            // Tiny databases resolve to the naive scan on purpose (the
-            // answers are identical and the scan is microseconds either
-            // way); the solver-call guarantee starts at the threshold.
-            prop_assert_eq!(auto.plan, ResolvedPlan::Naive);
-            prop_assert_eq!(solver_calls(&auto), db.len());
-        }
+        let prefilter = graph_similarity_skyline(&db, &q, &options(Plan::Prefilter));
+        prop_assert_eq!(auto.plan, ResolvedPlan::Prefilter);
+        prop_assert_eq!(to_json(&db, &auto), to_json(&db, &prefilter));
     }
 
     #[test]
@@ -115,10 +94,6 @@ proptest! {
                 exec::skyline(&db, &q, &opts, &fired).err(),
                 Some(Cancelled),
                 "{:?}", plan
-            );
-            prop_assert!(
-                exec::skyband(&db, &q, 2, &opts, &fired).is_err(),
-                "{:?} skyband", plan
             );
         }
         // Batch: only the cancelled slot errors; its neighbour still
@@ -139,47 +114,75 @@ proptest! {
     }
 }
 
-/// The planner's structural gates on the committed smoke workload
-/// ([`WorkloadConfig::bench_smoke`]), with the pivot index attached:
-/// `Plan::Auto` spends no more exact solver calls than the best manual
-/// plan, and the pruned 2-skyband excludes at least one candidate by
-/// lower bounds alone (neither verified nor short-circuited).
+/// A served-shape database: molecule-like graphs of 7 atoms, queried by
+/// 1–3-edit perturbations of its members, as the serving workloads draw
+/// their queries.
+fn served_shape() -> (GraphDatabase, Vec<Graph>) {
+    let w = Workload::generate(&WorkloadConfig {
+        kind: WorkloadKind::Molecule,
+        database_size: 48,
+        graph_vertices: 7,
+        related_fraction: 0.0,
+        max_edits: 1,
+        seed: 0x5E4D,
+    });
+    let (mut vocab, graphs) = (w.vocab, w.graphs);
+    let mut rng = Rng::seed_from_u64(0x5E4D);
+    let styles = [
+        PerturbationStyle::Grow,
+        PerturbationStyle::Shrink,
+        PerturbationStyle::Mixed,
+    ];
+    let queries = (0..6)
+        .map(|i| {
+            let base = &graphs[rng.gen_index(graphs.len())];
+            let prefix = format!("Q{i}_");
+            perturb_typed(
+                base,
+                styles[i % 3],
+                1 + i % 3,
+                &mut vocab,
+                &mut rng,
+                &prefix,
+            )
+        })
+        .collect();
+    (GraphDatabase::from_parts(vocab, graphs), queries)
+}
+
+/// Exact solver calls under the default options, pinned. Figure 3 (seven
+/// graphs) verifies 5 where the naive scan verifies all 7. On a served-shape
+/// database with its pivot index attached, as the server attaches a
+/// snapshot's index to every query, the default plan verifies exactly what
+/// `Prefilter` does; only an explicit `Plan::Indexed` consults the index,
+/// and here it verifies more.
 #[test]
-fn smoke_workload_auto_is_solver_optimal_and_the_skyband_prunes() {
-    let w = Workload::generate(&WorkloadConfig::bench_smoke());
-    let (db, q) = (GraphDatabase::from_parts(w.vocab, w.graphs), w.query);
-    let index = Arc::new(PivotIndex::build(&db, &PivotIndexConfig::default()));
-    let options = |plan| plan_options(&index, plan, 1, SolverConfig::default());
-
-    let naive = graph_similarity_skyline(&db, &q, &options(Plan::Naive));
-    let calls = |plan: Plan| {
-        let r = graph_similarity_skyline(&db, &q, &options(plan));
-        assert_eq!(r.skyline, naive.skyline, "{plan:?} changed the answer");
-        assert_eq!(r.dominated, naive.dominated, "{plan:?} changed witnesses");
-        solver_calls(&r)
-    };
-    let best_manual = solver_calls(&naive)
-        .min(calls(Plan::Prefilter))
-        .min(calls(Plan::Indexed));
-    let auto = calls(Plan::Auto);
-    assert!(
-        auto <= best_manual,
-        "Plan::Auto ran {auto} exact solver calls, the best manual plan ran {best_manual}"
+fn default_plan_verified_counts_are_pinned() {
+    let paper = figure3_database();
+    let (db, q) = (
+        GraphDatabase::from_parts(paper.vocab, paper.graphs),
+        paper.query,
     );
-
-    let band = graph_similarity_skyband(&db, &q, 2, &options(Plan::Auto));
-    let naive_band = graph_similarity_skyband(&db, &q, 2, &options(Plan::Naive));
+    let calls = |options: &QueryOptions| solver_calls(&graph_similarity_skyline(&db, &q, options));
+    assert_eq!(calls(&QueryOptions::default()), 5, "Figure 3, default plan");
     assert_eq!(
-        band.members, naive_band.members,
-        "pruned skyband changed membership"
+        calls(&QueryOptions::default().with_plan(Plan::Naive)),
+        7,
+        "Figure 3, naive"
     );
-    let stats = band.pruning.expect("pruned skyband stats");
-    let excluded = stats.candidates - stats.verified - stats.short_circuited;
-    assert!(
-        excluded > 0,
-        "the pruned skyband excluded {excluded} of {} candidates without solving",
-        stats.candidates
-    );
+
+    let (db, queries) = served_shape();
+    let index = Arc::new(PivotIndex::build(&db, &PivotIndexConfig::default()));
+    let served = QueryOptions::default().with_index(index);
+    let calls = |options: &QueryOptions| -> Vec<usize> {
+        let run = |q| solver_calls(&graph_similarity_skyline(&db, q, options));
+        queries.iter().map(run).collect()
+    };
+    let prefilter = calls(&served.clone().with_plan(Plan::Prefilter));
+    let indexed = calls(&served.clone().with_plan(Plan::Indexed));
+    assert_eq!(calls(&served), prefilter, "served shape, default plan");
+    assert_eq!(prefilter, [1, 3, 2, 1, 1, 1], "served shape, prefilter");
+    assert_eq!(indexed, [1, 3, 2, 1, 9, 5], "served shape, indexed");
 }
 
 /// FNV-64 of a serialized answer.
@@ -189,9 +192,8 @@ fn digest(text: &str) -> u64 {
     h.finish()
 }
 
-/// Every plan's whole explain document, and its 2-skyband members plus
-/// pruning counters, pinned by digest on the committed smoke workload with
-/// the default pivot index. The parity lattice compares plans with each
+/// Every plan's whole explain document, pinned by digest on the committed
+/// smoke workload with the default pivot index. The parity lattice compares plans with each
 /// other, so a counter or a reported non-member row that moved under every
 /// plan at once would pass it; it fails here.
 #[test]
@@ -199,29 +201,27 @@ fn smoke_workload_documents_are_pinned_for_every_plan() {
     let w = Workload::generate(&WorkloadConfig::bench_smoke());
     let (db, q) = (GraphDatabase::from_parts(w.vocab, w.graphs), w.query);
     let index = Arc::new(PivotIndex::build(&db, &PivotIndexConfig::default()));
-    let expected: [(Plan, usize, u64, u64); 10] = [
-        (Plan::Auto, 1, 0xe054b6317908fe77, 0x0892d6034fa2f504),
-        (Plan::Auto, 3, 0xe054b6317908fe77, 0x0892d6034fa2f504),
-        (Plan::Naive, 1, 0x58f3b3c2d6a5d1c5, 0x8526dde8976e005e),
-        (Plan::Naive, 3, 0x58f3b3c2d6a5d1c5, 0x8526dde8976e005e),
-        (Plan::Prefilter, 1, 0x6fe52aec67ec9702, 0x2abfe8086f750c93),
-        (Plan::Prefilter, 3, 0x6fe52aec67ec9702, 0x2abfe8086f750c93),
-        (Plan::Indexed, 1, 0xe054b6317908fe77, 0x0892d6034fa2f504),
-        (Plan::Indexed, 3, 0xe054b6317908fe77, 0x0892d6034fa2f504),
-        (Plan::Sharded, 1, 0xcbbb547a05f9bd7c, 0x8526dde8976e005e),
-        (Plan::Sharded, 3, 0xcbbb547a05f9bd7c, 0x8526dde8976e005e),
+    let expected: [(Plan, usize, u64); 10] = [
+        (Plan::Auto, 1, 0x6fe52aec67ec9702),
+        (Plan::Auto, 3, 0x6fe52aec67ec9702),
+        (Plan::Naive, 1, 0x58f3b3c2d6a5d1c5),
+        (Plan::Naive, 3, 0x58f3b3c2d6a5d1c5),
+        (Plan::Prefilter, 1, 0x6fe52aec67ec9702),
+        (Plan::Prefilter, 3, 0x6fe52aec67ec9702),
+        (Plan::Indexed, 1, 0xe054b6317908fe77),
+        (Plan::Indexed, 3, 0xe054b6317908fe77),
+        (Plan::Sharded, 1, 0xcbbb547a05f9bd7c),
+        (Plan::Sharded, 3, 0xcbbb547a05f9bd7c),
     ];
-    let got: Vec<(Plan, usize, u64, u64)> = expected
+    let got: Vec<(Plan, usize, u64)> = expected
         .iter()
-        .map(|&(plan, threads, _, _)| {
+        .map(|&(plan, threads, _)| {
             let opts = QueryOptions {
                 shards: 3,
                 ..plan_options(&index, plan, threads, SolverConfig::default())
             };
             let doc = to_json(&db, &graph_similarity_skyline(&db, &q, &opts));
-            let band = graph_similarity_skyband(&db, &q, 2, &opts);
-            let band = format!("{:?} {:?}", band.members, band.pruning);
-            (plan, threads, digest(&doc), digest(&band))
+            (plan, threads, digest(&doc))
         })
         .collect();
     assert_eq!(got, expected, "document digests moved: {got:#x?}");

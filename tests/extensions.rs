@@ -1,34 +1,9 @@
 //! Integration tests for the beyond-the-paper extensions through the facade:
-//! k-skyband queries, the label-histogram measure and WL fingerprints.
+//! the label-histogram measure and WL fingerprints.
 
-use similarity_skyline::core::{graph_similarity_skyband, MeasureKind};
 use similarity_skyline::datasets::paper::figure3_database;
-use similarity_skyline::datasets::workload::{Workload, WorkloadConfig};
 use similarity_skyline::graph::wl::wl_fingerprint;
 use similarity_skyline::prelude::*;
-
-#[test]
-fn skyband_nests_around_the_skyline_on_workloads() {
-    let w = Workload::generate(&WorkloadConfig {
-        database_size: 10,
-        seed: 0xBAD5EED,
-        ..Default::default()
-    });
-    let db = GraphDatabase::from_parts(w.vocab, w.graphs);
-    let opts = QueryOptions::default();
-    let sky = graph_similarity_skyline(&db, &w.query, &opts).skyline;
-    let mut previous: Vec<GraphId> = Vec::new();
-    for k in 1..=4 {
-        let band = graph_similarity_skyband(&db, &w.query, k, &opts).members;
-        if k == 1 {
-            assert_eq!(band, sky, "1-skyband is the skyline");
-        }
-        for id in &previous {
-            assert!(band.contains(id), "skyband must be monotone in k");
-        }
-        previous = band;
-    }
-}
 
 #[test]
 fn label_histogram_is_a_usable_fourth_dimension() {
@@ -68,35 +43,5 @@ fn wl_fingerprint_constant_across_runs_and_isomorphs() {
     // The database graphs all differ from the query.
     for g in &data.graphs {
         assert_ne!(wl_fingerprint(g, 2), f1, "{} vs q", g.name());
-    }
-}
-
-#[test]
-fn skyband_respects_witness_counts() {
-    // Direct cross-check of the skyband semantics on the paper data:
-    // count dominators per graph from the GCS matrix.
-    let data = figure3_database();
-    let db = GraphDatabase::from_parts(data.vocab, data.graphs);
-    let opts = QueryOptions::default();
-    let r = graph_similarity_skyline(&db, &data.query, &opts);
-    for k in 1..=3 {
-        let band = graph_similarity_skyband(&db, &data.query, k, &opts);
-        for i in 0..db.len() {
-            let dominators = (0..db.len())
-                .filter(|&j| {
-                    j != i
-                        && similarity_skyline::skyline::dominates(
-                            &r.gcs[j].values,
-                            &r.gcs[i].values,
-                        )
-                })
-                .count();
-            assert_eq!(
-                band.contains(GraphId(i)),
-                dominators < k,
-                "g{} with {dominators} dominators vs k={k}",
-                i + 1
-            );
-        }
     }
 }

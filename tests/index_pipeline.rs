@@ -96,7 +96,10 @@ fn smoke_workload_index_verifies_no_more_than_prefilter_and_skips_30_percent() {
         ..QueryOptions::default()
     };
     let pre = graph_similarity_skyline(&db, &w.query, &prefilter);
-    let idx = graph_similarity_skyline(&db, &w.query, &QueryOptions::default().with_index(index));
+    let indexed = QueryOptions::default()
+        .with_index(index)
+        .with_plan(Plan::Indexed);
+    let idx = graph_similarity_skyline(&db, &w.query, &indexed);
     assert_eq!(idx.skyline, pre.skyline, "the index changed the answer");
     assert_eq!(idx.dominated, pre.dominated, "the index changed witnesses");
 

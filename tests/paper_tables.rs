@@ -92,7 +92,10 @@ fn tables_2_and_3_reproduce_exactly() {
 fn section6_skyline_and_witnesses() {
     let data = figure3_database();
     let db = GraphDatabase::from_parts(data.vocab, data.graphs);
-    let r = graph_similarity_skyline(&db, &data.query, &QueryOptions::default());
+    // The naive scan: the witness check below reads non-member rows, which
+    // the default plan reports as lower bounds where it pruned.
+    let naive = QueryOptions::default().with_plan(Plan::Naive);
+    let r = graph_similarity_skyline(&db, &data.query, &naive);
     let got: Vec<usize> = r.skyline.iter().map(|g| g.index()).collect();
     assert_eq!(
         got,
@@ -218,8 +221,10 @@ fn structure_weighted_edit_costs_admit_g3_into_the_skyline() {
     use similarity_skyline::ged::{exact_ged, GedOptions};
     let data = figure3_database();
     let db = GraphDatabase::from_parts(data.vocab, data.graphs);
-    // DistMcs and DistGu do not depend on the edit-cost model.
-    let uniform = graph_similarity_skyline(&db, &data.query, &QueryOptions::default());
+    // DistMcs and DistGu do not depend on the edit-cost model. The naive
+    // scan makes every row exact, non-members included.
+    let naive = QueryOptions::default().with_plan(Plan::Naive);
+    let uniform = graph_similarity_skyline(&db, &data.query, &naive);
     let paper = vec![0, 3, 4, 6]; // {g1, g4, g5, g7}
     let with_g3 = vec![0, 2, 3, 4, 6];
     for (w, dist_ed, skyline) in [

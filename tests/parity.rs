@@ -7,11 +7,10 @@
 //!
 //! * **answer**, against the reference — Naive × owned × direct × 1 thread
 //!   with the same solvers, on a database built from scratch with the same
-//!   graphs: skyline, witnesses, exact rows, `lb ≤ exact`, counter
-//!   conservation and k-skyband membership;
+//!   graphs: skyline, witnesses, exact rows, `lb ≤ exact` and counter
+//!   conservation;
 //! * **document**, against the [`canonical`] configuration: the compact
-//!   `to_json` bytes the server caches (all the engine path exposes), and
-//!   the skyband's `Debug` text.
+//!   `to_json` bytes the server caches (all the engine path exposes).
 //!
 //! `PARITY_STATUS.md` records the level and scenario count per axis pair;
 //! [`parity_status_is_current`] rebuilds it.
@@ -47,7 +46,9 @@ const SOLVERS: usize = 3;
 const REPR: usize = 4;
 const EPOCH: usize = 5;
 const PATH: usize = 6;
+const AUTO: usize = 0;
 const NAIVE: usize = 1;
+const PREFILTER: usize = 2;
 const INDEXED: usize = 3;
 const SHARDED: usize = 4;
 const MUTATED: usize = 1;
@@ -90,12 +91,13 @@ fn options(c: &Config) -> QueryOptions {
 
 /// The configuration whose document `c`'s must equal: owned, direct, one
 /// shard (read only by the sharded plan, whose document ignores it), with
-/// `c`'s resolved plan (Auto resolves to Indexed, as every configuration
-/// carries an index), solvers and epoch. It keeps `c`'s thread count only
-/// where threads change counters: not for the naive and sharded plans, and
-/// not on the batch and engine paths, which run each query on one thread.
+/// `c`'s resolved plan (Auto resolves to Prefilter, though every
+/// configuration carries an index), solvers and epoch. It keeps `c`'s
+/// thread count only where threads change counters: not for the naive and
+/// sharded plans, and not on the batch and engine paths, which run each
+/// query on one thread.
 fn canonical(c: &Config) -> Config {
-    let plan = if c[PLAN] == 0 { INDEXED } else { c[PLAN] };
+    let plan = if c[PLAN] == AUTO { PREFILTER } else { c[PLAN] };
     let invariant = plan == NAIVE || plan == SHARDED || c[PATH] != DIRECT;
     let threads = if invariant { 0 } else { c[THREADS] };
     [plan, 0, threads, c[SOLVERS], 0, c[EPOCH], DIRECT]
@@ -165,18 +167,15 @@ fn scenarios() -> Vec<Scenario> {
 }
 
 /// What one configuration returned: its compact `to_json` document, and
-/// the result and skyband on the paths that expose them.
+/// the result on the paths that expose it.
 struct Eval {
     doc: String,
     result: Option<GssResult>,
-    band: Option<SkybandResult>,
 }
 
 /// A built scenario: per representation, a store's snapshots before and
 /// after the epoch, and the scratch-built databases the references run on.
 struct Built {
-    /// The skyband threshold the direct path checks.
-    k: usize,
     query: Graph,
     mutation: MutationBatch,
     snapshots: Vec<[Arc<Snapshot>; 2]>,
@@ -209,7 +208,9 @@ impl Scenario {
                 (db, query, PivotIndexConfig { pivots, rings })
             }
         };
-        let (k, victim) = (rng.gen_index(4), rng.gen_index(db.len()));
+        // A retired draw, kept so every scenario keeps its mutation.
+        rng.gen_index(4);
+        let victim = rng.gen_index(db.len());
         let inserted = renamed_text(&db, rng.gen_index(db.len()), "inserted");
         let mutation = MutationBatch::default()
             .insert(&inserted)
@@ -239,7 +240,6 @@ impl Scenario {
             .collect();
         let references = [db, GraphDatabase::from_parts(vocab, after)];
         Built {
-            k,
             query,
             mutation,
             snapshots,
@@ -259,12 +259,10 @@ impl Built {
         self.run(c, snap.database(), &options)
     }
 
-    /// The direct path (the skyline and the `k`-skyband) or the batch path.
+    /// The direct path or the batch path.
     fn run(&self, c: &Config, db: &GraphDatabase, options: &QueryOptions) -> Eval {
-        let (r, band) = if c[PATH] == DIRECT {
-            let skyline = graph_similarity_skyline(db, &self.query, options);
-            let band = graph_similarity_skyband(db, &self.query, self.k, options);
-            (skyline, Some(band))
+        let r = if c[PATH] == DIRECT {
+            graph_similarity_skyline(db, &self.query, options)
         } else {
             // A batch answers each query as it would alone.
             let neighbour = db.get(GraphId(0)).clone();
@@ -273,13 +271,12 @@ impl Built {
             let alone = graph_similarity_skyline(db, &neighbour, options);
             let answer = |r: &GssResult| (r.skyline.clone(), r.dominated.clone());
             assert_eq!(answer(&batch[0]), answer(&alone), "{}: batch", describe(c));
-            (batch.remove(1), None)
+            batch.remove(1)
         };
         let doc = compact(&to_json(db, &r));
         Eval {
             doc,
             result: Some(r),
-            band,
         }
     }
 
@@ -319,16 +316,12 @@ impl Built {
         let at = describe(c);
         assert_eq!((miss, hit), (false, true), "{at}: miss, then hit");
         assert_eq!(replay, doc, "{at}: the hit changed the document");
-        Eval {
-            doc,
-            result: None,
-            band: None,
-        }
+        Eval { doc, result: None }
     }
 }
 
 /// Checks an evaluation's answer against the reference.
-fn check_answer(c: &Config, e: &Eval, reference: &Eval, k: usize) {
+fn check_answer(c: &Config, e: &Eval, reference: &Eval) {
     let (Some(r), Some(want)) = (&e.result, &reference.result) else {
         return;
     };
@@ -348,14 +341,6 @@ fn check_answer(c: &Config, e: &Eval, reference: &Eval, k: usize) {
     let counted = r.pruning.map(sum);
     let all = (r.plan != ResolvedPlan::Naive).then_some(r.gcs.len());
     assert_eq!(counted, all, "{at}: counters");
-    if let (Some(band), Some(want)) = (&e.band, &reference.band) {
-        assert_eq!((band.k, &band.members), (k, &want.members), "{at}: skyband");
-        if k == 1 {
-            assert_eq!(band.members, r.skyline, "{at}: 1-skyband");
-        }
-        let pruned = matches!(band.plan, ResolvedPlan::Prefilter | ResolvedPlan::Indexed);
-        assert_eq!(band.pruning.is_some(), pruned, "{at}: skyband counters");
-    }
 }
 
 fn check(s: &Scenario) {
@@ -370,16 +355,13 @@ fn check(s: &Scenario) {
                     let naive = [NAIVE, 0, 0, c[SOLVERS], 0, 0, DIRECT];
                     built.run(&naive, &built.references[c[EPOCH]], &options(&naive))
                 });
-                check_answer(&c, &e, reference, built.k);
+                check_answer(&c, &e, reference);
                 slot.insert(e);
             }
         }
         let (e, want) = (&evals[c], &evals[&canonical(c)]);
         let at = format!("{} vs {}", describe(c), describe(&canonical(c)));
         assert_eq!(e.doc, want.doc, "{at}: document");
-        if let (Some(band), Some(want)) = (&e.band, &want.band) {
-            assert_eq!(format!("{band:?}"), format!("{want:?}"), "{at}: skyband");
-        }
     }
 }
 

@@ -101,7 +101,7 @@ proptest! {
             SolverConfig::Approx,
         ] {
             let naive = graph_similarity_skyline(
-                &db, &q, &QueryOptions { solvers, ..QueryOptions::default() },
+                &db, &q, &QueryOptions { solvers, plan: Plan::Naive, ..QueryOptions::default() },
             );
             let pruned = graph_similarity_skyline(
                 &db, &q,
@@ -131,7 +131,8 @@ proptest! {
         prop_assert!(r.contains(copy), "an exact duplicate is Pareto-optimal");
         let stats = r.pruning.expect("stats");
         prop_assert!(stats.short_circuited >= 1, "the planted copy must short-circuit");
-        let naive = graph_similarity_skyline(&db, &q, &QueryOptions::default());
+        let naive =
+            graph_similarity_skyline(&db, &q, &QueryOptions::default().with_plan(Plan::Naive));
         prop_assert_eq!(&r.skyline, &naive.skyline);
         prop_assert_eq!(&r.dominated, &naive.dominated);
     }

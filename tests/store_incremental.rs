@@ -86,17 +86,11 @@ proptest! {
             );
 
             let rebuilt = Arc::new(PivotIndex::build(db, &maintained.config()));
-            let naive = graph_similarity_skyline(db, &q, &QueryOptions::default());
-            let with_maintained = graph_similarity_skyline(
-                db,
-                &q,
-                &QueryOptions::default().with_index(maintained),
-            );
-            let with_rebuilt = graph_similarity_skyline(
-                db,
-                &q,
-                &QueryOptions::default().with_index(rebuilt),
-            );
+            let naive = graph_similarity_skyline(db, &q, &QueryOptions::default().with_plan(Plan::Naive));
+            let indexed =
+                |index: Arc<PivotIndex>| QueryOptions::default().with_index(index).with_plan(Plan::Indexed);
+            let with_maintained = graph_similarity_skyline(db, &q, &indexed(maintained));
+            let with_rebuilt = graph_similarity_skyline(db, &q, &indexed(rebuilt));
 
             prop_assert_eq!(&with_maintained.skyline, &with_rebuilt.skyline);
             prop_assert_eq!(
