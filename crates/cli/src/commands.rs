@@ -84,9 +84,9 @@ overrides them per query.
 
 `serve` runs the long-lived query server (newline-delimited JSON protocol,
 result caching, admission control — see the gss-server crate docs); all
-connections share --reactor-threads poll(2) event loops (default 1, and
-anything below 1 runs one; any unix). --workers, --queue and --batch must
-be at least 1, as must the --bench --connections, --repeat and --limit.
+connections share --reactor-threads poll(2) event loops (default 1; any
+unix). --reactor-threads, --workers, --queue, --batch and --deadline-ms
+must be at least 1, as must the --bench --connections, --repeat and --limit.
 The served database is live: `client` mutation flags (--insert-file, --remove,
 --update … --update-file) apply atomic batches that bump the store epoch,
 maintain the pivot index incrementally (--staleness-budget caps drift
@@ -426,7 +426,6 @@ pub fn measure(args: &Args) -> Result<String, ArgError> {
         &GedOptions {
             cost,
             warm_start: Some(warm.mapping),
-            node_limit: None,
         },
     );
     let p = gss_core::compute_primitives(a, b, &SolverConfig::default());
@@ -825,15 +824,21 @@ e 0 1 -
             (
                 crate::net::serve as Command,
                 &serve[..],
-                ["--workers", "--queue", "--batch"],
+                &[
+                    "--workers",
+                    "--queue",
+                    "--batch",
+                    "--reactor-threads",
+                    "--deadline-ms",
+                ][..],
             ),
             (
                 crate::net::client,
                 &bench[..],
-                ["--connections", "--repeat", "--limit"],
+                &["--connections", "--repeat", "--limit"],
             ),
         ] {
-            for option in options {
+            for &option in options {
                 let err = run(&args(&[base, &[option, "0"]].concat())).expect_err(option);
                 let expected = format!("{option} must be at least 1");
                 assert!(err.0.contains(&expected), "{err}");

@@ -76,11 +76,21 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
     let config = ServerConfig {
         addr: args.get_or("addr", "127.0.0.1:7878").to_owned(),
         workers: args.get_checked_or("workers", defaults.workers, 1.., "at least 1")?,
-        reactor_threads: args.get_parsed_or("reactor-threads", defaults.reactor_threads)?,
+        reactor_threads: args.get_checked_or(
+            "reactor-threads",
+            defaults.reactor_threads,
+            1..,
+            "at least 1",
+        )?,
         queue_capacity: args.get_checked_or("queue", defaults.queue_capacity, 1.., "at least 1")?,
         cache_capacity: args.get_parsed_or("cache", defaults.cache_capacity)?,
         batch_max: args.get_checked_or("batch", defaults.batch_max, 1.., "at least 1")?,
-        default_deadline_ms: args.get_parsed_or("deadline-ms", defaults.default_deadline_ms)?,
+        default_deadline_ms: args.get_checked_or(
+            "deadline-ms",
+            defaults.default_deadline_ms,
+            1..,
+            "at least 1",
+        )?,
         faults,
     };
     let store = match args.get("data-dir") {

@@ -31,7 +31,7 @@ thread_local! {
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum SolverConfig {
     /// The paper's exact measures: exact branch-and-bound GED (warm-started
-    /// by the bipartite bound, no node budget) and exact connected MCS.
+    /// by the bipartite bound) and exact connected MCS.
     #[default]
     Exact,
     /// Riesen–Bunke bipartite GED (an upper bound) and multi-start greedy
@@ -156,7 +156,6 @@ pub fn compute_primitives(g1: &Graph, g2: &Graph, config: &SolverConfig) -> Pair
                 &GedOptions {
                     cost,
                     warm_start: Some(warm.mapping),
-                    node_limit: None,
                 },
             )
             .cost
@@ -165,7 +164,7 @@ pub fn compute_primitives(g1: &Graph, g2: &Graph, config: &SolverConfig) -> Pair
     };
     let mcs_edges = match config {
         SolverConfig::Exact => mcs_edge_size(g1, g2),
-        SolverConfig::Approx => greedy_mcs(g1, g2, usize::MAX).edges(),
+        SolverConfig::Approx => greedy_mcs(g1, g2).edges(),
     };
     let (label_mismatch, label_total) = label_histogram_stats(g1, g2);
     PairPrimitives {

@@ -78,9 +78,9 @@ fn sorted_intersection_size(a: &[Label], b: &[Label]) -> usize {
 
 /// Approximates GED via one linear assignment over vertices.
 ///
-/// The returned [`GedResult`] has `exact = false`; its `cost` is the induced
-/// cost of the assignment, an upper bound on the true GED. One-shot
-/// wrapper over [`bipartite_ged_with`].
+/// The returned [`GedResult`]'s `cost` is the induced cost of the
+/// assignment, an upper bound on the true GED, and its `expanded` is 0.
+/// One-shot wrapper over [`bipartite_ged_with`].
 pub fn bipartite_ged(g1: &Graph, g2: &Graph, cost: &CostModel) -> GedResult {
     bipartite_ged_with(g1, g2, cost, &mut Workspace::new())
 }
@@ -100,7 +100,6 @@ pub fn bipartite_ged_with(
         return GedResult {
             cost: 0.0,
             mapping: VertexMapping { map: Vec::new() },
-            exact: true,
             expanded: 0,
         };
     }
@@ -174,7 +173,6 @@ pub fn bipartite_ged_with(
     GedResult {
         cost: induced,
         mapping,
-        exact: false,
         expanded: 0,
     }
 }
@@ -205,7 +203,6 @@ mod tests {
         let empty = GraphBuilder::new("e", &mut v).build().unwrap();
         let r = bipartite_ged(&empty, &empty, &CostModel::uniform());
         assert_eq!(r.cost, 0.0);
-        assert!(r.exact);
     }
 
     #[test]
@@ -270,6 +267,5 @@ mod tests {
         );
         let plain = exact_ged(&g1, &g2, &GedOptions::default());
         assert_eq!(warm.cost, plain.cost);
-        assert!(warm.exact);
     }
 }

@@ -35,7 +35,7 @@
 //!
 //! ### The cross-edge term
 //!
-//! Unlimited searches additionally bound the *cross* edges — edges with one
+//! The bound also covers the *cross* edges — edges with one
 //! decided and one undecided endpoint, which the aligned part is blind to:
 //!
 //! * every cross edge of a **deleted** g1 vertex must eventually be deleted
@@ -52,18 +52,12 @@
 //! a strict improvement satisfies `cost + bound ≤ total < best` and
 //! survives — so costs and witness mappings are bit-identical to the
 //! reference (property-tested across cost models); only `expanded` shrinks
-//! (gated as `≤` the reference count). Budgeted searches
-//! ([`GedOptions::node_limit`]) keep the original bound so the *anytime*
-//! behavior — which does depend on node counts — also stays bit-identical.
+//! (gated as `≤` the reference count).
 //!
 //! The per-node candidate list lives in per-depth reusable buffers, making
 //! the search allocation-free after the first descent (`tests/kernel_alloc.rs`
 //! caps allocations per call at a ceiling linear in the input, not in the
 //! nodes expanded).
-//!
-//! The solver accepts an optional *node budget*; when exhausted it returns
-//! the best complete mapping found so far flagged `exact = false`, making it
-//! an anytime algorithm for the large-graph benchmarks.
 
 use gss_graph::{EdgeLookup, Graph, Label, VertexId};
 
@@ -75,8 +69,6 @@ use crate::path::{mapping_cost, VertexMapping};
 pub struct GedOptions {
     /// Per-operation costs (default: uniform, as in the paper).
     pub cost: CostModel,
-    /// Maximum number of search-tree nodes to expand (`None` = unlimited).
-    pub node_limit: Option<u64>,
     /// Optional starting incumbent (e.g. from
     /// [`crate::bipartite::bipartite_ged`]); must be a valid complete mapping.
     pub warm_start: Option<VertexMapping>,
@@ -85,12 +77,11 @@ pub struct GedOptions {
 /// Result of a GED computation.
 #[derive(Clone, Debug)]
 pub struct GedResult {
-    /// The edit cost found (minimal when `exact`).
+    /// The edit cost found: minimal for [`exact_ged`], an upper bound for
+    /// [`crate::bipartite::bipartite_ged`].
     pub cost: f64,
     /// The witnessing vertex mapping.
     pub mapping: VertexMapping,
-    /// True when the search completed and `cost` is provably optimal.
-    pub exact: bool,
     /// Number of search nodes expanded.
     pub expanded: u64,
 }
@@ -157,16 +148,11 @@ struct Solver<'a> {
     /// (see module docs), in operation units.
     del_units: i64,
     ins_units: i64,
-    /// Cross-edge term active? Disabled under a node budget so the anytime
-    /// behavior stays bit-identical to the reference solver.
-    cross_enabled: bool,
     /// Per-depth candidate buffers, reused across the whole search.
     cand_bufs: Vec<Vec<u32>>,
     best_cost: f64,
     best_map: Vec<u32>,
     expanded: u64,
-    node_limit: u64,
-    aborted: bool,
 }
 
 impl Solver<'_> {
@@ -278,19 +264,15 @@ impl Solver<'_> {
                     cross_u += 1;
                 }
                 DELETED => {
-                    if self.cross_enabled {
-                        self.del_units -= 1;
-                        self.cross1[w.index()] -= 1;
-                    }
+                    self.del_units -= 1;
+                    self.cross1[w.index()] -= 1;
                 }
                 x => {
-                    if self.cross_enabled {
-                        let c1 = self.cross1[w.index()];
-                        let c2 = self.cross2[x as usize];
-                        self.pair_remove(c1, c2);
-                        self.cross1[w.index()] = c1 - 1;
-                        self.pair_add(c1 - 1, c2);
-                    }
+                    let c1 = self.cross1[w.index()];
+                    let c2 = self.cross2[x as usize];
+                    self.pair_remove(c1, c2);
+                    self.cross1[w.index()] = c1 - 1;
+                    self.pair_add(c1 - 1, c2);
                 }
             }
         }
@@ -315,7 +297,7 @@ impl Solver<'_> {
                         );
                         self.e2r -= 1;
                         cross_v += 1;
-                    } else if self.cross_enabled {
+                    } else {
                         let c1 = self.cross1[w1 as usize];
                         let c2 = self.cross2[x.index()];
                         self.pair_remove(c1, c2);
@@ -323,19 +305,15 @@ impl Solver<'_> {
                         self.pair_add(c1, c2 - 1);
                     }
                 }
-                if self.cross_enabled {
-                    self.cross1[u.index()] = cross_u;
-                    self.cross2[v.index()] = cross_v;
-                    self.pair_add(cross_u, cross_v);
-                }
+                self.cross1[u.index()] = cross_u;
+                self.cross2[v.index()] = cross_v;
+                self.pair_add(cross_u, cross_v);
                 self.map[u.index()] = v.0;
                 self.inv[v.index()] = u.0;
             }
             None => {
-                if self.cross_enabled {
-                    self.cross1[u.index()] = cross_u;
-                    self.del_units += cross_u;
-                }
+                self.cross1[u.index()] = cross_u;
+                self.del_units += cross_u;
                 self.map[u.index()] = DELETED;
             }
         }
@@ -347,9 +325,7 @@ impl Solver<'_> {
             Some(v) => {
                 self.map[u.index()] = UNDECIDED;
                 self.inv[v.index()] = UNDECIDED;
-                if self.cross_enabled {
-                    self.pair_remove(self.cross1[u.index()], self.cross2[v.index()]);
-                }
+                self.pair_remove(self.cross1[u.index()], self.cross2[v.index()]);
                 for (x, ex) in self.g2.neighbors(v) {
                     let w1 = self.inv[x.index()];
                     if w1 == UNDECIDED {
@@ -360,7 +336,7 @@ impl Solver<'_> {
                             &mut self.common_e,
                         );
                         self.e2r += 1;
-                    } else if self.cross_enabled {
+                    } else {
                         let c1 = self.cross1[w1 as usize];
                         let c2 = self.cross2[x.index()];
                         self.pair_remove(c1, c2);
@@ -377,9 +353,7 @@ impl Solver<'_> {
                 self.n2r += 1;
             }
             None => {
-                if self.cross_enabled {
-                    self.del_units -= self.cross1[u.index()];
-                }
+                self.del_units -= self.cross1[u.index()];
                 self.map[u.index()] = UNDECIDED;
             }
         }
@@ -395,19 +369,15 @@ impl Solver<'_> {
                     self.e1r += 1;
                 }
                 DELETED => {
-                    if self.cross_enabled {
-                        self.cross1[w.index()] += 1;
-                        self.del_units += 1;
-                    }
+                    self.cross1[w.index()] += 1;
+                    self.del_units += 1;
                 }
                 x => {
-                    if self.cross_enabled {
-                        let c1 = self.cross1[w.index()];
-                        let c2 = self.cross2[x as usize];
-                        self.pair_remove(c1, c2);
-                        self.cross1[w.index()] = c1 + 1;
-                        self.pair_add(c1 + 1, c2);
-                    }
+                    let c1 = self.cross1[w.index()];
+                    let c2 = self.cross2[x as usize];
+                    self.pair_remove(c1, c2);
+                    self.cross1[w.index()] = c1 + 1;
+                    self.pair_add(c1 + 1, c2);
                 }
             }
         }
@@ -429,14 +399,11 @@ impl Solver<'_> {
     }
 
     /// Admissible lower bound on the cost still to come (see module docs):
-    /// the aligned part plus, for unlimited searches, the cross-edge term.
+    /// the aligned part plus the cross-edge term.
     fn lower_bound(&self, depth: usize) -> f64 {
-        let cross = if self.cross_enabled {
-            self.del_units as f64 * self.cm.edge_del + self.ins_units as f64 * self.cm.edge_ins
-        } else {
-            0.0
-        };
-        self.aligned_bound(depth) + cross
+        self.aligned_bound(depth)
+            + self.del_units as f64 * self.cm.edge_del
+            + self.ins_units as f64 * self.cm.edge_ins
     }
 
     /// From-scratch recomputation of the cross-edge units — the
@@ -511,14 +478,7 @@ impl Solver<'_> {
     }
 
     fn search(&mut self, depth: usize, cost_so_far: f64) {
-        if self.aborted {
-            return;
-        }
         self.expanded += 1;
-        if self.expanded > self.node_limit {
-            self.aborted = true;
-            return;
-        }
         if depth == self.order.len() {
             let total = cost_so_far + self.completion_cost();
             if total < self.best_cost {
@@ -534,13 +494,11 @@ impl Solver<'_> {
                 self.lower_bound_rescan(depth),
                 "incremental aligned bound drifted at depth {depth}"
             );
-            if self.cross_enabled {
-                debug_assert_eq!(
-                    (self.del_units, self.ins_units),
-                    self.cross_units_rescan(),
-                    "incremental cross-edge units drifted at depth {depth}"
-                );
-            }
+            debug_assert_eq!(
+                (self.del_units, self.ins_units),
+                self.cross_units_rescan(),
+                "incremental cross-edge units drifted at depth {depth}"
+            );
         }
         if cost_so_far + self.lower_bound(depth) >= self.best_cost {
             return;
@@ -580,9 +538,6 @@ impl Solver<'_> {
             self.decide(u, lu, choice);
             self.search(depth + 1, cost_so_far + step);
             self.undecide(u, lu, choice);
-            if self.aborted {
-                break;
-            }
         }
         self.cand_bufs[depth] = buf;
     }
@@ -668,7 +623,6 @@ pub fn exact_ged(g1: &Graph, g2: &Graph, options: &GedOptions) -> GedResult {
         cross2: vec![0; g2.order()],
         del_units: 0,
         ins_units: 0,
-        cross_enabled: options.node_limit.is_none(),
         cand_bufs: Vec::new(),
         best_cost: seed_cost,
         best_map: seed_map
@@ -677,8 +631,6 @@ pub fn exact_ged(g1: &Graph, g2: &Graph, options: &GedOptions) -> GedResult {
             .map(|m| m.map_or(DELETED, |v| v.0))
             .collect(),
         expanded: 0,
-        node_limit: options.node_limit.unwrap_or(u64::MAX),
-        aborted: false,
     };
     solver.search(0, 0.0);
 
@@ -705,7 +657,6 @@ pub fn exact_ged(g1: &Graph, g2: &Graph, options: &GedOptions) -> GedResult {
     GedResult {
         cost,
         mapping,
-        exact: !solver.aborted,
         expanded: solver.expanded,
     }
 }
@@ -742,7 +693,6 @@ mod tests {
         let g = build(&mut v, "g", &[("a", "A"), ("b", "B")], &[("a", "b", "-")]);
         let r = exact_ged(&g, &g, &GedOptions::default());
         assert_eq!(r.cost, 0.0);
-        assert!(r.exact);
     }
 
     #[test]
@@ -849,39 +799,9 @@ mod tests {
             },
         );
         assert_eq!(plain.cost, warm.cost);
-        assert!(warm.exact);
         assert!(
             warm.expanded <= plain.expanded,
             "warm start should not expand more nodes"
-        );
-    }
-
-    #[test]
-    fn node_limit_degrades_gracefully() {
-        let mut v = Vocabulary::new();
-        // Larger same-label graphs so the search tree is non-trivial.
-        let mut b1 = GraphBuilder::new("g1", &mut v).vertices(&["a", "b", "c", "d", "e", "f"], "C");
-        b1 = b1.cycle(&["a", "b", "c", "d", "e", "f"], "-");
-        let g1 = b1.build().unwrap();
-        let mut b2 = GraphBuilder::new("g2", &mut v).vertices(&["a", "b", "c", "d", "e", "f"], "C");
-        b2 = b2
-            .path(&["a", "b", "c", "d", "e", "f"], "-")
-            .edge("a", "c", "-");
-        let g2 = b2.build().unwrap();
-        let limited = exact_ged(
-            &g1,
-            &g2,
-            &GedOptions {
-                node_limit: Some(3),
-                ..Default::default()
-            },
-        );
-        assert!(!limited.exact);
-        let full = exact_ged(&g1, &g2, &GedOptions::default());
-        assert!(full.exact);
-        assert!(
-            limited.cost >= full.cost,
-            "anytime bound must upper-bound the optimum"
         );
     }
 

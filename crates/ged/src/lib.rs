@@ -10,7 +10,7 @@
 //! minimum equals GED for the uniform model):
 //!
 //! * [`exact::exact_ged`] — depth-first branch and bound with admissible
-//!   label-alignment lower bounds and an optional node budget (anytime).
+//!   label-alignment and cross-edge lower bounds; always runs to optimality.
 //! * [`bipartite::bipartite_ged`] — Riesen–Bunke linear-assignment upper
 //!   bound in `O((n1+n2)³)`, built on an in-crate [`hungarian`] solver.
 //!
@@ -73,7 +73,6 @@ pub fn ged(g1: &Graph, g2: &Graph) -> f64 {
         &GedOptions {
             cost,
             warm_start: Some(warm.mapping),
-            node_limit: None,
         },
     )
     .cost

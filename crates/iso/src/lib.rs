@@ -7,9 +7,7 @@
 //!   edges to edges of equal label in both directions;
 //! * **subgraph isomorphism** (Def. 5) — a label-preserving injection under
 //!   which every *pattern* edge appears in the target with an equal label
-//!   (the *non-induced* variant, which is what the paper's `⊆` means);
-//! * an **induced** variant, where mapped vertex pairs must agree on edges
-//!   *and* non-edges.
+//!   (the *non-induced* variant, which is what the paper's `⊆` means).
 //!
 //! The solver in [`vf2`] is a VF2-style backtracking matcher with
 //! connectivity-guided candidate generation and cheap invariant pre-filters

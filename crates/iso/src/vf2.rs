@@ -22,9 +22,6 @@ pub enum MatchMode {
     /// target with an equal label, extra target edges are allowed
     /// (Definition 5 — the paper's `⊆`).
     SubgraphNonInduced,
-    /// Like [`MatchMode::SubgraphNonInduced`] but mapped vertex pairs must
-    /// also agree on *non-edges* (vertex-induced subgraph isomorphism).
-    SubgraphInduced,
 }
 
 /// A pattern → target vertex mapping found by the matcher.
@@ -96,7 +93,7 @@ impl<'a> Matcher<'a> {
                     return false;
                 }
             }
-            _ => {
+            MatchMode::SubgraphNonInduced => {
                 if self.pattern.degree(p) > self.target.degree(t) {
                     return false;
                 }
@@ -121,12 +118,9 @@ impl<'a> Matcher<'a> {
                 return false;
             }
         }
-        // For induced/iso modes: every mapped target-neighbor of t must map
-        // back to a pattern-neighbor of p (edges cannot appear from nowhere).
-        if matches!(
-            self.mode,
-            MatchMode::Isomorphism | MatchMode::SubgraphInduced
-        ) {
+        // For isomorphism: every mapped target-neighbor of t must map back
+        // to a pattern-neighbor of p (edges cannot appear from nowhere).
+        if self.mode == MatchMode::Isomorphism {
             for (tn, te) in self.target.neighbors(t) {
                 let pn = self.core_t[tn.index()];
                 if pn == UNMAPPED {
@@ -358,9 +352,7 @@ mod tests {
             .unwrap();
         // A 4-path maps onto a 4-cycle non-induced (the closing edge is extra)…
         assert!(is_subgraph_isomorphic(&path, &cycle));
-        // …but not induced: endpoints of the path are mapped adjacent.
-        assert!(find_embedding(&path, &cycle, MatchMode::SubgraphInduced).is_none());
-        // And the 4-cycle is not a subgraph of the 4-path.
+        // …but the 4-cycle is not a subgraph of the 4-path.
         assert!(!is_subgraph_isomorphic(&cycle, &path));
     }
 

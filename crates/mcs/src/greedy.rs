@@ -112,12 +112,11 @@ impl<'a> State<'a> {
 
 /// Greedily approximates the maximum common connected subgraph.
 ///
-/// `max_seeds` caps the number of seed edge pairs tried (use `usize::MAX`
-/// for all); seeds are tried in deterministic id order.
-pub fn greedy_mcs(g1: &Graph, g2: &Graph, max_seeds: usize) -> Mcs {
+/// Every compatible seed edge pair is tried, in deterministic id order; the
+/// first largest grown mapping wins.
+pub fn greedy_mcs(g1: &Graph, g2: &Graph) -> Mcs {
     let mut best = Mcs::default();
-    let mut tried = 0usize;
-    'seed: for e1 in g1.edges() {
+    for e1 in g1.edges() {
         let edge1 = *g1.edge(e1);
         for e2 in g2.edges() {
             let edge2 = *g2.edge(e2);
@@ -131,10 +130,6 @@ pub fn greedy_mcs(g1: &Graph, g2: &Graph, max_seeds: usize) -> Mcs {
                 {
                     continue;
                 }
-                if tried >= max_seeds {
-                    break 'seed;
-                }
-                tried += 1;
                 let mut st = State::new(g1, g2);
                 st.add(edge1.u, su);
                 st.add(edge1.v, sv);
@@ -175,7 +170,7 @@ mod tests {
             .cycle(&["a", "b", "c", "d"], "-")
             .build()
             .unwrap();
-        let m = greedy_mcs(&path, &host, usize::MAX);
+        let m = greedy_mcs(&path, &host);
         assert_eq!(m.edges(), 2);
     }
 
@@ -187,7 +182,7 @@ mod tests {
             let (n2, m2) = (3 + rng.gen_index(3), 2 + rng.gen_index(5));
             let g1 = random_graph(&mut rng, n1, m1, 2, 1);
             let g2 = random_graph(&mut rng, n2, m2, 2, 1);
-            let approx = greedy_mcs(&g1, &g2, usize::MAX).edges();
+            let approx = greedy_mcs(&g1, &g2).edges();
             let exact = mcs_edge_size(&g1, &g2);
             assert!(approx <= exact, "greedy {approx} exceeded exact {exact}");
             // The greedy result must itself be a valid common subgraph.
@@ -204,21 +199,7 @@ mod tests {
             .edge("a", "b", "-")
             .build()
             .unwrap();
-        assert_eq!(greedy_mcs(&empty, &g, usize::MAX).edges(), 0);
-        assert_eq!(greedy_mcs(&g, &empty, usize::MAX).edges(), 0);
-        assert_eq!(greedy_mcs(&g, &g, 0).edges(), 0); // zero seeds allowed
-    }
-
-    #[test]
-    fn seed_cap_limits_work_but_stays_valid() {
-        let mut v = Vocabulary::new();
-        let g = GraphBuilder::new("g", &mut v)
-            .vertices(&["a", "b", "c", "d"], "C")
-            .cycle(&["a", "b", "c", "d"], "-")
-            .build()
-            .unwrap();
-        let m = greedy_mcs(&g, &g, 1);
-        assert!(m.edges() >= 1);
-        assert!(m.edges() <= 4);
+        assert_eq!(greedy_mcs(&empty, &g).edges(), 0);
+        assert_eq!(greedy_mcs(&g, &empty).edges(), 0);
     }
 }

@@ -13,8 +13,9 @@
 //!   upper bound for pruning. Exact; exponential in the worst case; intended
 //!   for the small graphs (≲ 20 edges) this domain works with.
 //! * [`greedy::greedy_mcs`] — a multi-start greedy approximation that grows
-//!   the mapping by the best immediate edge gain; a fast *lower* bound used
-//!   for large workloads and as a warm start for the exact search.
+//!   the mapping by the best immediate edge gain from every compatible seed
+//!   edge pair; a fast *lower* bound, the MCS of the approximate solver
+//!   setting.
 //! * [`oracle::mcs_edges_by_definition`] — a direct executable transcription
 //!   of Definition 7 (enumerate connected edge subsets of `g1` by decreasing
 //!   size, test embeddability with `gss-iso`). Hopelessly slow, but the

@@ -53,7 +53,6 @@ fn figure1_example() {
         &GedOptions {
             cost,
             warm_start: Some(warm.mapping),
-            node_limit: None,
         },
     );
     println!("  DistEd(g1, g2) = {} (paper: 4)", ged.cost);

@@ -58,7 +58,7 @@ fn mcs_exact_matches_definition_oracle_on_molecules() {
         let fast = mcs_edge_size(&g1, &g2);
         let slow = mcs_edges_by_definition(&g1, &g2);
         assert_eq!(fast, slow, "case {i}");
-        let greedy = greedy_mcs(&g1, &g2, usize::MAX).edges();
+        let greedy = greedy_mcs(&g1, &g2).edges();
         assert!(greedy <= fast, "case {i}: greedy {greedy} > exact {fast}");
     }
 }
@@ -124,32 +124,6 @@ fn vf2_embedding_consistency_with_mcs() {
                 m < pattern.size(),
                 "case {i}: non-embeddable pattern must lose edges"
             );
-        }
-    }
-}
-
-#[test]
-fn budgeted_exact_ged_is_anytime() {
-    let (_v, g1, g2) = molecule_pairs(1).remove(0);
-    let full = exact_ged(&g1, &g2, &GedOptions::default());
-    assert!(full.exact);
-    for limit in [1u64, 4, 16, 64, 256, 1024] {
-        let r = exact_ged(
-            &g1,
-            &g2,
-            &GedOptions {
-                node_limit: Some(limit),
-                ..Default::default()
-            },
-        );
-        assert!(
-            r.cost >= full.cost - 1e-9,
-            "budget {limit}: {} < {}",
-            r.cost,
-            full.cost
-        );
-        if r.exact {
-            assert_eq!(r.cost, full.cost, "budget {limit} claims exactness");
         }
     }
 }
