@@ -320,7 +320,7 @@ pub fn query(args: &Args) -> Result<String, ArgError> {
     let result = graph_similarity_skyline(&db, &q, &options);
 
     match args.get_or("format", "text") {
-        "json" => return Ok(gss_core::to_json(&db, &result)),
+        "json" => return Ok(gss_core::explain_json(&db, &result)),
         "text" => {}
         other => return Err(ArgError(format!("unknown --format {other:?} (text|json)"))),
     }

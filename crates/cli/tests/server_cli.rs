@@ -4,6 +4,8 @@
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
 
+use gss_core::jsonio::Value;
+
 const DB_TEXT: &str = "\
 t needle
 v 0 A
@@ -104,7 +106,10 @@ fn serve_query_stats_shutdown_round_trip() {
     ]);
     assert!(first.contains("\"ok\":true"), "{first}");
     assert!(first.contains("\"cached\":false"), "{first}");
-    assert!(first.contains("\"skyline\":[\"needle\"]"), "{first}");
+    assert!(
+        first.contains("\"skyline\":[{\"name\":\"needle\",\"gcs\":[0,0,0]}]"),
+        "{first}"
+    );
     assert!(first.contains("\"plan\":\"prefilter\""), "{first}");
     let second = run_client(&[
         "--addr",
@@ -193,7 +198,49 @@ fn query_reads_query_file_from_stdin() {
     // The database is used whole (3 graphs) and `needle` (isomorphic to
     // the piped query) must be in the skyline.
     assert!(text.contains("\"skyline\": [\"needle\"]"), "{text}");
-    let _ = std::fs::remove_file(db_path);
+    // The CLI prints the explain document: one row per database graph.
+    let explain = Value::parse(&text).expect("CLI JSON parses");
+    let rows = explain
+        .get("graphs")
+        .and_then(Value::as_array)
+        .expect("rows");
+    let row_names: Vec<&str> = rows.iter().map(|r| field(r, "name")).collect();
+    assert_eq!(row_names, ["needle", "close", "far"], "{text}");
+
+    // A server on the same database answers the same query with the
+    // answer document: the members and their vectors, no per-graph rows.
+    let query_path = write_temp("stdin-q.gdb", QUERY_TEXT);
+    let (mut server, addr) = start_server(&db_path, &[]);
+    let response = run_client(&[
+        "--addr",
+        &addr,
+        "--query-file",
+        query_path.to_str().unwrap(),
+    ]);
+    let response = Value::parse(response.trim_end()).expect("client prints one JSON line");
+    let answer = response.get("result").expect("a result");
+    assert!(answer.get("graphs").is_none(), "{response:?}");
+    for key in ["measures", "plan", "pruning"] {
+        assert_eq!(answer.get(key), explain.get(key), "{key}");
+    }
+    let members = answer
+        .get("skyline")
+        .and_then(Value::as_array)
+        .expect("members");
+    assert_eq!(members.len(), 1, "{response:?}");
+    assert_eq!(field(&members[0], "name"), "needle");
+    assert_eq!(members[0].get("gcs"), rows[0].get("gcs"));
+
+    run_client(&["--addr", &addr, "--shutdown"]);
+    server.wait().expect("serve exits");
+    for p in [db_path, query_path] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+/// The string `key` of a JSON object.
+fn field<'a>(v: &'a Value, key: &str) -> &'a str {
+    v.get(key).and_then(Value::as_str).expect(key)
 }
 
 #[test]

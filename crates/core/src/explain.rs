@@ -4,8 +4,15 @@
 //! of scores showing different similarities" is itself a feature of the
 //! skyline approach. This module turns a [`GssResult`] into explanation
 //! structures — per-graph dominator lists with per-dimension comparisons —
-//! and serializes results to a small, dependency-free JSON subset for
-//! scripting consumers of the `gss` CLI.
+//! and serializes results to a small, dependency-free JSON subset, as one
+//! of two documents:
+//!
+//! * [`to_json`] — the *answer document*: the skyline members, each with
+//!   its exact vector, plus the plan and pruning counters. Its size is
+//!   O(|skyline|); `gss-server` caches and serves it as the wire `result`.
+//! * [`explain_json`] — the *explain document*: one row per database graph
+//!   with its vector, dominators and best dimensions. Its size is
+//!   O(|database|); `gss query --format json` prints it.
 
 use std::fmt::Write as _;
 
@@ -104,39 +111,68 @@ pub fn explain_all(result: &GssResult) -> Vec<Explanation> {
         .collect()
 }
 
-/// Serializes a query result as JSON (stable key order, no dependencies):
+/// Serializes a query's *answer document* as JSON (stable key order, no
+/// dependencies): the measures, the plan that ran, the skyline members in
+/// ascending id — each with its exact GCS vector — and, when a pruned plan
+/// ran, the pruning counters. Its size is O(|skyline|), not O(|database|):
+/// this is the `gss-server` wire `result` and its cache value. The
+/// per-graph rows are [`explain_json`]'s.
+///
+/// ```json
+/// {
+///   "measures": ["DistEd", "DistMcs", "DistGu"],
+///   "plan": "naive",
+///   "skyline": [
+///     {"name": "g1", "gcs": [4, 0.33333333333333337, 0.5]},
+///     …
+///   ]
+/// }
+/// ```
+pub fn to_json(db: &GraphDatabase, result: &GssResult) -> String {
+    let mut out = header(result);
+    out.push_str(",\n  \"skyline\": [");
+    for (i, id) in result.skyline.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        let _ = write!(
+            out,
+            "    {{\"name\": \"{}\", \"gcs\": [{}]}}",
+            json_escape(db.name_of(*id)),
+            values(result, *id)
+        );
+    }
+    if !result.skyline.is_empty() {
+        out.push_str("\n  ");
+    }
+    out.push(']');
+    pruning(&mut out, result);
+    out.push_str("\n}\n");
+    out
+}
+
+/// Serializes a query result with one row per *database graph* — its
+/// vector, dominators and best dimensions ([`explain_all`]) — as JSON
+/// (stable key order, no dependencies). This is `gss query --format json`;
+/// its size is O(|database|), so the server sends [`to_json`] instead.
 ///
 /// ```json
 /// {
 ///   "measures": ["DistEd", "DistMcs", "DistGu"],
 ///   "plan": "naive",
 ///   "graphs": [
-///     {"name": "g1", "gcs": [4.0, 0.33, 0.5], "in_skyline": true,
+///     {"name": "g1", "gcs": [4, 0.33333333333333337, 0.5], "in_skyline": true,
 ///      "dominators": [], "best_dimensions": [1]},
 ///     …
 ///   ],
-///   "skyline": ["g1", "g4"]
+///   "skyline": ["g1", "g4", "g5", "g7"]
 /// }
 /// ```
-pub fn to_json(db: &GraphDatabase, result: &GssResult) -> String {
+pub fn explain_json(db: &GraphDatabase, result: &GssResult) -> String {
     let explanations = explain_all(result);
     let pruned_run = result.pruning.is_some();
-    let mut out = String::from("{\n  \"measures\": [");
-    for (i, m) in result.measures.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{}\"", json_escape(m.name()));
-    }
-    let _ = write!(out, "],\n  \"plan\": \"{}\"", result.plan.name());
+    let mut out = header(result);
     out.push_str(",\n  \"graphs\": [\n");
     for (i, ex) in explanations.iter().enumerate() {
         let name = json_escape(db.name_of(ex.graph));
-        let values: Vec<String> = result.gcs[i]
-            .values
-            .iter()
-            .map(|v| format!("{v}"))
-            .collect();
         let dominators: Vec<String> = ex
             .dominators
             .iter()
@@ -147,7 +183,7 @@ pub fn to_json(db: &GraphDatabase, result: &GssResult) -> String {
             out,
             "    {{\"name\": \"{}\", \"gcs\": [{}], \"in_skyline\": {}, \"dominators\": [{}], \"best_dimensions\": [{}]",
             name,
-            values.join(", "),
+            values(result, ex.graph),
             ex.in_skyline,
             dominators.join(", "),
             dims.join(", ")
@@ -172,29 +208,58 @@ pub fn to_json(db: &GraphDatabase, result: &GssResult) -> String {
         let _ = write!(out, "\"{}\"", json_escape(db.name_of(*id)));
     }
     out.push(']');
-    if let Some(stats) = &result.pruning {
-        let _ = write!(
-            out,
-            ",\n  \"pruning\": {{\"candidates\": {}, \"verified\": {}, \"pruned\": {}, \"short_circuited\": {}, \"rate\": {:.4}",
-            stats.candidates, stats.verified, stats.pruned, stats.short_circuited, stats.pruning_rate()
-        );
-        if stats.index_partitions > 0 {
-            // Index fields appear only for indexed scans, keeping the
-            // prefilter-only JSON byte-stable across engine versions.
-            let _ = write!(
-                out,
-                ", \"index_skipped\": {}, \"index_skip_rate\": {:.4}, \"index_partitions\": {}, \"index_partitions_skipped\": {}, \"pivot_probes\": {}",
-                stats.index_skipped,
-                stats.index_skip_rate(),
-                stats.index_partitions,
-                stats.index_partitions_skipped,
-                stats.pivot_probes
-            );
-        }
-        out.push('}');
-    }
+    pruning(&mut out, result);
     out.push_str("\n}\n");
     out
+}
+
+/// The opening both documents share: `measures` and the resolved `plan`.
+fn header(result: &GssResult) -> String {
+    let mut out = String::from("{\n  \"measures\": [");
+    for (i, m) in result.measures.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        let _ = write!(out, "\"{}\"", json_escape(m.name()));
+    }
+    let _ = write!(out, "],\n  \"plan\": \"{}\"", result.plan.name());
+    out
+}
+
+/// Graph `id`'s GCS vector as comma-separated JSON numbers.
+fn values(result: &GssResult, id: GraphId) -> String {
+    let values: Vec<String> = result.gcs[id.index()]
+        .values
+        .iter()
+        .map(|v| format!("{v}"))
+        .collect();
+    values.join(", ")
+}
+
+/// Appends the `pruning` object when a pruned plan ran.
+fn pruning(out: &mut String, result: &GssResult) {
+    let Some(stats) = &result.pruning else {
+        return;
+    };
+    let _ = write!(
+        out,
+        ",\n  \"pruning\": {{\"candidates\": {}, \"verified\": {}, \"pruned\": {}, \"short_circuited\": {}, \"rate\": {:.4}",
+        stats.candidates, stats.verified, stats.pruned, stats.short_circuited, stats.pruning_rate()
+    );
+    if stats.index_partitions > 0 {
+        // Index fields appear only for indexed scans, keeping the
+        // prefilter-only JSON byte-stable across engine versions.
+        let _ = write!(
+            out,
+            ", \"index_skipped\": {}, \"index_skip_rate\": {:.4}, \"index_partitions\": {}, \"index_partitions_skipped\": {}, \"pivot_probes\": {}",
+            stats.index_skipped,
+            stats.index_skip_rate(),
+            stats.index_partitions,
+            stats.index_partitions_skipped,
+            stats.pivot_probes
+        );
+    }
+    out.push('}');
 }
 
 /// Serializes aggregated batch counters as a one-line JSON object — the
@@ -253,7 +318,7 @@ mod tests {
     #[test]
     fn json_is_well_formed_enough_to_round_trip_names() {
         let (db, r) = paper_result();
-        let json = to_json(&db, &r);
+        let json = explain_json(&db, &r);
         // Structural spot-checks (no JSON parser in the dependency set —
         // check the invariants that matter to consumers).
         assert!(json.starts_with("{\n"));
@@ -265,6 +330,32 @@ mod tests {
         // Balanced braces/brackets.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn answer_document_holds_only_the_skyline_members() {
+        let (db, r) = paper_result();
+        assert_eq!(
+            to_json(&db, &r),
+            "{\n  \"measures\": [\"DistEd\", \"DistMcs\", \"DistGu\"],\n  \"plan\": \"naive\",\n  \
+             \"skyline\": [\n    \
+             {\"name\": \"g1\", \"gcs\": [4, 0.33333333333333337, 0.5]},\n    \
+             {\"name\": \"g4\", \"gcs\": [2, 0.5, 0.6666666666666667]},\n    \
+             {\"name\": \"g5\", \"gcs\": [3, 0.375, 0.4444444444444444]},\n    \
+             {\"name\": \"g7\", \"gcs\": [4, 0.4, 0.4]}\n  ]\n}\n"
+        );
+        // A pruned plan names the same members with the same exact vectors,
+        // and adds its counters; no per-graph field survives.
+        let opts = QueryOptions::default().with_plan(crate::Plan::Prefilter);
+        let pruned = graph_similarity_skyline(&db, &figure3_database().query, &opts);
+        let json = to_json(&db, &pruned);
+        let v = crate::jsonio::Value::parse(&json).expect("valid JSON");
+        let naive = crate::jsonio::Value::parse(&to_json(&db, &r)).expect("valid JSON");
+        assert_eq!(v.get("skyline"), naive.get("skyline"));
+        assert!(v.get("pruning").is_some(), "{json}");
+        for key in ["graphs", "dominators", "best_dimensions", "exact"] {
+            assert!(!json.contains(&format!("\"{key}\"")), "{key} in {json}");
+        }
     }
 
     #[test]
@@ -296,7 +387,7 @@ mod tests {
             }
         }
         // JSON carries the pruning summary and per-graph exactness.
-        let json = to_json(&db, &r);
+        let json = explain_json(&db, &r);
         assert!(json.contains("\"pruning\": {"));
         assert!(json.contains("\"exact\": true"));
         // Braces stay balanced with the extra object.
@@ -346,8 +437,10 @@ mod tests {
         let r = graph_similarity_skyline(&db, &w.query, &opts);
         let before = db.memory_stats().materialized;
         assert!(before < db.len(), "the pruned scan left arena rows unread");
-        let json = to_json(&db, &r);
+        let json = explain_json(&db, &r);
         assert_eq!(json.matches("\"name\":").count(), db.len());
+        let answer = to_json(&db, &r);
+        assert_eq!(answer.matches("\"name\":").count(), r.skyline.len());
         assert_eq!(db.memory_stats().materialized, before);
     }
 }

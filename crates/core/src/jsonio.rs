@@ -1,9 +1,10 @@
 //! Hand-rolled JSON input/output shared across the workspace.
 //!
 //! The workspace is dependency-free, so every component that speaks JSON —
-//! the `gss` CLI's explain output ([`crate::explain::to_json`]), the
-//! benchmark artifacts, and the `gss-server` wire protocol — goes through
-//! this module instead of growing its own ad-hoc serializer.
+//! the `gss` CLI's explain output ([`crate::explain::explain_json`]), the
+//! benchmark artifacts, and the `gss-server` wire protocol and its answer
+//! documents ([`crate::explain::to_json`]) — goes through this module
+//! instead of growing its own ad-hoc serializer.
 //!
 //! Two halves:
 //!

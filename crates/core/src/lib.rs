@@ -53,7 +53,7 @@ pub use baseline::{top_k_by_measure, ScoredGraph};
 pub use cachekey::{options_fingerprint, query_fingerprint, QueryKey};
 pub use database::{GraphDatabase, GraphId};
 pub use exec::{resolve_plan, CancelToken, Cancelled, Plan, ResolvedPlan};
-pub use explain::{batch_stats_to_json, explain_all, to_json, Explanation};
+pub use explain::{batch_stats_to_json, explain_all, explain_json, to_json, Explanation};
 pub use index::{IndexPartition, IndexPlan, QueryIndex};
 pub use measures::{compute_primitives, GcsVector, MeasureKind, PairPrimitives, SolverConfig};
 pub use prefilter::{PrefilterContext, PrefilterSummary, PruneStats};

@@ -24,7 +24,7 @@
 //! | `{"op":"ping"}` | `{"ok":true}` |
 //! | `{"op":"stats"}` | `{"ok":true,"stats":{…}}` |
 //! | `{"op":"shutdown"}` | `{"ok":true,"draining":true}` |
-//! | `{"op":"query","graph":"t q\nv 0 C\n…"}` | `{"ok":true,"cached":false,"result":{…}}` |
+//! | `{"op":"query","graph":"t q\nv 0 C\n…"}` | `{"ok":true,"cached":false,"result":{"measures":[…],"plan":"…","skyline":[{"name":"…","gcs":[…]},…]}}` |
 //! | `{"op":"insert","graphs":"t a\nv 0 C\n…"}` | `{"ok":true,"epoch":1,"inserted":1,"removed":0,"updated":0}` |
 //! | `{"op":"remove","names":["a"]}` | `{"ok":true,"epoch":2,"inserted":0,"removed":1,"updated":0}` |
 //! | `{"op":"update","name":"a","graph":"t a\n…"}` | `{"ok":true,"epoch":3,"inserted":0,"removed":0,"updated":1}` |
@@ -56,10 +56,14 @@
 //!   wave checkpoint. Either way the response is
 //!   `{"ok":false,"error":"deadline exceeded"}`.
 //!
-//! The `"result"` payload is exactly the `gss_core::to_json` explain
-//! document (measures, per-graph GCS vectors, dominators, skyline,
-//! pruning stats when a pruned plan ran), compacted onto one line by the
-//! [`gss_core::jsonio`] writer.
+//! The `"result"` payload is exactly the `gss_core::to_json` *answer
+//! document*, compacted onto one line by the [`gss_core::jsonio`] writer:
+//! the measures, the resolved plan, the skyline members in ascending id
+//! (each `{"name":…,"gcs":[…]}` with its exact vector), and the pruning
+//! stats when a pruned plan ran. Its size follows the skyline, not the
+//! database: the per-graph rows (non-member vectors, dominators, best
+//! dimensions) are `gss_core::explain_json`'s, which `gss query --format
+//! json` prints and the wire never carries.
 //!
 //! ### Mutation verbs
 //!
@@ -521,7 +525,7 @@ pub enum Response {
         id: Option<Value>,
         /// True when the document came from the result cache.
         cached: bool,
-        /// The compact explain document, verbatim.
+        /// The compact answer document (`gss_core::to_json`), verbatim.
         result: String,
     },
     /// A mutation batch was applied: the new epoch plus what it did.

@@ -2,13 +2,14 @@
 //! (`gss_core::exec`).
 //!
 //! * **Auto is Prefilter** — `Plan::Auto` returns the prefilter plan's
-//!   document at every database size, with or without an index attached,
-//!   and its verified counts are pinned on Figure 3 and a served-shape
-//!   database;
+//!   explain document at every database size, with or without an index
+//!   attached, and its verified counts are pinned on Figure 3 and a
+//!   served-shape database;
 //! * **Cancellation** — a fired [`CancelToken`] aborts every plan (and
 //!   each query of a batch independently) instead of returning a partial
 //!   answer;
-//! * **Pins** — every plan's document on the smoke workload, by digest.
+//! * **Pins** — every plan's explain and answer documents on the smoke
+//!   workload, by digest.
 //!
 //! Plan parity (answers, witnesses, vectors and the shard- and
 //! thread-invariant documents) is checked by the parity lattice
@@ -20,7 +21,7 @@ mod support;
 
 use proptest::prelude::*;
 use similarity_skyline::core::database::codec::Fnv64;
-use similarity_skyline::core::{exec, to_json, QueryIndex};
+use similarity_skyline::core::{exec, explain_json, to_json, QueryIndex};
 use similarity_skyline::datasets::paper::figure3_database;
 use similarity_skyline::datasets::workload::{Workload, WorkloadConfig, WorkloadKind};
 use similarity_skyline::datasets::{perturb_typed, PerturbationStyle};
@@ -76,7 +77,7 @@ proptest! {
         let auto = graph_similarity_skyline(&db, &q, &options(Plan::Auto));
         let prefilter = graph_similarity_skyline(&db, &q, &options(Plan::Prefilter));
         prop_assert_eq!(auto.plan, ResolvedPlan::Prefilter);
-        prop_assert_eq!(to_json(&db, &auto), to_json(&db, &prefilter));
+        prop_assert_eq!(explain_json(&db, &auto), explain_json(&db, &prefilter));
     }
 
     #[test]
@@ -192,36 +193,39 @@ fn digest(text: &str) -> u64 {
     h.finish()
 }
 
-/// Every plan's whole explain document, pinned by digest on the committed
-/// smoke workload with the default pivot index. The parity lattice compares plans with each
-/// other, so a counter or a reported non-member row that moved under every
-/// plan at once would pass it; it fails here.
+/// Every plan's whole explain document and its answer document, pinned by
+/// digest on the committed smoke workload with the default pivot index.
+/// The parity lattice compares plans with each other, so a counter or a
+/// reported non-member row that moved under every plan at once would pass
+/// it; it fails here.
 #[test]
 fn smoke_workload_documents_are_pinned_for_every_plan() {
     let w = Workload::generate(&WorkloadConfig::bench_smoke());
     let (db, q) = (GraphDatabase::from_parts(w.vocab, w.graphs), w.query);
     let index = Arc::new(PivotIndex::build(&db, &PivotIndexConfig::default()));
-    let expected: [(Plan, usize, u64); 10] = [
-        (Plan::Auto, 1, 0x6fe52aec67ec9702),
-        (Plan::Auto, 3, 0x6fe52aec67ec9702),
-        (Plan::Naive, 1, 0x58f3b3c2d6a5d1c5),
-        (Plan::Naive, 3, 0x58f3b3c2d6a5d1c5),
-        (Plan::Prefilter, 1, 0x6fe52aec67ec9702),
-        (Plan::Prefilter, 3, 0x6fe52aec67ec9702),
-        (Plan::Indexed, 1, 0xe054b6317908fe77),
-        (Plan::Indexed, 3, 0xe054b6317908fe77),
-        (Plan::Sharded, 1, 0xcbbb547a05f9bd7c),
-        (Plan::Sharded, 3, 0xcbbb547a05f9bd7c),
+    // (plan, threads, explain document, answer document)
+    let expected: [(Plan, usize, u64, u64); 10] = [
+        (Plan::Auto, 1, 0x6fe52aec67ec9702, 0xacae83cb6126ad0f),
+        (Plan::Auto, 3, 0x6fe52aec67ec9702, 0xacae83cb6126ad0f),
+        (Plan::Naive, 1, 0x58f3b3c2d6a5d1c5, 0xcd5381834179ef30),
+        (Plan::Naive, 3, 0x58f3b3c2d6a5d1c5, 0xcd5381834179ef30),
+        (Plan::Prefilter, 1, 0x6fe52aec67ec9702, 0xacae83cb6126ad0f),
+        (Plan::Prefilter, 3, 0x6fe52aec67ec9702, 0xacae83cb6126ad0f),
+        (Plan::Indexed, 1, 0xe054b6317908fe77, 0x788b07a188dbcec8),
+        (Plan::Indexed, 3, 0xe054b6317908fe77, 0x788b07a188dbcec8),
+        (Plan::Sharded, 1, 0xcbbb547a05f9bd7c, 0x64d1b3b77e060205),
+        (Plan::Sharded, 3, 0xcbbb547a05f9bd7c, 0x64d1b3b77e060205),
     ];
-    let got: Vec<(Plan, usize, u64)> = expected
+    let got: Vec<(Plan, usize, u64, u64)> = expected
         .iter()
-        .map(|&(plan, threads, _)| {
+        .map(|&(plan, threads, _, _)| {
             let opts = QueryOptions {
                 shards: 3,
                 ..plan_options(&index, plan, threads, SolverConfig::default())
             };
-            let doc = to_json(&db, &graph_similarity_skyline(&db, &q, &opts));
-            (plan, threads, digest(&doc))
+            let r = graph_similarity_skyline(&db, &q, &opts);
+            let (explain, answer) = (explain_json(&db, &r), to_json(&db, &r));
+            (plan, threads, digest(&explain), digest(&answer))
         })
         .collect();
     assert_eq!(got, expected, "document digests moved: {got:#x?}");

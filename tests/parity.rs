@@ -10,7 +10,9 @@
 //!   graphs: skyline, witnesses, exact rows, `lb ≤ exact` and counter
 //!   conservation;
 //! * **document**, against the [`canonical`] configuration: the compact
-//!   `to_json` bytes the server caches (all the engine path exposes).
+//!   `to_json` answer document the server caches (all the engine path
+//!   exposes), and on the direct and batch paths also the compact
+//!   `explain_json` document with its per-graph rows.
 //!
 //! `PARITY_STATUS.md` records the level and scenario count per axis pair;
 //! [`parity_status_is_current`] rebuilds it.
@@ -21,7 +23,7 @@ use std::collections::{hash_map::Entry, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use similarity_skyline::core::{jsonio::escape, to_json};
+use similarity_skyline::core::{explain_json, jsonio::escape, to_json};
 use similarity_skyline::datasets::{paper::figure3_database, workload::WorkloadKind};
 use similarity_skyline::graph::format::parse_database;
 use similarity_skyline::prelude::*;
@@ -166,10 +168,11 @@ fn scenarios() -> Vec<Scenario> {
     (0..SCENARIOS).map(&mut draw).collect()
 }
 
-/// What one configuration returned: its compact `to_json` document, and
-/// the result on the paths that expose it.
+/// What one configuration returned: its compact answer document, and its
+/// compact explain document and result on the paths that expose them.
 struct Eval {
-    doc: String,
+    answer: String,
+    explain: Option<String>,
     result: Option<GssResult>,
 }
 
@@ -273,9 +276,9 @@ impl Built {
             assert_eq!(answer(&batch[0]), answer(&alone), "{}: batch", describe(c));
             batch.remove(1)
         };
-        let doc = compact(&to_json(db, &r));
         Eval {
-            doc,
+            answer: compact(&to_json(db, &r)),
+            explain: Some(compact(&explain_json(db, &r))),
             result: Some(r),
         }
     }
@@ -312,11 +315,15 @@ impl Built {
             );
         }
         let approx = c[SOLVERS] == 1;
-        let ((miss, doc), (hit, replay)) = (ask(approx), ask(approx));
+        let ((miss, answer), (hit, replay)) = (ask(approx), ask(approx));
         let at = describe(c);
         assert_eq!((miss, hit), (false, true), "{at}: miss, then hit");
-        assert_eq!(replay, doc, "{at}: the hit changed the document");
-        Eval { doc, result: None }
+        assert_eq!(replay, answer, "{at}: the hit changed the document");
+        Eval {
+            answer,
+            explain: None,
+            result: None,
+        }
     }
 }
 
@@ -361,7 +368,10 @@ fn check(s: &Scenario) {
         }
         let (e, want) = (&evals[c], &evals[&canonical(c)]);
         let at = format!("{} vs {}", describe(c), describe(&canonical(c)));
-        assert_eq!(e.doc, want.doc, "{at}: document");
+        assert_eq!(e.answer, want.answer, "{at}: answer document");
+        if let (Some(explain), Some(want)) = (&e.explain, &want.explain) {
+            assert_eq!(explain, want, "{at}: explain document");
+        }
     }
 }
 

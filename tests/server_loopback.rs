@@ -5,7 +5,8 @@
 //! 1. **Concurrent correctness** — N client threads hammering one server
 //!    receive, for every query, a result document byte-identical to the
 //!    single-threaded oracle (`graph_similarity_skyline` + `to_json`,
-//!    compacted by the same `jsonio` writer).
+//!    compacted by the same `jsonio` writer). That answer document names
+//!    the skyline members only, however large the database.
 //! 2. **Cache identity** — repeated queries are answered from the result
 //!    cache (`cached: true`) with payloads byte-identical to the fresh
 //!    evaluation (across random workloads, plans and solvers the parity
@@ -213,6 +214,54 @@ fn the_wire_transcript_matches_the_typed_envelopes() {
     }
     handle.shutdown();
     handle.join();
+}
+
+/// A served `result` is the answer document: the skyline members and their
+/// vectors, sized by the skyline rather than by the database. Against a few
+/// hundred graphs it names exactly the members, carries no per-graph rows,
+/// and equals the oracle's bytes.
+#[test]
+fn a_served_result_names_only_the_skyline_members() {
+    let (db, query) = build_workload(0x5C0B, 320, WorkloadKind::Molecule);
+    let db = Arc::new(db);
+    let handle = serve(
+        Arc::clone(&db),
+        QueryOptions::default(),
+        ServerConfig::default(),
+    )
+    .expect("bind loopback");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let request = query_request(&graph_text(&db, &query), &QueryOverrides::default());
+    let served = match client.request(&request).expect("query") {
+        Response::Result { result, .. } => result,
+        other => panic!("{other:?}"),
+    };
+    handle.shutdown();
+    handle.join();
+
+    let skyline = graph_similarity_skyline(&db, &query, &QueryOptions::default()).skyline;
+    assert!(skyline.len() < db.len() / 10, "{} members", skyline.len());
+    let doc = Value::parse(&served).expect("result JSON");
+    assert!(doc.get("graphs").is_none(), "{served}");
+    let names: Vec<&str> = doc
+        .get("skyline")
+        .and_then(Value::as_array)
+        .expect("a skyline array")
+        .iter()
+        .map(|m| {
+            m.get("name")
+                .and_then(Value::as_str)
+                .expect("a member name")
+        })
+        .collect();
+    let members: Vec<&str> = skyline.iter().map(|&id| db.name_of(id)).collect();
+    assert_eq!(names, members);
+    assert_eq!(
+        served.matches("\"name\":").count(),
+        skyline.len(),
+        "{served}"
+    );
+    assert_eq!(served, oracle(&db, &query, &QueryOptions::default()));
 }
 
 /// Pipelined requests on one connection come back strictly in request
