@@ -26,18 +26,18 @@ gss — similarity-skyline graph queries (Abbaci et al., GDM/ICDE 2011)
 
 USAGE:
   gss query    --db FILE (--query-name NAME | --query-file FILE)
-               [--refine K] [--approx] [--index IDX]
+               [--refine K] [--index IDX]
                [--plan auto|naive|prefilter|indexed|sharded] [--shards N]
                [--threads N] [--format text|json]
   gss measure  --db FILE --a NAME --b NAME
   gss topk     --db FILE --query-name NAME --measure ed|ned|mcs|gu [--k K]
-               [--approx] [--threads N]
+               [--threads N]
   gss index    build --db FILE --out IDX [--pivots K] [--rings R]
                [--exclude NAME]
   gss index    stats --index IDX [--db FILE]
   gss serve    --db FILE [--index IDX] [--addr HOST:PORT] [--workers N]
                [--reactor-threads N] [--plan PLAN] [--shards N] [--queue N]
-               [--cache N] [--batch N] [--deadline-ms MS] [--approx]
+               [--cache N] [--batch N] [--deadline-ms MS]
                [--staleness-budget N]
                [--data-dir DIR [--fsync always|off|every-N]
                [--checkpoint-every N]]
@@ -45,7 +45,7 @@ USAGE:
                [--insert-file FILE|-] [--remove NAME[,NAME…]]
                [--update NAME --update-file FILE|-]
                [--bench --db FILE [--connections C] [--repeat R] [--limit N]]
-               [--approx] [--plan PLAN] [--deadline-ms MS] [--retry N]
+               [--plan PLAN] [--deadline-ms MS] [--retry N]
   gss wal      inspect DIR
   gss pack     --db FILE --out FILE
   gss generate --kind molecule|uniform --count N [--vertices V] [--seed S]
@@ -144,18 +144,9 @@ pub(crate) fn split_query(
     Ok((rest, query.expect("id was found")))
 }
 
-pub(crate) fn solver_config(args: &Args) -> SolverConfig {
-    if args.flag("approx") {
-        SolverConfig::Approx
-    } else {
-        SolverConfig::Exact
-    }
-}
-
-/// The `--refine K` options: the query's own solvers and thread count.
+/// The `--refine K` options: the query's own thread count.
 fn refine_options(args: &Args) -> Result<RefineOptions, ArgError> {
     Ok(RefineOptions {
-        solvers: solver_config(args),
         threads: args.get_checked_or("threads", 1usize, 1.., "at least 1")?,
         ..RefineOptions::default()
     })
@@ -298,7 +289,6 @@ pub fn query(args: &Args) -> Result<String, ArgError> {
         "query-name",
         "query-file",
         "refine",
-        "approx",
         "index",
         "plan",
         "shards",
@@ -310,7 +300,6 @@ pub fn query(args: &Args) -> Result<String, ArgError> {
     let index = load_index(&db, args)?;
     let (plan, shards) = parse_plan(args, index.is_some())?;
     let options = QueryOptions {
-        solvers: solver_config(args),
         threads: args.get_checked_or("threads", 1usize, 1.., "at least 1")?,
         plan,
         shards,
@@ -470,13 +459,13 @@ pub fn measure(args: &Args) -> Result<String, ArgError> {
 
 /// `gss topk` — single-measure baseline retrieval.
 pub fn topk(args: &Args) -> Result<String, ArgError> {
-    args.reject_unknown(&["db", "query-name", "measure", "k", "approx", "threads"])?;
+    args.reject_unknown(&["db", "query-name", "measure", "k", "threads"])?;
     let db = load_db(args)?;
     let (db, q) = split_query(db, args.require("query-name")?)?;
     let measure = parse_measure(args.get_or("measure", "ed"))?;
     let k = args.get_parsed_or("k", 3usize)?;
     let threads = args.get_checked_or("threads", 1usize, 1.., "at least 1")?;
-    let scored = top_k_by_measure(&db, &q, measure, k, &solver_config(args), threads);
+    let scored = top_k_by_measure(&db, &q, measure, k, threads);
     let mut out = String::new();
     let _ = writeln!(out, "top-{k} by {}:", measure.name());
     for s in scored {
@@ -843,6 +832,9 @@ e 0 1 -
                 let expected = format!("{option} must be at least 1");
                 assert!(err.0.contains(&expected), "{err}");
             }
+            // Neither command takes an approximate solver setting.
+            let err = run(&args(&[base, &["--approx"]].concat())).expect_err("--approx");
+            assert!(err.0.contains("unknown option --approx"), "{err}");
         }
     }
 
@@ -878,32 +870,23 @@ e 0 1 -
     }
 
     #[test]
-    fn query_with_approx_and_threads() {
+    fn query_refuses_approx_and_honours_threads() {
         let (_keep, path) = write_temp_db();
-        let out = query(&args(&[
-            "--db",
-            &path,
-            "--query-name",
-            "needle",
-            "--approx",
-            "--threads",
-            "2",
-        ]))
-        .unwrap();
+        let query_words = ["--db", &path, "--query-name", "needle"];
+        let err = query(&args(&[&query_words[..], &["--approx"]].concat())).expect_err("--approx");
+        assert!(err.0.contains("unknown option --approx"), "{err}");
+        let out = query(&args(&[&query_words[..], &["--threads", "2"]].concat())).unwrap();
         assert!(out.contains("similarity skyline"));
     }
 
     #[test]
     fn refine_follows_the_query_solvers_and_threads() {
-        let options = refine_options(&args(&["--approx", "--threads", "3"])).unwrap();
+        let options = refine_options(&args(&["--threads", "3"])).unwrap();
         let default = RefineOptions::default();
-        assert_eq!(options.solvers, SolverConfig::Approx);
         assert_eq!(options.threads, 3);
         assert_eq!(options.measures, default.measures);
         assert_eq!(options.max_candidates, default.max_candidates);
-        let exact = refine_options(&args(&[])).unwrap();
-        assert_eq!(exact.solvers, SolverConfig::Exact);
-        assert_eq!(exact.threads, 1);
+        assert_eq!(refine_options(&args(&[])).unwrap().threads, 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! `t/v/e` text format (see `gss_graph::format`):
 //!
 //! ```text
-//! gss query    --db db.gdb --query-name q [--refine K] [--approx] [--threads N]
+//! gss query    --db db.gdb --query-name q [--refine K] [--threads N]
 //!              [--plan PLAN] [--index db.gsi]
 //! gss measure  --db db.gdb --a g1 --b g2
 //! gss topk     --db db.gdb --query-name q --measure ed|mcs|gu [--k K]

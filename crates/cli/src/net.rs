@@ -24,7 +24,7 @@ use gss_server::{
 use gss_store::{FsyncPolicy, WalConfig};
 
 use crate::args::{ArgError, Args};
-use crate::commands::{load_db, load_index, parse_plan, read_text_input, solver_config};
+use crate::commands::{load_db, load_index, parse_plan, read_text_input};
 
 /// `gss serve` — run the query server until a `shutdown` request drains it.
 pub fn serve(args: &Args) -> Result<String, ArgError> {
@@ -39,7 +39,6 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
         "cache",
         "batch",
         "deadline-ms",
-        "approx",
         "plan",
         "staleness-budget",
         "data-dir",
@@ -50,7 +49,6 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
     let index = load_index(&db, args)?;
     let (plan, shards) = parse_plan(args, index.is_some())?;
     let base = QueryOptions {
-        solvers: solver_config(args),
         plan,
         shards,
         ..Default::default()
@@ -215,9 +213,6 @@ fn wal_inspect(args: &Args) -> Result<String, ArgError> {
 /// (the default builder when none are given).
 fn client_builder(args: &Args) -> Result<ClientBuilder, ArgError> {
     let mut builder = Client::builder();
-    if args.flag("approx") {
-        builder = builder.approx(true);
-    }
     if let Some(plan) = args.get("plan") {
         builder = builder.plan(gss_core::Plan::parse(plan).ok_or_else(|| {
             ArgError(format!(
@@ -265,7 +260,6 @@ pub fn client(args: &Args) -> Result<String, ArgError> {
         "connections",
         "repeat",
         "limit",
-        "approx",
         "plan",
         "deadline-ms",
         "retry",

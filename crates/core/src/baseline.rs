@@ -28,11 +28,10 @@ pub fn top_k_by_measure(
     query: &Graph,
     measure: MeasureKind,
     k: usize,
-    solvers: &SolverConfig,
     threads: usize,
 ) -> Vec<ScoredGraph> {
     let distances = parallel_map_indexed(db.len(), threads, |i| {
-        let p = compute_primitives(db.get(GraphId(i)), query, solvers);
+        let p = compute_primitives(db.get(GraphId(i)), query, &SolverConfig::Exact);
         measure.from_primitives(&p)
     });
     let mut scored: Vec<ScoredGraph> = distances
@@ -57,14 +56,7 @@ mod tests {
     fn paper_contrast_g3_in_ed_top3_but_dominated() {
         let data = figure3_database();
         let db = GraphDatabase::from_parts(data.vocab, data.graphs);
-        let top3 = top_k_by_measure(
-            &db,
-            &data.query,
-            MeasureKind::EditDistance,
-            3,
-            &SolverConfig::default(),
-            1,
-        );
+        let top3 = top_k_by_measure(&db, &data.query, MeasureKind::EditDistance, 3, 1);
         let ids: Vec<usize> = top3.iter().map(|s| s.id.index()).collect();
         // DistEd: g4=2, g3=3, g5=3 → top-3 = {g4, g3, g5}.
         assert!(ids.contains(&3), "g4 must be in ED top-3");
@@ -86,26 +78,12 @@ mod tests {
     fn ordering_and_truncation() {
         let data = figure3_database();
         let db = GraphDatabase::from_parts(data.vocab, data.graphs);
-        let all = top_k_by_measure(
-            &db,
-            &data.query,
-            MeasureKind::EditDistance,
-            usize::MAX,
-            &SolverConfig::default(),
-            2,
-        );
+        let all = top_k_by_measure(&db, &data.query, MeasureKind::EditDistance, usize::MAX, 2);
         assert_eq!(all.len(), db.len());
         for w in all.windows(2) {
             assert!(w[0].distance <= w[1].distance);
         }
-        let none = top_k_by_measure(
-            &db,
-            &data.query,
-            MeasureKind::EditDistance,
-            0,
-            &SolverConfig::default(),
-            1,
-        );
+        let none = top_k_by_measure(&db, &data.query, MeasureKind::EditDistance, 0, 1);
         assert!(none.is_empty());
     }
 
@@ -113,30 +91,9 @@ mod tests {
     fn different_measures_rank_differently() {
         let data = figure3_database();
         let db = GraphDatabase::from_parts(data.vocab, data.graphs);
-        let by_ed = top_k_by_measure(
-            &db,
-            &data.query,
-            MeasureKind::EditDistance,
-            1,
-            &SolverConfig::default(),
-            1,
-        );
-        let by_mcs = top_k_by_measure(
-            &db,
-            &data.query,
-            MeasureKind::Mcs,
-            1,
-            &SolverConfig::default(),
-            1,
-        );
-        let by_gu = top_k_by_measure(
-            &db,
-            &data.query,
-            MeasureKind::Gu,
-            1,
-            &SolverConfig::default(),
-            1,
-        );
+        let by_ed = top_k_by_measure(&db, &data.query, MeasureKind::EditDistance, 1, 1);
+        let by_mcs = top_k_by_measure(&db, &data.query, MeasureKind::Mcs, 1, 1);
+        let by_gu = top_k_by_measure(&db, &data.query, MeasureKind::Gu, 1, 1);
         // Section VI: g4 best by DistEd, g1 best by DistMcs, g7 best by DistGu.
         assert_eq!(by_ed[0].id, GraphId(3));
         assert_eq!(by_mcs[0].id, GraphId(0));

@@ -8,8 +8,7 @@
 //! 2. the **query graph** — [`query_fingerprint`], a structural hash over
 //!    label *strings* (not interned ids, which are vocabulary-relative);
 //! 3. the **options** — [`options_fingerprint`], covering the measures,
-//!    the solver configuration, the requested plan, and the attached
-//!    index's identity.
+//!    the requested plan, and the attached index's identity.
 //!
 //! [`QueryKey`] bundles the three. Notably **excluded** is
 //! [`QueryOptions::threads`]: thread count never changes the skyline or
@@ -29,7 +28,6 @@ use gss_graph::{Graph, Vocabulary};
 
 use crate::database::codec::Fnv64;
 use crate::database::GraphDatabase;
-use crate::measures::SolverConfig;
 use crate::query::QueryOptions;
 
 /// The composite cache key of one query evaluation.
@@ -97,8 +95,8 @@ pub fn query_fingerprint(query: &Graph, vocab: &Vocabulary) -> u64 {
 }
 
 /// A fingerprint of everything in [`QueryOptions`] that can change the
-/// response: measures (order-sensitive), the [`SolverConfig`], the
-/// requested [`crate::Plan`], and the attached index's identity
+/// response: measures (order-sensitive), the requested [`crate::Plan`],
+/// and the attached index's identity
 /// ([`crate::QueryIndex::describe`]). `threads` and `shards` are
 /// deliberately excluded — see the module docs.
 ///
@@ -108,7 +106,8 @@ pub fn query_fingerprint(query: &Graph, vocab: &Vocabulary) -> u64 {
 pub fn options_fingerprint(options: &QueryOptions) -> u64 {
     let QueryOptions {
         measures,
-        solvers,
+        // One solver pair: `SolverConfig` has a single variant.
+        solvers: _,
         // Thread count never changes the result bytes: the server
         // normalizes every evaluation to wave-parallel batches with
         // per-query threads = 1, and the wave schedule is deterministic.
@@ -127,12 +126,6 @@ pub fn options_fingerprint(options: &QueryOptions) -> u64 {
     for m in measures {
         hash_str(&mut h, m.name());
     }
-    let (ged, mcs) = match solvers {
-        SolverConfig::Exact => ("ged:exact", "mcs:exact"),
-        SolverConfig::Approx => ("ged:bipartite", "mcs:greedy"),
-    };
-    hash_str(&mut h, ged);
-    hash_str(&mut h, mcs);
     // The requested plan is part of the key: plans never change answers,
     // but they do change the response document (the plan name and pruning
     // stats), and `Auto` always resolves to `Prefilter`.
@@ -226,12 +219,6 @@ mod tests {
             ..base.clone()
         };
         assert_ne!(fp, options_fingerprint(&prefilter));
-
-        let approx = QueryOptions {
-            solvers: SolverConfig::Approx,
-            ..base.clone()
-        };
-        assert_ne!(fp, options_fingerprint(&approx));
 
         let measures = QueryOptions {
             measures: vec![MeasureKind::EditDistance],

@@ -426,7 +426,6 @@ impl<'a> Verifier<'a> {
                     self.db.get(GraphId(batch[k])),
                     self.query,
                     &self.options.measures,
-                    &self.options.solvers,
                 )
             });
             for (k, v) in results.into_iter().enumerate() {
@@ -479,8 +478,7 @@ fn execute<'a>(
     let mut scan = Scan {
         plan,
         // The query-side invariants are hoisted once per scan; the
-        // isomorphism short-circuit stays off for naive scans and
-        // approximate solvers.
+        // isomorphism short-circuit stays off for naive scans.
         ctx: PrefilterContext::for_query(query, &options.solvers, plan != ResolvedPlan::Naive),
         v: Verifier::new(db, query, options, cancel, prunes),
         summaries: vec![None; n],

@@ -55,38 +55,40 @@ pub fn explain_all(result: &GssResult) -> Vec<Explanation> {
     let n = result.gcs.len();
     let points: Vec<&Vec<f64>> = result.gcs.iter().map(|g| &g.values).collect();
     let dims = result.measures.len();
+    // The verified ids, ascending: the only candidates for a best dimension
+    // or a dominator, so each row costs O(verified), not O(n).
+    let verified: Vec<usize> = (0..n).filter(|&i| result.evaluated[i]).collect();
 
     // Unique minimum per dimension, among verified vectors.
-    let mut best_of_dim: Vec<Option<usize>> = Vec::with_capacity(dims);
-    for d in 0..dims {
-        let mut best: Option<(usize, f64)> = None;
-        let mut unique = true;
-        for (i, p) in points.iter().enumerate() {
-            if !result.evaluated[i] {
-                continue;
-            }
-            match best {
-                None => best = Some((i, p[d])),
-                Some((_, v)) if p[d] < v => {
-                    best = Some((i, p[d]));
-                    unique = true;
+    let best_of_dim: Vec<Option<usize>> = (0..dims)
+        .map(|d| {
+            let mut best: Option<(usize, f64)> = None;
+            let mut unique = true;
+            for &i in &verified {
+                let v = points[i][d];
+                match best {
+                    None => best = Some((i, v)),
+                    Some((_, b)) if v < b => {
+                        best = Some((i, v));
+                        unique = true;
+                    }
+                    Some((_, b)) if v == b => unique = false,
+                    _ => {}
                 }
-                Some((_, v)) if p[d] == v => unique = false,
-                _ => {}
             }
-        }
-        best_of_dim.push(best.filter(|_| unique).map(|(i, _)| i));
-    }
+            best.filter(|_| unique).map(|(i, _)| i)
+        })
+        .collect();
 
     (0..n)
         .map(|i| {
             // Comparing a verified vector (j) against a lower bound (i,
             // when pruned) is sound: dominating the lower bound implies
             // dominating the true vector.
-            let mut dominators: Vec<GraphId> = (0..n)
-                .filter(|&j| {
-                    j != i && result.evaluated[j] && gss_skyline::dominates(points[j], points[i])
-                })
+            let mut dominators: Vec<GraphId> = verified
+                .iter()
+                .copied()
+                .filter(|&j| j != i && gss_skyline::dominates(points[j], points[i]))
                 .map(GraphId)
                 .collect();
             if dominators.is_empty() {

@@ -18,13 +18,8 @@
 //!
 //! For every partition `P` returned by [`QueryIndex::plan`] and every
 //! member `g ∈ P`, the bound vector must satisfy
-//! `bound[j] ≤ value_j(g, q)` for each measure `j`, where `value_j` is what
-//! the **configured solvers** report — not just the exact distance. The
-//! approximate solvers only ever over-estimate distances (bipartite GED is
-//! an upper bound; greedy MCS under-estimates `|mcs|`, which
-//! over-estimates `DistMcs`/`DistGu`), so any bound that is admissible
-//! against the exact distances is admissible under both
-//! [`crate::SolverConfig`]s.
+//! `bound[j] ≤ value_j(g, q)` for each measure `j`, where `value_j` is the
+//! exact distance the solvers report.
 //!
 //! The partitions must form an exact partition of the database: every
 //! [`GraphId`] appears in exactly one partition. The engine validates this

@@ -3,8 +3,8 @@
 //! All three measures of Section IV (and the normalized edit distance used
 //! by Section VII) are functions of two *primitives* of a graph pair: the
 //! uniform graph edit distance and the connected maximum-common-subgraph
-//! edge count. [`compute_primitives`] runs the configured exact/approximate
-//! solvers once per pair and every requested measure derives from the result
+//! edge count. [`compute_primitives`] runs the exact solvers once per pair
+//! and every requested measure derives from the result
 //! ([`MeasureKind::from_primitives`]), so adding a dimension to a query
 //! costs almost nothing extra.
 
@@ -12,7 +12,7 @@ use std::cell::RefCell;
 
 use gss_ged::{bipartite::bipartite_ged_with, exact_ged, CostModel, GedOptions};
 use gss_graph::Graph;
-use gss_mcs::{greedy::greedy_mcs, mcs_edge_size};
+use gss_mcs::mcs_edge_size;
 
 thread_local! {
     /// Per-thread bipartite-GED workspace (flat cost matrix + Hungarian
@@ -26,26 +26,23 @@ thread_local! {
     static GED_WORKSPACE: RefCell<gss_ged::Workspace> = RefCell::new(gss_ged::Workspace::new());
 }
 
-/// Solver configuration for a query: which GED and MCS solvers
-/// [`compute_primitives`] runs.
+/// Solver configuration for a query. One variant: the paper's measures
+/// are exact. The type survives only while the benchmark harness still
+/// names it (ROADMAP item 16).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum SolverConfig {
     /// The paper's exact measures: exact branch-and-bound GED (warm-started
     /// by the bipartite bound) and exact connected MCS.
     #[default]
     Exact,
-    /// Riesen–Bunke bipartite GED (an upper bound) and multi-start greedy
-    /// MCS (a lower bound on `|mcs|`), so the GED- and MCS-derived
-    /// distances can only over-estimate.
-    Approx,
 }
 
 /// The shared primitives of a pair.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct PairPrimitives {
-    /// (Possibly approximate) uniform graph edit distance.
+    /// Uniform graph edit distance.
     pub ged: f64,
-    /// (Possibly approximate) connected MCS size in edges.
+    /// Connected MCS size in edges.
     pub mcs_edges: usize,
     /// Sizes `|g1|`, `|g2|` in edges.
     pub sizes: (usize, usize),
@@ -141,31 +138,24 @@ impl MeasureKind {
     }
 }
 
-/// Computes pair primitives under a [`SolverConfig`].
-pub fn compute_primitives(g1: &Graph, g2: &Graph, config: &SolverConfig) -> PairPrimitives {
+/// Computes the exact pair primitives: branch-and-bound GED warm-started
+/// by the bipartite bound, and the exact connected MCS.
+///
+/// `_solvers` is kept only until the benchmark harness stops passing it
+/// (ROADMAP item 16); it has one value and selects nothing.
+pub fn compute_primitives(g1: &Graph, g2: &Graph, _solvers: &SolverConfig) -> PairPrimitives {
     let cost = CostModel::uniform();
-    let bipartite = |g1: &Graph, g2: &Graph| {
-        GED_WORKSPACE.with(|ws| bipartite_ged_with(g1, g2, &cost, &mut ws.borrow_mut()))
-    };
-    let ged = match config {
-        SolverConfig::Exact => {
-            let warm = bipartite(g1, g2);
-            exact_ged(
-                g1,
-                g2,
-                &GedOptions {
-                    cost,
-                    warm_start: Some(warm.mapping),
-                },
-            )
-            .cost
-        }
-        SolverConfig::Approx => bipartite(g1, g2).cost,
-    };
-    let mcs_edges = match config {
-        SolverConfig::Exact => mcs_edge_size(g1, g2),
-        SolverConfig::Approx => greedy_mcs(g1, g2).edges(),
-    };
+    let warm = GED_WORKSPACE.with(|ws| bipartite_ged_with(g1, g2, &cost, &mut ws.borrow_mut()));
+    let ged = exact_ged(
+        g1,
+        g2,
+        &GedOptions {
+            cost,
+            warm_start: Some(warm.mapping),
+        },
+    )
+    .cost;
+    let mcs_edges = mcs_edge_size(g1, g2);
     let (label_mismatch, label_total) = label_histogram_stats(g1, g2);
     PairPrimitives {
         ged,
@@ -197,13 +187,8 @@ pub struct GcsVector {
 
 impl GcsVector {
     /// Builds the GCS vector for a pair.
-    pub fn compute(
-        g1: &Graph,
-        g2: &Graph,
-        measures: &[MeasureKind],
-        config: &SolverConfig,
-    ) -> GcsVector {
-        let p = compute_primitives(g1, g2, config);
+    pub fn compute(g1: &Graph, g2: &Graph, measures: &[MeasureKind]) -> GcsVector {
+        let p = compute_primitives(g1, g2, &SolverConfig::Exact);
         GcsVector {
             values: measures.iter().map(|m| m.from_primitives(&p)).collect(),
         }
@@ -274,25 +259,10 @@ mod tests {
     }
 
     #[test]
-    fn approximate_solvers_bound_exact() {
-        let (a, b) = pair();
-        let exact = compute_primitives(&a, &b, &SolverConfig::default());
-        let approx = compute_primitives(&a, &b, &SolverConfig::Approx);
-        assert!(
-            approx.ged >= exact.ged - 1e-9,
-            "bipartite is an upper bound"
-        );
-        assert!(
-            approx.mcs_edges <= exact.mcs_edges,
-            "greedy is a lower bound"
-        );
-    }
-
-    #[test]
     fn gcs_vector_follows_measure_order() {
         let (a, b) = pair();
         let measures = MeasureKind::paper_query_measures();
-        let gcs = GcsVector::compute(&a, &b, &measures, &SolverConfig::default());
+        let gcs = GcsVector::compute(&a, &b, &measures);
         assert_eq!(gcs.values.len(), 3);
         assert_eq!(gcs.values[0], 1.0); // DistEd first
         assert_eq!(gcs.values[1], 0.5); // DistMcs second

@@ -23,17 +23,12 @@
 //! * a **distance-zero short-circuit**: when the candidate's 1-WL
 //!   fingerprint matches the query's, the graphs are connected, and VF2
 //!   confirms isomorphism, the exact GCS vector is all-zeros — no solver
-//!   runs at all. Active only when both solvers are exact
-//!   (see [`PrefilterContext::for_query`]): approximate solvers may report
-//!   nonzero distances even for isomorphic pairs, and the pipeline promises
-//!   byte-identical results to whatever the configured solvers produce.
+//!   runs at all. Active whenever the plan prunes (see
+//!   [`PrefilterContext::for_query`]).
 //!
 //! Soundness contract, relied on by the staged executor's dominance
 //! pruning in [`crate::exec`]: for every measure `m`, `lower_bound_m(g, q) ≤ value_m(g, q)`
-//! where `value_m` is whatever the configured solver reports — the bounds
-//! hold for the *exact* solvers and remain valid for the approximate ones
-//! (under [`SolverConfig::Approx`], bipartite GED only over-estimates and
-//! greedy MCS only under-estimates `|mcs|`).
+//! where `value_m` is the exact distance the solvers report.
 
 use gss_graph::stats::{
     degree_sequence, degree_sequence_l1_presorted, edge_class_multiset, edge_label_multiset,
@@ -52,7 +47,7 @@ const WL_ROUNDS: usize = GraphStats::WL_ROUNDS;
 #[derive(Clone, Debug, PartialEq)]
 pub struct PrefilterSummary {
     /// Per-measure lower bounds, in the query's measure order. Every entry
-    /// is `≤` the corresponding exact (or approximate-solver) distance.
+    /// is `≤` the corresponding exact distance.
     pub lower: GcsVector,
     /// True when the candidate was proven isomorphic to the query: its exact
     /// GCS vector is all-zeros and no solver needs to run.
@@ -150,27 +145,25 @@ pub struct PrefilterContext {
 impl PrefilterContext {
     /// Builds the context for one query scan.
     ///
-    /// The isomorphism short-circuit claims the exact GCS vector is
-    /// all-zeros, which is only what the configured solvers would report
-    /// under [`SolverConfig::Exact`]: the bipartite GED upper bound and the
-    /// greedy MCS legitimately return nonzero distances for isomorphic
-    /// pairs, and the pipeline's contract is byte-identical results to
-    /// whatever the solvers produce. Under [`SolverConfig::Approx`] the
-    /// short-circuit is therefore disabled; lower-bound pruning remains
-    /// active and sound.
-    pub fn for_query(q: &Graph, solvers: &SolverConfig, prefilter: bool) -> Self {
-        let check = prefilter && *solvers == SolverConfig::Exact;
+    /// With `prefilter` set, the isomorphism short-circuit is on: a
+    /// connected candidate VF2 proves isomorphic to the query gets the
+    /// all-zeros vector the exact solvers would report, without running
+    /// them. `Naive` passes `false`, so every candidate meets the solvers.
+    ///
+    /// `_solvers` is kept only until the benchmark harness stops passing it
+    /// (ROADMAP item 16); it has one value and selects nothing.
+    pub fn for_query(q: &Graph, _solvers: &SolverConfig, prefilter: bool) -> Self {
         let vertex_labels = vertex_label_multiset(q);
         let edge_labels = edge_label_multiset(q);
         let label_total = vertex_labels.total() + edge_labels.total();
         PrefilterContext {
-            query_fingerprint: if check {
+            query_fingerprint: if prefilter {
                 wl::wl_fingerprint(q, WL_ROUNDS)
             } else {
                 0
             },
-            query_connected: check && algo::is_connected(q),
-            check_isomorphism: check,
+            query_connected: prefilter && algo::is_connected(q),
+            check_isomorphism: prefilter,
             vertex_labels,
             edge_labels,
             edge_classes: edge_class_multiset(q),
@@ -425,16 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn approximate_solvers_disable_the_short_circuit() {
-        let (a, _) = pair();
-        let ctx = PrefilterContext::for_query(&a, &SolverConfig::Approx, true);
-        let summary = summarize(&a, &a, &MeasureKind::paper_query_measures(), &ctx);
-        assert!(!summary.isomorphic, "Approx must not short-circuit");
-        // Lower bounds are still produced.
-        assert_eq!(summary.lower.values, vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
     fn context_path_matches_standalone_bounds() {
         // `summarize` combines the hoisted query-side invariants with the
         // candidate side; the result must be exactly what the standalone
@@ -465,27 +448,24 @@ mod tests {
     #[test]
     fn cached_stats_path_matches_ad_hoc_summaries() {
         // `summarize_deferred` fed from the database cache must produce
-        // exactly what the standalone `summarize` computes, for exact and
-        // approximate solver configs alike.
+        // exactly what the standalone `summarize` computes.
         use crate::database::{GraphDatabase, GraphId};
         let (a, b) = pair();
         let mut db = GraphDatabase::new();
         let ida = db.push(a.clone());
         let _ = db.push(b.clone());
-        for solvers in [SolverConfig::Exact, SolverConfig::Approx] {
-            let ctx = PrefilterContext::for_query(&b, &solvers, true);
-            for id in [ida, GraphId(1)] {
-                let g = db.get(id).clone();
-                let cached = summarize_deferred(
-                    || &g,
-                    db.stats(id),
-                    &b,
-                    &MeasureKind::paper_query_measures(),
-                    &ctx,
-                );
-                let ad_hoc = summarize(&g, &b, &MeasureKind::paper_query_measures(), &ctx);
-                assert_eq!(cached, ad_hoc, "{solvers:?} g{}", id.index());
-            }
+        let ctx = exact_ctx(&b);
+        for id in [ida, GraphId(1)] {
+            let g = db.get(id).clone();
+            let cached = summarize_deferred(
+                || &g,
+                db.stats(id),
+                &b,
+                &MeasureKind::paper_query_measures(),
+                &ctx,
+            );
+            let ad_hoc = summarize(&g, &b, &MeasureKind::paper_query_measures(), &ctx);
+            assert_eq!(cached, ad_hoc, "g{}", id.index());
         }
     }
 

@@ -17,8 +17,6 @@ pub struct RefineOptions {
     /// Pairwise distance dimensions. Default: the paper's Section VII
     /// triple `(DistN-Ed, DistMcs, DistGu)`.
     pub measures: Vec<MeasureKind>,
-    /// Solver configuration for pairwise primitives.
-    pub solvers: SolverConfig,
     /// Worker threads for the pairwise matrix.
     pub threads: usize,
     /// Cap on `C(n, k)` for the exact enumeration.
@@ -29,7 +27,6 @@ impl Default for RefineOptions {
     fn default() -> Self {
         RefineOptions {
             measures: MeasureKind::paper_diversity_measures(),
-            solvers: SolverConfig::default(),
             threads: 1,
             max_candidates: 1 << 24,
         }
@@ -56,7 +53,6 @@ pub fn pairwise_matrices(
     db: &GraphDatabase,
     members: &[GraphId],
     measures: &[MeasureKind],
-    solvers: &SolverConfig,
     threads: usize,
 ) -> Vec<Vec<Vec<f64>>> {
     let n = members.len();
@@ -69,7 +65,7 @@ pub fn pairwise_matrices(
     }
     let prims = parallel_map_indexed(pairs.len(), threads, |k| {
         let (a, b) = pairs[k];
-        compute_primitives(db.get(members[a]), db.get(members[b]), solvers)
+        compute_primitives(db.get(members[a]), db.get(members[b]), &SolverConfig::Exact)
     });
     let mut matrices = vec![vec![vec![0.0f64; n]; n]; measures.len()];
     for (k, &(a, b)) in pairs.iter().enumerate() {
@@ -90,13 +86,7 @@ pub fn refine_skyline(
     k: usize,
     options: &RefineOptions,
 ) -> Result<RefinedSkyline, DiversityError> {
-    let matrices = pairwise_matrices(
-        db,
-        members,
-        &options.measures,
-        &options.solvers,
-        options.threads,
-    );
+    let matrices = pairwise_matrices(db, members, &options.measures, options.threads);
     let evaluation = refine_exact(&matrices, k, options.max_candidates)?;
     let selected = evaluation
         .best_members()
@@ -119,13 +109,7 @@ pub fn refine_skyline_greedy(
     k: usize,
     options: &RefineOptions,
 ) -> Vec<GraphId> {
-    let matrices = pairwise_matrices(
-        db,
-        members,
-        &options.measures,
-        &options.solvers,
-        options.threads,
-    );
+    let matrices = pairwise_matrices(db, members, &options.measures, options.threads);
     refine_greedy(&matrices, k)
         .into_iter()
         .map(|i| members[i])
@@ -183,13 +167,7 @@ mod tests {
     #[test]
     fn matrices_are_symmetric_zero_diagonal() {
         let (db, members) = paper_members();
-        let m = pairwise_matrices(
-            &db,
-            &members,
-            &MeasureKind::paper_diversity_measures(),
-            &SolverConfig::default(),
-            2,
-        );
+        let m = pairwise_matrices(&db, &members, &MeasureKind::paper_diversity_measures(), 2);
         assert_eq!(m.len(), 3);
         for mat in &m {
             for (i, row) in mat.iter().enumerate() {

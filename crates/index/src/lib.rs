@@ -40,12 +40,9 @@
 //! common-subgraph size against any query, which lower-bounds `DistMcs`
 //! and `DistGu` for the whole partition.
 //!
-//! Both bound families are admissible against the *exact* distances, and
-//! every approximate solver in the workspace only ever over-estimates
-//! distances, so the bounds stay sound under every
-//! [`gss_core::SolverConfig`] — the indexed scan is provably
-//! answer-identical to the naive scan (property-tested in
-//! `tests/index_pipeline.rs`).
+//! Both bound families are admissible against the exact distances, so
+//! the indexed scan is provably answer-identical to the naive scan
+//! (property-tested in `tests/index_pipeline.rs`).
 //!
 //! # Incremental maintenance (live databases)
 //!

@@ -380,7 +380,7 @@ impl Solver<'_> {
 /// given [`Objective`].
 ///
 /// Exact but exponential in the worst case; intended for the small graphs of
-/// this domain. For a fast approximation see [`crate::greedy::greedy_mcs`].
+/// this domain.
 pub fn maximum_common_subgraph(g1: &Graph, g2: &Graph, objective: Objective) -> Mcs {
     maximum_common_subgraph_expanded(g1, g2, objective).0
 }

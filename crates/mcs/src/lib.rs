@@ -6,20 +6,16 @@
 //! the quantity driving the `DistMcs` (Bunke–Shearer) and `DistGu`
 //! (Wallis et al.) distance measures of Section IV.
 //!
-//! Three solvers are provided:
+//! Two solvers are provided:
 //!
 //! * [`exact::maximum_common_subgraph`] — a branch-and-bound search over
 //!   partial vertex mappings grown along shared edges, with an edge-class
 //!   upper bound for pruning. Exact; exponential in the worst case; intended
 //!   for the small graphs (≲ 20 edges) this domain works with.
-//! * [`greedy::greedy_mcs`] — a multi-start greedy approximation that grows
-//!   the mapping by the best immediate edge gain from every compatible seed
-//!   edge pair; a fast *lower* bound, the MCS of the approximate solver
-//!   setting.
 //! * [`oracle::mcs_edges_by_definition`] — a direct executable transcription
 //!   of Definition 7 (enumerate connected edge subsets of `g1` by decreasing
 //!   size, test embeddability with `gss-iso`). Hopelessly slow, but the
-//!   ground truth the other solvers are checked against.
+//!   ground truth the exact solver is checked against.
 //!
 //! The exact kernel is an allocation-free word-parallel rewrite; the
 //! original implementation is kept as a test-only parity reference (a
@@ -56,7 +52,6 @@
 #![warn(missing_docs)]
 
 pub mod exact;
-pub mod greedy;
 pub mod oracle;
 #[cfg(test)]
 mod reference;

@@ -5,8 +5,8 @@
 //!
 //! This module enumerates edge subsets of `g1` in decreasing size and tests
 //! each with `gss-iso`. Complexity is `O(2^|g1| · iso)`; it exists purely as
-//! the ground truth that [`crate::exact`] and [`crate::greedy`] are verified
-//! against (and as living documentation of the semantics).
+//! the ground truth that [`crate::exact`] is verified against (and as
+//! living documentation of the semantics).
 
 use gss_graph::algo::largest_connected_edge_component;
 use gss_graph::stats::mcs_upper_bound;

@@ -47,9 +47,9 @@
 //!   (first graph of the document is used). Labels unknown to the
 //!   database are fine; they simply never match.
 //! * `"options"` (optional object) — per-request overrides of the
-//!   server's base options: `"approx"` (bool: bipartite GED + greedy
-//!   MCS) and `"plan"` (`"auto"|"naive"|"prefilter"|"indexed"|"sharded"`;
-//!   `"indexed"` needs a server-side index). Unknown keys are rejected.
+//!   server's base options. The one key is `"plan"`
+//!   (`"auto"|"naive"|"prefilter"|"indexed"|"sharded"`; `"indexed"` needs
+//!   a server-side index). Unknown keys are rejected.
 //! * `"deadline_ms"` (optional) — the evaluation deadline. If the request
 //!   is still waiting in the server queue when it expires it is dropped;
 //!   if it expires **mid-evaluation**, the scan is aborted at the next
@@ -177,23 +177,13 @@ pub struct QueryEnvelope {
     pub deadline_ms: Option<u64>,
 }
 
-/// Typed per-request overrides of the server's base query options. Every
-/// field defaults to `None` — "keep the server's setting".
+/// Typed per-request overrides of the server's base query options. The
+/// field defaults to `None` — "keep the server's setting". The solvers are
+/// always exact, so the plan is the only override.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QueryOverrides {
-    /// `true` selects the approximate solver pair (bipartite GED + greedy
-    /// MCS); `false` forces the exact solvers.
-    pub approx: Option<bool>,
     /// Evaluation plan override (`auto|naive|prefilter|indexed|sharded`).
     pub plan: Option<Plan>,
-}
-
-impl QueryOverrides {
-    /// True when every field keeps the server default (no `"options"`
-    /// object is emitted on the wire).
-    pub fn is_empty(&self) -> bool {
-        *self == QueryOverrides::default()
-    }
 }
 
 /// A request parse failure: the correlation id (when one was readable)
@@ -318,27 +308,10 @@ impl Request {
                 extra.push_str(",\"graph\":\"");
                 extra.push_str(&escape(&q.graph));
                 extra.push('"');
-                let o = &q.overrides;
-                if !o.is_empty() {
-                    extra.push_str(",\"options\":{");
-                    let mut first = true;
-                    let mut member = |out: &mut String, name: &str, value: String| {
-                        if !first {
-                            out.push(',');
-                        }
-                        first = false;
-                        out.push('"');
-                        out.push_str(name);
-                        out.push_str("\":");
-                        out.push_str(&value);
-                    };
-                    if let Some(a) = o.approx {
-                        member(&mut extra, "approx", a.to_string());
-                    }
-                    if let Some(plan) = o.plan {
-                        member(&mut extra, "plan", format!("\"{}\"", plan.name()));
-                    }
-                    extra.push('}');
+                if let Some(plan) = q.overrides.plan {
+                    extra.push_str(",\"options\":{\"plan\":\"");
+                    extra.push_str(plan.name());
+                    extra.push_str("\"}");
                 }
                 if let Some(ms) = q.deadline_ms {
                     extra.push_str(",\"deadline_ms\":");
@@ -463,12 +436,6 @@ fn parse_query(doc: &Value, id: Option<Value>) -> Result<Request, WireError> {
             .ok_or_else(|| err("\"options\" must be an object".into()))?;
         for (k, v) in members {
             match k.as_str() {
-                "approx" => {
-                    overrides.approx = Some(
-                        v.as_bool()
-                            .ok_or_else(|| err("options.approx must be a boolean".into()))?,
-                    );
-                }
                 "plan" => {
                     overrides.plan = Some(v.as_str().and_then(Plan::parse).ok_or_else(|| {
                         err("options.plan must be auto|naive|prefilter|indexed|sharded".into())
@@ -777,7 +744,6 @@ mod tests {
                 id: None,
                 graph: "t g\nv 0 C\n".to_owned(),
                 overrides: QueryOverrides {
-                    approx: Some(false),
                     plan: Some(Plan::Sharded),
                 },
                 deadline_ms: Some(2500),
@@ -844,8 +810,8 @@ mod tests {
                 "auto|naive|prefilter|indexed|sharded",
             ),
             (
-                "{\"op\":\"query\",\"graph\":\"t g\",\"options\":{\"approx\":1}}",
-                "boolean",
+                "{\"op\":\"query\",\"graph\":\"t g\",\"options\":{\"approx\":true}}",
+                "unknown option",
             ),
             (
                 "{\"op\":\"query\",\"graph\":\"t g\",\"deadline_ms\":-5}",
@@ -987,7 +953,6 @@ mod tests {
 
     #[test]
     fn overrides_emptiness_gates_the_options_object() {
-        assert!(QueryOverrides::default().is_empty());
         let q = Request::Query(Box::new(QueryEnvelope {
             id: None,
             graph: "t g\n".to_owned(),
@@ -1000,7 +965,6 @@ mod tests {
             graph: "t g\n".to_owned(),
             overrides: QueryOverrides {
                 plan: Some(Plan::Prefilter),
-                ..QueryOverrides::default()
             },
             deadline_ms: None,
         }));

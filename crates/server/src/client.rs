@@ -109,12 +109,6 @@ pub struct ClientBuilder {
 }
 
 impl ClientBuilder {
-    /// Requests approximate solvers (bipartite GED + greedy MCS).
-    pub fn approx(mut self, on: bool) -> ClientBuilder {
-        self.overrides.approx = Some(on);
-        self
-    }
-
     /// Selects the evaluation plan.
     pub fn plan(mut self, plan: Plan) -> ClientBuilder {
         self.overrides.plan = Some(plan);

@@ -13,9 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gss_core::jsonio::Value;
-use gss_core::{
-    exec, BatchStats, CancelToken, GraphDatabase, Plan, QueryKey, QueryOptions, SolverConfig,
-};
+use gss_core::{exec, BatchStats, CancelToken, GraphDatabase, Plan, QueryKey, QueryOptions};
 use gss_graph::Graph;
 use gss_protocol::{QueryEnvelope, Response};
 use gss_store::{GraphStore, MutationBatch, MutationError, MutationReceipt, StoreConfig};
@@ -261,15 +259,7 @@ impl Engine {
         if let Some(index) = snapshot.query_index() {
             options.index = Some(index);
         }
-        let o = &envelope.overrides;
-        if let Some(approx) = o.approx {
-            options.solvers = if approx {
-                SolverConfig::Approx
-            } else {
-                SolverConfig::Exact
-            };
-        }
-        if let Some(plan) = o.plan {
+        if let Some(plan) = envelope.overrides.plan {
             if plan == Plan::Indexed && options.index.is_none() {
                 return Err("options.plan \"indexed\" requires a server-side index \
                      (start gss serve with --index)"
@@ -712,15 +702,15 @@ mod tests {
             Request::Query(q) => q,
             _ => unreachable!(),
         };
-        assert_eq!(plain.options.solvers, SolverConfig::default());
+        assert_eq!(plain.options.plan, Plan::Auto);
         let tuned = match e
-            .parse_request(&query_line(&e, ",\"options\":{\"approx\":true}"))
+            .parse_request(&query_line(&e, ",\"options\":{\"plan\":\"naive\"}"))
             .unwrap()
         {
             Request::Query(q) => q,
             _ => unreachable!(),
         };
-        assert_eq!(tuned.options.solvers, SolverConfig::Approx);
+        assert_eq!(tuned.options.plan, Plan::Naive);
         assert_ne!(
             plain.key.options, tuned.key.options,
             "different options, different cache slots"

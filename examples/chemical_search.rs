@@ -68,7 +68,7 @@ fn main() {
     );
 
     for measure in [MeasureKind::EditDistance, MeasureKind::Mcs, MeasureKind::Gu] {
-        let top = top_k_by_measure(&db, &w.query, measure, k, &SolverConfig::default(), 4);
+        let top = top_k_by_measure(&db, &w.query, measure, k, 4);
         let hits = top.iter().filter(|s| planted.contains(&s.id)).count();
         println!(
             "planted near-matches in top-{k} by {} alone: {hits}/{}",

@@ -12,7 +12,7 @@
 
 use gss_core::{
     graph_similarity_skyline, refine_skyline, top_k_by_measure, GraphDatabase, GraphId,
-    MeasureKind, Plan, QueryOptions, RefineOptions, SolverConfig,
+    MeasureKind, Plan, QueryOptions, RefineOptions,
 };
 use gss_datasets::paper::{expected, figure1_pair, figure3_database, hotels};
 use gss_ged::{bipartite::bipartite_ged, edit_path_for_mapping, exact_ged, CostModel, GedOptions};
@@ -121,14 +121,7 @@ fn section6_example() {
     }
 
     println!("  contrast — top-3 by edit distance alone:");
-    let top3 = top_k_by_measure(
-        &db,
-        &data.query,
-        MeasureKind::EditDistance,
-        3,
-        &SolverConfig::default(),
-        1,
-    );
+    let top3 = top_k_by_measure(&db, &data.query, MeasureKind::EditDistance, 3, 1);
     for s in &top3 {
         println!("    g{} (DistEd {})", s.id.index() + 1, s.distance);
     }

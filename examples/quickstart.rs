@@ -79,14 +79,7 @@ fn main() {
     }
 
     // Contrast with a classical single-measure top-2.
-    let top2 = top_k_by_measure(
-        &db,
-        &query,
-        MeasureKind::EditDistance,
-        2,
-        &SolverConfig::default(),
-        1,
-    );
+    let top2 = top_k_by_measure(&db, &query, MeasureKind::EditDistance, 2, 1);
     println!("\nTop-2 by edit distance alone:");
     for s in &top2 {
         println!("  {} (DistEd = {})", db.get(s.id).name(), s.distance);

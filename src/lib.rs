@@ -18,7 +18,7 @@
 //! |-------|----------|
 //! | [`graph`] (gss-graph) | labeled graphs, vocabulary, formats, RNG |
 //! | [`iso`] (gss-iso) | VF2 (sub)graph isomorphism |
-//! | [`mcs`] (gss-mcs) | exact/greedy connected maximum common subgraph |
+//! | [`mcs`] (gss-mcs) | exact connected maximum common subgraph |
 //! | [`ged`] (gss-ged) | exact/bipartite graph edit distance |
 //! | [`skyline`] (gss-skyline) | generic Pareto skyline operators |
 //! | [`diversity`] (gss-diversity) | rank-sum diversity refinement |

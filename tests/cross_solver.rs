@@ -1,5 +1,5 @@
-//! Cross-solver consistency: every approximate or alternative solver must
-//! bound (or match) its exact counterpart, across crates, on deterministic
+//! Cross-solver consistency: every bound or alternative solver must bound
+//! (or match) its exact counterpart, across crates, on deterministic
 //! random inputs. The kernels' parity with their retained reference solvers
 //! and their recorded expansion baselines are unit tests of `gss-ged` and
 //! `gss-mcs`, where the references are compiled.
@@ -10,7 +10,7 @@ use similarity_skyline::datasets::synth::{
     molecule_like_graph, perturb, random_connected_graph, MoleculeConfig, RandomGraphConfig,
 };
 use similarity_skyline::ged::{bipartite::bipartite_ged, exact_ged, GedOptions};
-use similarity_skyline::mcs::{greedy::greedy_mcs, oracle::mcs_edges_by_definition};
+use similarity_skyline::mcs::oracle::mcs_edges_by_definition;
 use similarity_skyline::prelude::*;
 use support::permuted;
 
@@ -58,8 +58,6 @@ fn mcs_exact_matches_definition_oracle_on_molecules() {
         let fast = mcs_edge_size(&g1, &g2);
         let slow = mcs_edges_by_definition(&g1, &g2);
         assert_eq!(fast, slow, "case {i}");
-        let greedy = greedy_mcs(&g1, &g2).edges();
-        assert!(greedy <= fast, "case {i}: greedy {greedy} > exact {fast}");
     }
 }
 

@@ -38,15 +38,9 @@ const ALL_PLANS: [Plan; 5] = [
 
 /// Options with the index attached (so `Indexed` can use it) and an
 /// explicit plan.
-fn plan_options(
-    index: &Arc<PivotIndex>,
-    plan: Plan,
-    threads: usize,
-    solvers: SolverConfig,
-) -> QueryOptions {
+fn plan_options(index: &Arc<PivotIndex>, plan: Plan, threads: usize) -> QueryOptions {
     QueryOptions {
         threads,
-        solvers,
         plan,
         index: Some(Arc::clone(index) as Arc<dyn QueryIndex>),
         ..QueryOptions::default()
@@ -90,7 +84,7 @@ proptest! {
         let fired = CancelToken::new();
         fired.cancel();
         for plan in ALL_PLANS {
-            let opts = plan_options(&index, plan, 1, SolverConfig::default());
+            let opts = plan_options(&index, plan, 1);
             prop_assert_eq!(
                 exec::skyline(&db, &q, &opts, &fired).err(),
                 Some(Cancelled),
@@ -221,7 +215,7 @@ fn smoke_workload_documents_are_pinned_for_every_plan() {
         .map(|&(plan, threads, _, _)| {
             let opts = QueryOptions {
                 shards: 3,
-                ..plan_options(&index, plan, threads, SolverConfig::default())
+                ..plan_options(&index, plan, threads)
             };
             let r = graph_similarity_skyline(&db, &q, &opts);
             let (explain, answer) = (explain_json(&db, &r), to_json(&db, &r));
@@ -246,7 +240,7 @@ fn indexed_scan_materializes_no_more_graphs_than_the_prefilter_scan() {
     let index = Arc::new(PivotIndex::build(&load(), &PivotIndexConfig::default()));
     let run = |plan: Plan| {
         let db = load();
-        let options = plan_options(&index, plan, 1, SolverConfig::default());
+        let options = plan_options(&index, plan, 1);
         let r = graph_similarity_skyline(&db, &w.query, &options);
         let stats = r.pruning.expect("a pruned plan reports counters");
         (db.memory_stats().materialized, stats)

@@ -118,14 +118,7 @@ fn section6_skyline_and_witnesses() {
 fn section6_top_k_contrast() {
     let data = figure3_database();
     let db = GraphDatabase::from_parts(data.vocab, data.graphs);
-    let top3 = top_k_by_measure(
-        &db,
-        &data.query,
-        MeasureKind::EditDistance,
-        3,
-        &SolverConfig::default(),
-        1,
-    );
+    let top3 = top_k_by_measure(&db, &data.query, MeasureKind::EditDistance, 3, 1);
     let ids: Vec<usize> = top3.iter().map(|s| s.id.index()).collect();
     assert!(ids.contains(&2), "g3 in ED top-3");
     let r = graph_similarity_skyline(&db, &data.query, &QueryOptions::default());

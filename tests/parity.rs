@@ -1,14 +1,13 @@
 //! The parity lattice: a query has one answer, whatever the plan, thread
-//! count, solver setting, representation, epoch or path that computes it.
+//! count, representation, epoch or path that computes it.
 //!
 //! A configuration picks one value on each axis of [`AXES`]. Every drawn
 //! scenario builds a workload and checks the [`CORNERS`] plus a pairwise
 //! covering set of configurations at two levels:
 //!
 //! * **answer**, against the reference — Naive × owned × direct × 1 thread
-//!   with the same solvers, on a database built from scratch with the same
-//!   graphs: skyline, witnesses, exact rows, `lb ≤ exact` and counter
-//!   conservation;
+//!   on a database built from scratch with the same graphs: skyline,
+//!   witnesses, exact rows, `lb ≤ exact` and counter conservation;
 //! * **document**, against the [`canonical`] configuration: the compact
 //!   `to_json` answer document the server caches (all the engine path
 //!   exposes), and on the direct and batch paths also the compact
@@ -32,11 +31,10 @@ use support::{build_workload, compact, graph_text, renamed_text};
 
 /// Every axis and its values; a new axis is one more entry here and a
 /// case in [`Built::eval`].
-const AXES: [(&str, &str); 7] = [
+const AXES: [(&str, &str); 6] = [
     ("plan", "auto naive prefilter indexed sharded"),
     ("shards", "1 2 3"),
     ("threads", "1 3"),
-    ("solvers", "exact approx"),
     ("repr", "owned compact image"),
     ("epoch", "fresh mutated"),
     ("path", "direct batch engine"),
@@ -44,10 +42,9 @@ const AXES: [(&str, &str); 7] = [
 const PLAN: usize = 0;
 const SHARDS: usize = 1;
 const THREADS: usize = 2;
-const SOLVERS: usize = 3;
-const REPR: usize = 4;
-const EPOCH: usize = 5;
-const PATH: usize = 6;
+const REPR: usize = 3;
+const EPOCH: usize = 4;
+const PATH: usize = 5;
 const AUTO: usize = 0;
 const NAIVE: usize = 1;
 const PREFILTER: usize = 2;
@@ -62,7 +59,7 @@ type Config = [usize; AXES.len()];
 
 /// Configurations every scenario checks: an indexed query on a loaded
 /// image, after a store epoch, answered from the engine's cache.
-const CORNERS: [Config; 1] = [[INDEXED, 0, 1, 0, 2, MUTATED, ENGINE]];
+const CORNERS: [Config; 1] = [[INDEXED, 0, 1, 2, MUTATED, ENGINE]];
 
 const SCENARIOS: usize = 16;
 
@@ -86,7 +83,6 @@ fn options(c: &Config) -> QueryOptions {
         plan: Plan::parse(token(PLAN, c[PLAN])).expect("a plan token"),
         shards: c[SHARDS] + 1,
         threads: [1, 3][c[THREADS]],
-        solvers: [SolverConfig::Exact, SolverConfig::Approx][c[SOLVERS]],
         ..QueryOptions::default()
     }
 }
@@ -94,7 +90,7 @@ fn options(c: &Config) -> QueryOptions {
 /// The configuration whose document `c`'s must equal: owned, direct, one
 /// shard (read only by the sharded plan, whose document ignores it), with
 /// `c`'s resolved plan (Auto resolves to Prefilter, though every
-/// configuration carries an index), solvers and epoch. It keeps `c`'s
+/// configuration carries an index) and epoch. It keeps `c`'s
 /// thread count only where threads change counters: not for the naive and
 /// sharded plans, and not on the batch and engine paths, which run each
 /// query on one thread.
@@ -102,7 +98,7 @@ fn canonical(c: &Config) -> Config {
     let plan = if c[PLAN] == AUTO { PREFILTER } else { c[PLAN] };
     let invariant = plan == NAIVE || plan == SHARDED || c[PATH] != DIRECT;
     let threads = if invariant { 0 } else { c[THREADS] };
-    [plan, 0, threads, c[SOLVERS], 0, c[EPOCH], DIRECT]
+    [plan, 0, threads, 0, c[EPOCH], DIRECT]
 }
 
 /// The value pairs `c` covers: `(axis, value, later axis, value)`.
@@ -283,9 +279,9 @@ impl Built {
         }
     }
 
-    /// The engine path: a decoy under the other solver setting warms the
-    /// cache, the epoch (if any) goes through the engine, then the query
-    /// must miss and its replay hit with the same bytes.
+    /// The engine path: a decoy under another plan warms the cache, the
+    /// epoch (if any) goes through the engine, then the query must miss and
+    /// its replay hit with the same bytes.
     fn engine(&self, c: &Config) -> Eval {
         let fresh = &self.snapshots[c[REPR]][0];
         let store = store(fresh.database(), fresh.index().expect("an indexed store"));
@@ -295,9 +291,8 @@ impl Built {
         };
         let engine = Engine::with_store(Arc::new(store), options(c), &config);
         let graph = escape(&graph_text(fresh.database(), &self.query));
-        let ask = |approx: bool| {
-            let options = format!(r#"{{"approx":{approx}}}"#);
-            let line = format!(r#"{{"op":"query","graph":"{graph}","options":{options}}}"#);
+        let ask = |options: &str| {
+            let line = format!(r#"{{"op":"query","graph":"{graph}"{options}}}"#);
             let Ok(Request::Query(job)) = engine.parse_request(&line) else {
                 panic!("{}: the query line parses", describe(c));
             };
@@ -307,15 +302,19 @@ impl Built {
                 other => panic!("{}: {other:?}", describe(c)),
             }
         };
-        ask(c[SOLVERS] == 0);
+        let decoy = if c[PLAN] == NAIVE {
+            "prefilter"
+        } else {
+            "naive"
+        };
+        ask(&format!(r#","options":{{"plan":"{decoy}"}}"#));
         if c[EPOCH] == MUTATED {
             assert!(
                 engine.apply_mutation(&self.mutation).is_ok(),
                 "the mutation applies"
             );
         }
-        let approx = c[SOLVERS] == 1;
-        let ((miss, answer), (hit, replay)) = (ask(approx), ask(approx));
+        let ((miss, answer), (hit, replay)) = (ask(""), ask(""));
         let at = describe(c);
         assert_eq!((miss, hit), (false, true), "{at}: miss, then hit");
         assert_eq!(replay, answer, "{at}: the hit changed the document");
@@ -358,8 +357,8 @@ fn check(s: &Scenario) {
         for c in [canonical(c), *c] {
             if let Entry::Vacant(slot) = evals.entry(c) {
                 let e = built.eval(&c);
-                let reference = references.entry((c[SOLVERS], c[EPOCH])).or_insert_with(|| {
-                    let naive = [NAIVE, 0, 0, c[SOLVERS], 0, 0, DIRECT];
+                let reference = references.entry(c[EPOCH]).or_insert_with(|| {
+                    let naive = [NAIVE, 0, 0, 0, 0, DIRECT];
                     built.run(&naive, &built.references[c[EPOCH]], &options(&naive))
                 });
                 check_answer(&c, &e, reference);
@@ -419,7 +418,7 @@ fn status() -> String {
          Rebuilt by `parity_status_is_current` in `tests/parity.rs` from the lattice axes and \
          its {SCENARIOS} scenarios; it fails on drift and prints the expected text. *answer*: \
          checked against Naive × owned × direct × 1 thread; *document*: also byte-compared \
-         with the canonical configuration (same resolved plan, solvers, epoch and effective \
+         with the canonical configuration (same resolved plan, epoch and effective \
          thread count).\n\n\
          **Axis pairs covered: {covered}/{}.** Corners, checked at both levels in every \
          scenario: `{}`.\n\n\

@@ -9,7 +9,7 @@
 //!    the skyline members only, however large the database.
 //! 2. **Cache identity** — repeated queries are answered from the result
 //!    cache (`cached: true`) with payloads byte-identical to the fresh
-//!    evaluation (across random workloads, plans and solvers the parity
+//!    evaluation (across random workloads and plans the parity
 //!    lattice in `tests/parity.rs` checks the engine path the same way).
 //! 3. **Wire identity** — a fixed transcript of request lines gets
 //!    exactly the bytes the typed `Response` envelopes serialize to, and
@@ -83,7 +83,6 @@ fn concurrent_clients_match_the_single_threaded_oracle() {
         (
             QueryOverrides {
                 plan: Some(Plan::Prefilter),
-                ..QueryOverrides::default()
             },
             QueryOptions {
                 plan: Plan::Prefilter,
@@ -598,7 +597,6 @@ fn stats_and_drain_protocol() {
         &graph_text(&db, &queries[1]),
         &QueryOverrides {
             plan: Some(Plan::Prefilter),
-            ..QueryOverrides::default()
         },
     ));
     match uncached {
